@@ -57,25 +57,23 @@ def main() -> None:
     )
 
     print("\nfamily           features  kept    AC  purity")
+    results = {}
     for name, spec in specs.items():
-        result = run_pipeline(corpus, spec, "reliable", "delta", k=5)
+        result = results[name] = run_pipeline(corpus, spec, "reliable", "delta", k=5)
         purity = cluster_purity(result.assignment, truth).purity
         print(
             f"{name:<16} {result.matrix.n_features:8d} {result.selected.n_features:5d}"
             f" {result.dendrogram.ac:5.3f} {purity:7.3f}"
         )
+    fw_delta = results["function words"]
 
-    fw_spec = specs["function words"]
     print("\nmost cluster-correlated function words (delta pipeline):")
-    result = run_pipeline(corpus, fw_spec, "reliable", "delta", k=5)
-    for row in eta_table(result.selected, result.assignment)[:5]:
+    for row in eta_table(fw_delta.selected, fw_delta.assignment)[:5]:
         print(f"  {row.feature:<8} eta2={row.eta_squared:.3f}  p={row.p_value:.3g}")
 
-    for distance in ("delta", "minmax"):
-        reference = run_pipeline(corpus, fw_spec, "reliable", distance, k=5)
-        rows = robustness_sweep(
-            corpus, fw_spec, distance, truth, SWEEP_CUTOFFS, reference.assignment
-        )
+    fw_minmax = run_pipeline(corpus, specs["function words"], "reliable", "minmax", k=5)
+    for distance, reference in (("delta", fw_delta), ("minmax", fw_minmax)):
+        rows = robustness_sweep(reference, truth, SWEEP_CUTOFFS)
         print(f"\nfunction-word sweep under {distance}:")
         print("  cutoff  features  P-A    P-R")
         for row in rows:

@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 analysis error, 2 input/format error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -33,12 +32,14 @@ from .features import (
     build_matrix,
     default_function_words,
     load_word_list,
+    write_csv,
     write_matrix_csv,
 )
 from .metrics import Measure, write_distance_csv
-from .pipeline import RELIABLE, run_pipeline, shortest_document_length
+from .pipeline import RELIABLE, PipelineResult, apply_selection, run_pipeline
+from .pipeline import shortest_document_length
 from .render import dendrogram_svg, write_svg
-from .selection import SelectionParams, select_reliable, write_selection_csv
+from .selection import write_selection_csv
 from .synth import SynthConfig, generate_corpus
 
 SWEEP_CUTOFFS = (0.01, 0.10, 0.25, 0.50, 0.75, 1.00)
@@ -53,20 +54,29 @@ _FEATURE_FLAGS = {
 }
 
 
+def _fraction(text: str, scale: float, what: str) -> float:
+    """A number in (0, scale], divided by scale; a usage error names the text."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{what} {text!r} is not a number") from None
+    if not 0.0 < value <= scale:
+        raise argparse.ArgumentTypeError(f"{what} {text!r} lies outside (0, {scale:g}]")
+    return value / scale
+
+
 def _parse_select(value: str) -> str | tuple[str, float]:
     if value == RELIABLE:
         return RELIABLE
     if value.startswith("top:"):
-        try:
-            pct = float(value.split(":", 1)[1])
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad selection spec: {value!r}") from None
-        if not 0.0 < pct <= 100.0:
-            raise argparse.ArgumentTypeError("top:<pct> needs a percentage in (0, 100]")
-        return ("top", pct / 100.0)
+        return ("top", _fraction(value[4:], 100.0, "top:<pct> percentage"))
     raise argparse.ArgumentTypeError(
         f"selection must be 'reliable' or 'top:<pct>', got {value!r}"
     )
+
+
+def _parse_cutoffs(value: str) -> tuple[float, ...]:
+    return tuple(_fraction(c.strip(), 1.0, "cutoff") for c in value.split(",") if c.strip())
 
 
 def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
@@ -80,9 +90,10 @@ def _add_feature_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fw-list", default=None, help="function-word list file (one per line)")
 
 
-def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--select", type=_parse_select, default=RELIABLE,
-                        help="'reliable' or 'top:<pct>'")
+def _add_analysis_flags(parser: argparse.ArgumentParser, select: bool = True) -> None:
+    if select:
+        parser.add_argument("--select", type=_parse_select, default=RELIABLE,
+                            help="'reliable' or 'top:<pct>'")
     parser.add_argument("--distance", choices=[m.value for m in Measure], default="delta")
     parser.add_argument("--linkage", choices=["ward2", "ward1"], default="ward2")
     parser.add_argument("--k", type=int, default=None,
@@ -119,8 +130,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="frequency-cutoff robustness table")
     _add_corpus_flags(p)
     _add_feature_flags(p)
-    _add_analysis_flags(p)
-    p.add_argument("--cutoffs", default=",".join(str(c) for c in SWEEP_CUTOFFS),
+    _add_analysis_flags(p, select=False)
+    p.add_argument("--cutoffs", type=_parse_cutoffs,
+                   default=",".join(str(c) for c in SWEEP_CUTOFFS),
                    help="comma-separated fractions in (0,1]")
     p.add_argument("--out", default="out")
 
@@ -168,10 +180,14 @@ def _feature_spec(args: argparse.Namespace) -> FeatureSpec:
     return FeatureSpec(kind=kind)
 
 
-def _resolve_k(args: argparse.Namespace, corpus: Corpus) -> int:
-    if args.k is not None:
-        return args.k
-    return len(set(corpus.alleged_authors().values()))
+def _run(
+    args: argparse.Namespace, select: str | tuple[str, float]
+) -> tuple[Corpus, PipelineResult]:
+    """Load, filter and run the pipeline; k defaults to the number of authors."""
+    corpus = _load_corpus(args)
+    k = args.k if args.k is not None else len(set(corpus.alleged_authors().values()))
+    result = run_pipeline(corpus, _feature_spec(args), select, args.distance, k, args.linkage)
+    return corpus, result
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
@@ -188,8 +204,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     corpus = _load_corpus(args)
     matrix = build_matrix(corpus, _feature_spec(args))
-    params = SelectionParams(min_doc_len=shortest_document_length(corpus))
-    report = select_reliable(matrix, params)
+    _, report = apply_selection(matrix, RELIABLE, shortest_document_length(corpus))
     write_selection_csv(report, out / "selection.csv")
     _write_run_record(args, out)
     print(f"{len(report.retained)} of {matrix.n_features} features retained")
@@ -197,19 +212,16 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _write_assignment_csv(assignment: dict[str, int], truth: dict[str, str], path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["doc_id", "cluster", "author"])
-        for doc in sorted(assignment):
-            writer.writerow([doc, assignment[doc], truth.get(doc, "")])
+    write_csv(
+        path,
+        ["doc_id", "cluster", "author"],
+        ([doc, assignment[doc], truth.get(doc, "")] for doc in sorted(assignment)),
+    )
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    corpus = _load_corpus(args)
-    spec = _feature_spec(args)
-    k = _resolve_k(args, corpus)
-    result = run_pipeline(corpus, spec, args.select, args.distance, k, args.linkage)
+    corpus, result = _run(args, args.select)
     truth = corpus.alleged_authors()
     purity = cluster_purity(result.assignment, truth).purity
 
@@ -235,17 +247,14 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     _write_run_record(args, out)
     print(
         f"{result.matrix.n_docs} docs, {result.selected.n_features} features, "
-        f"k={k}, AC={result.dendrogram.ac:.3f}, purity={purity:.3f}"
+        f"k={result.k}, AC={result.dendrogram.ac:.3f}, purity={purity:.3f}"
     )
     return 0
 
 
 def _cmd_eta(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    corpus = _load_corpus(args)
-    spec = _feature_spec(args)
-    k = _resolve_k(args, corpus)
-    result = run_pipeline(corpus, spec, args.select, args.distance, k, args.linkage)
+    _, result = _run(args, args.select)
     rows = eta_table(result.selected, result.assignment)
     write_eta_csv(rows, out / "eta.csv")
     _write_run_record(args, out)
@@ -256,17 +265,10 @@ def _cmd_eta(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    corpus = _load_corpus(args)
-    spec = _feature_spec(args)
+    corpus, reference = _run(args, RELIABLE)
     truth = corpus.alleged_authors()
-    k = _resolve_k(args, corpus)
-    cutoffs = [float(c) for c in args.cutoffs.split(",") if c.strip()]
-
-    reference = run_pipeline(corpus, spec, RELIABLE, args.distance, k, args.linkage)
     reference_purity = cluster_purity(reference.assignment, truth).purity
-    rows = robustness_sweep(
-        corpus, spec, args.distance, truth, cutoffs, reference.assignment, args.linkage
-    )
+    rows = robustness_sweep(reference, truth, args.cutoffs)
     reference_row = SweepRow(
         cutoff=float("nan"),
         n_features=reference.selected.n_features,

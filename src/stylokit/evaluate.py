@@ -9,7 +9,6 @@ supplying the p-value through a hand-rolled regularized incomplete beta
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,11 +17,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .cluster import ClusterAssignment, cut, ward_cluster
-from .corpus import Corpus
 from .errors import AnalysisError
-from .features import FeatureMatrix, FeatureSpec, build_matrix, format_value
-from .metrics import Measure, compute_distance
-from .selection import select_top_frequency
+from .features import FeatureMatrix, format_value, write_csv
+from .metrics import compute_distance
+from .pipeline import PipelineResult
+from .selection import nonconstant_features, select_top_frequency
 
 P_VALUE_FLOOR = 1e-300
 
@@ -217,45 +216,34 @@ def format_p_value(p: float) -> str:
 
 
 def write_eta_csv(rows: Sequence[EtaRow], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["feature", "eta_squared", "p_value"])
-        for row in rows:
-            p = 0.0 if row.p_value < P_VALUE_FLOOR else row.p_value
-            writer.writerow([row.feature, format_value(row.eta_squared), format_value(p)])
-
-
-def _usable_features(matrix: FeatureMatrix, names: tuple[str, ...]) -> tuple[str, ...]:
-    """Drop zero-variance columns: the transforms cannot absorb them."""
-    sub = matrix.subset(names)
-    sd = sub.values.std(axis=0, ddof=1)
-    return tuple(n for n, s in zip(sub.feature_names, sd) if s > 0.0)
+    table = []
+    for row in rows:
+        p = 0.0 if row.p_value < P_VALUE_FLOOR else row.p_value
+        table.append([row.feature, format_value(row.eta_squared), format_value(p)])
+    write_csv(path, ["feature", "eta_squared", "p_value"], table)
 
 
 def robustness_sweep(
-    corpus: Corpus,
-    spec: FeatureSpec,
-    distance: Measure | str,
+    reference: PipelineResult,
     truth: Mapping[str, str],
     cutoffs: Sequence[float],
-    reference: ClusterAssignment,
-    linkage_variant: str = "ward2",
 ) -> list[SweepRow]:
-    """Re-run the pipeline at frequency-rank cutoffs and score each run.
+    """Re-cluster the reference run's matrix at frequency-rank cutoffs.
 
-    Each row carries purity against the alleged authors (P-A) and against
-    the reference clustering from the reliability selection (P-R). A
-    cutoff leaving fewer than 2 usable features is flagged, not fatal.
+    Every row reuses the reference's feature matrix, distance measure,
+    linkage variant and k, so only the selection differs. Each row carries
+    purity against the alleged authors (P-A) and against the reference
+    clustering (P-R). A cutoff leaving fewer than 2 usable features is
+    flagged, not fatal.
     """
     if not cutoffs:
         raise AnalysisError("sweep needs at least one cutoff")
-    matrix = build_matrix(corpus, spec)
-    k = len(set(truth.values()))
-    reference_labels = {doc: str(label) for doc, label in reference.items()}
+    matrix = reference.matrix
+    reference_labels = {doc: str(label) for doc, label in reference.assignment.items()}
     rows: list[SweepRow] = []
     for cutoff in cutoffs:
         names = select_top_frequency(matrix, cutoff)
-        usable = _usable_features(matrix, names)
+        usable = nonconstant_features(matrix, names)
         if len(usable) < 2:
             rows.append(
                 SweepRow(
@@ -268,8 +256,8 @@ def robustness_sweep(
             )
             continue
         sub = matrix.subset(usable)
-        dist = compute_distance(sub, distance)
-        assignment = cut(ward_cluster(dist, linkage_variant), k)
+        dist = compute_distance(sub, reference.distance.measure)
+        assignment = cut(ward_cluster(dist, reference.linkage_variant), reference.k)
         rows.append(
             SweepRow(
                 cutoff=cutoff,
@@ -285,18 +273,14 @@ def write_sweep_csv(
     rows: Sequence[SweepRow], path: str | Path, reference_row: SweepRow | None = None
 ) -> None:
     """Sweep table; the reference-selection row, when given, closes the file."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cutoff", "n_features", "purity_authors", "purity_reference"])
 
-        def fmt(p: float | None) -> str:
-            return "" if p is None else format_value(p)
+    def fmt(p: float | None) -> str:
+        return "" if p is None else format_value(p)
 
-        for row in rows:
-            writer.writerow(
-                [format_value(row.cutoff), row.n_features, fmt(row.purity_authors), fmt(row.purity_reference)]
-            )
-        if reference_row is not None:
-            writer.writerow(
-                ["RS", reference_row.n_features, fmt(reference_row.purity_authors), ""]
-            )
+    table = [
+        [format_value(row.cutoff), row.n_features, fmt(row.purity_authors), fmt(row.purity_reference)]
+        for row in rows
+    ]
+    if reference_row is not None:
+        table.append(["RS", reference_row.n_features, fmt(reference_row.purity_authors), ""])
+    write_csv(path, ["cutoff", "n_features", "purity_authors", "purity_reference"], table)

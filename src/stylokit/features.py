@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,7 +34,6 @@ class FeatureKind(str, Enum):
 
 
 class Scale(str, Enum):
-    RAW_COUNT = "raw_count"
     RELATIVE_FREQUENCY = "relative_frequency"
     ZSCORE = "zscore"
     TFSD = "tfsd"
@@ -204,12 +204,12 @@ class FeatureMatrix:
         )
 
 
-def build_matrix(corpus: Corpus, spec: FeatureSpec, raw_counts: bool = False) -> FeatureMatrix:
+def build_matrix(corpus: Corpus, spec: FeatureSpec) -> FeatureMatrix:
     """Assemble the corpus-wide matrix for one feature family.
 
     Columns are the lexicographically sorted union of feature names over
-    all documents; rows default to relative frequencies. A document with
-    no extractable features keeps an all-zero row.
+    all documents; rows hold relative frequencies. A document with no
+    extractable features keeps an all-zero row.
     """
     if len(corpus) == 0:
         raise AnalysisError("cannot build a matrix from an empty corpus")
@@ -222,19 +222,18 @@ def build_matrix(corpus: Corpus, spec: FeatureSpec, raw_counts: bool = False) ->
         for name, count in counts.items():
             values[i, index[name]] = count
 
-    if not raw_counts:
-        if spec.kind is FeatureKind.FUNCTION_WORD:
-            denoms = np.array([doc.lexical_token_count for doc in corpus], dtype=float)
-        else:
-            denoms = values.sum(axis=1)
-        safe = np.where(denoms > 0, denoms, 1.0)
-        values = values / safe[:, None]
+    if spec.kind is FeatureKind.FUNCTION_WORD:
+        denoms = np.array([doc.lexical_token_count for doc in corpus], dtype=float)
+    else:
+        denoms = values.sum(axis=1)
+    safe = np.where(denoms > 0, denoms, 1.0)
+    values = values / safe[:, None]
 
     return FeatureMatrix(
         doc_ids=corpus.doc_ids,
         feature_names=tuple(names),
         values=values,
-        scale=Scale.RAW_COUNT if raw_counts else Scale.RELATIVE_FREQUENCY,
+        scale=Scale.RELATIVE_FREQUENCY,
         kind=spec.kind,
     )
 
@@ -244,12 +243,17 @@ def format_value(v: float) -> str:
     return format(float(v), ".12g")
 
 
-def write_matrix_csv(matrix: FeatureMatrix, path: str | Path) -> None:
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The one on-disk table layout: UTF-8, comma-separated, LF line ends."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("doc_id",) + matrix.feature_names)
-        for i, doc_id in enumerate(matrix.doc_ids):
-            writer.writerow([doc_id] + [format_value(v) for v in matrix.values[i]])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_matrix_csv(matrix: FeatureMatrix, path: str | Path) -> None:
+    rows = ([doc, *map(format_value, row)] for doc, row in zip(matrix.doc_ids, matrix.values))
+    write_csv(path, ("doc_id", *matrix.feature_names), rows)
 
 
 def read_matrix_csv(path: str | Path, scale: Scale = Scale.RELATIVE_FREQUENCY) -> FeatureMatrix:

@@ -10,7 +10,6 @@ componentwise minima to componentwise maxima.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AnalysisError
-from .features import FeatureMatrix, Scale, format_value
+from .features import FeatureMatrix, Scale, format_value, write_csv
 
 
 class Measure(str, Enum):
@@ -147,8 +146,5 @@ def compute_distance(matrix: FeatureMatrix, measure: Measure | str) -> DistanceM
 
 
 def write_distance_csv(dist: DistanceMatrix, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("doc_id",) + dist.doc_ids)
-        for i, doc_id in enumerate(dist.doc_ids):
-            writer.writerow([doc_id] + [format_value(v) for v in dist.values[i]])
+    rows = ([doc, *map(format_value, row)] for doc, row in zip(dist.doc_ids, dist.values))
+    write_csv(path, ("doc_id", *dist.doc_ids), rows)

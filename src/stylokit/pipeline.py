@@ -9,7 +9,8 @@ from .corpus import Corpus
 from .errors import AnalysisError
 from .features import FeatureMatrix, FeatureSpec, build_matrix
 from .metrics import DistanceMatrix, Measure, compute_distance
-from .selection import SelectionParams, SelectionReport, select_reliable, select_top_frequency
+from .selection import SelectionParams, SelectionReport, nonconstant_features
+from .selection import select_reliable, select_top_frequency
 
 RELIABLE = "reliable"
 
@@ -23,6 +24,7 @@ class PipelineResult:
     dendrogram: Dendrogram
     assignment: ClusterAssignment
     k: int
+    linkage_variant: str
 
 
 def shortest_document_length(corpus: Corpus) -> int:
@@ -46,10 +48,7 @@ def apply_selection(
         report = select_reliable(matrix, params)
         return matrix.subset(report.retained), report
     if isinstance(mode, tuple) and len(mode) == 2 and mode[0] == "top":
-        names = select_top_frequency(matrix, mode[1])
-        sub = matrix.subset(names)
-        sd = sub.values.std(axis=0, ddof=1)
-        usable = tuple(n for n, s in zip(sub.feature_names, sd) if s > 0.0)
+        usable = nonconstant_features(matrix, select_top_frequency(matrix, mode[1]))
         if len(usable) < 2:
             raise AnalysisError(
                 f"frequency cutoff {mode[1]} leaves fewer than 2 usable features"
@@ -82,4 +81,5 @@ def run_pipeline(
         dendrogram=dend,
         assignment=assignment,
         k=k,
+        linkage_variant=linkage_variant,
     )

@@ -11,7 +11,6 @@ around the observed range, which collapses to the midrange
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AnalysisError
-from .features import FeatureMatrix, Scale, format_value
+from .features import FeatureMatrix, Scale, format_value, write_csv
 
 
 @dataclass(frozen=True)
@@ -28,9 +27,6 @@ class SelectionParams:
     confidence_z: float = 1.645
     margin_multiplier: float = 2.0
     min_doc_len: int = 1
-    # "augmented" pools the observations with their mirrors before taking
-    # the standard deviation; the default uses the original values only.
-    sigma_mode: str = "original"
 
     def __post_init__(self) -> None:
         if self.confidence_z <= 0:
@@ -39,8 +35,6 @@ class SelectionParams:
             raise ValueError("margin_multiplier must be > 0")
         if self.min_doc_len < 1:
             raise ValueError("min_doc_len must be >= 1")
-        if self.sigma_mode not in ("original", "augmented"):
-            raise ValueError("sigma_mode must be 'original' or 'augmented'")
 
 
 @dataclass(frozen=True)
@@ -101,12 +95,8 @@ def select_reliable(matrix: FeatureMatrix, params: SelectionParams) -> Selection
     retained: list[str] = []
     for j, name in enumerate(matrix.feature_names):
         col = matrix.values[:, j]
-        p_bar = float((col.max() + col.min()) / 2.0)
-        if params.sigma_mode == "augmented":
-            pooled = np.concatenate([col, (col.max() + col.min()) - col])
-            sigma = float(pooled.std(ddof=1)) if pooled.size > 1 else 0.0
-        else:
-            sigma = float(col.std(ddof=1)) if col.size > 1 else 0.0
+        p_bar = corrected_mean(col)
+        sigma = float(col.std(ddof=1)) if col.size > 1 else 0.0
         degenerate = sigma == 0.0
         required_n = required_sample_size(p_bar, sigma, params)
         keep = not degenerate and required_n <= params.min_doc_len
@@ -144,18 +134,21 @@ def select_top_frequency(matrix: FeatureMatrix, fraction: float) -> tuple[str, .
     return tuple(name for name in matrix.feature_names if name in chosen)
 
 
+def nonconstant_features(matrix: FeatureMatrix, names: tuple[str, ...]) -> tuple[str, ...]:
+    """The given features minus zero-variance columns, which no transform can scale."""
+    sub = matrix.subset(names)
+    sd = sub.values.std(axis=0, ddof=1)
+    return tuple(n for n, s in zip(sub.feature_names, sd) if s > 0.0)
+
+
 def write_selection_csv(report: SelectionReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["feature", "p_bar", "sigma", "required_n", "retained", "degenerate"])
-        for row in report.per_feature:
-            writer.writerow(
-                [
-                    row.name,
-                    format_value(row.p_bar),
-                    format_value(row.sigma),
-                    format_value(row.required_n),
-                    str(row.retained).lower(),
-                    str(row.degenerate).lower(),
-                ]
-            )
+    table = [
+        [
+            row.name,
+            *map(format_value, (row.p_bar, row.sigma, row.required_n)),
+            str(row.retained).lower(),
+            str(row.degenerate).lower(),
+        ]
+        for row in report.per_feature
+    ]
+    write_csv(path, ["feature", "p_bar", "sigma", "required_n", "retained", "degenerate"], table)

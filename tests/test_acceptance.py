@@ -177,7 +177,7 @@ def test_criterion_8_sweep_shape(synth_corpus):
     )
     reference = run_pipeline(synth_corpus, spec, "reliable", "delta", 5)
     cutoffs = [0.01, 0.10, 0.25, 0.50, 0.75, 1.00]
-    rows = robustness_sweep(synth_corpus, spec, "delta", truth, cutoffs, reference.assignment)
+    rows = robustness_sweep(reference, truth, cutoffs)
     assert len(rows) == 6
     assert [r.n_features for r in rows] == [math.ceil(c * 110) for c in cutoffs]
     assert rows[0].n_features == 2  # 1% of the 110 function words

@@ -2,11 +2,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from stylokit import features
 from stylokit.cli import main
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +137,78 @@ def test_sweep_emits_six_rows_plus_reference(corpus_dir, tmp_path):
     assert len(lines) == 8  # 6 cutoffs + RS row
     assert lines[-1].startswith("RS,")
     assert lines[1].split(",")[1] == "2"  # 1% of 110 features
+
+
+def test_sweep_cuts_every_row_at_k(corpus_dir, tmp_path):
+    out = tmp_path / "run"
+    assert main([
+        "sweep", "--manifest", str(corpus_dir / "manifest.csv"),
+        "--features", "fw", "--fw-list", str(corpus_dir / "function_words.txt"),
+        "--k", "3", "--out", str(out),
+    ]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    cutoff_rows = [line.split(",") for line in lines[1:-1]]
+    assert len(cutoff_rows) == 6
+    # 3 clusters over 5 authors x 6 plays hold at most 18 of 30 documents
+    # in their majority author.
+    for row in cutoff_rows:
+        assert float(row[2]) <= 0.6
+
+
+def test_sweep_builds_the_matrix_once(corpus_dir, tmp_path, monkeypatch):
+    original = features.build_matrix
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("stylokit") and getattr(module, "build_matrix", None) is original:
+            monkeypatch.setattr(module, "build_matrix", counting)
+    assert main([
+        "sweep", "--manifest", str(corpus_dir / "manifest.csv"),
+        "--features", "fw", "--fw-list", str(corpus_dir / "function_words.txt"),
+        "--out", str(tmp_path / "run"),
+    ]) == 0
+    assert len(calls) == 1
+
+
+def test_sweep_rejects_select(corpus_dir, tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([
+            "sweep", "--manifest", str(corpus_dir / "manifest.csv"),
+            "--select", "top:50", "--out", str(tmp_path / "o"),
+        ])
+    assert excinfo.value.code == 2
+    assert "--select" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cutoffs, bad", [("0.1,abc", "'abc'"), ("0.1,1.5", "'1.5'")])
+def test_sweep_bad_cutoff_exits_2(corpus_dir, tmp_path, capsys, cutoffs, bad):
+    with pytest.raises(SystemExit) as excinfo:
+        main([
+            "sweep", "--manifest", str(corpus_dir / "manifest.csv"),
+            "--cutoffs", cutoffs, "--out", str(tmp_path / "o"),
+        ])
+    assert excinfo.value.code == 2
+    assert bad in capsys.readouterr().err
+
+
+def test_synthetic_demo_script_runs(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_synthetic_demo.py"), "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    blocks = proc.stdout.split("\n\n")
+    families = next(b for b in blocks if b.startswith("family")).splitlines()[1:]
+    assert len(families) == 6
+    sweeps = [b.splitlines()[2:] for b in blocks if b.startswith("function-word sweep")]
+    assert [len(rows) for rows in sweeps] == [7, 7]
+    assert all(rows[-1].split()[0] == "RS" for rows in sweeps)
 
 
 def test_default_function_word_list_is_used_without_flag(corpus_dir, tmp_path, capsys):

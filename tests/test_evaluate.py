@@ -222,9 +222,7 @@ def test_sweep_structure_on_synthetic_corpus(synth_corpus):
     )
     reference = run_pipeline(synth_corpus, spec, "reliable", "delta", 5)
     cutoffs = [0.01, 0.10, 0.25, 0.50, 0.75, 1.00]
-    rows = robustness_sweep(
-        synth_corpus, spec, "delta", truth, cutoffs, reference.assignment
-    )
+    rows = robustness_sweep(reference, truth, cutoffs)
     assert [r.cutoff for r in rows] == cutoffs
     assert [r.n_features for r in rows] == [2, 11, 28, 55, 83, 110]
     for row in rows[1:]:
@@ -241,9 +239,7 @@ def test_sweep_flags_insufficient_features(synth_corpus):
         kind=FeatureKind.FUNCTION_WORD, function_words=tuple(function_word_forms())
     )
     reference = run_pipeline(synth_corpus, spec, "reliable", "delta", 5)
-    rows = robustness_sweep(
-        synth_corpus, spec, "delta", truth, [0.001], reference.assignment
-    )
+    rows = robustness_sweep(reference, truth, [0.001])
     assert rows[0].note == "insufficient features"
     assert rows[0].purity_authors is None
 

@@ -98,6 +98,8 @@ def test_select_reliable_threshold_behavior():
     by_name = {row.name: row for row in report.per_feature}
     assert by_name["f1"].retained is False and by_name["f1"].required_n > 5000
     assert by_name["f2"].degenerate is True and by_name["f2"].required_n == 0.0
+    assert by_name["f0"].sigma == pytest.approx(values[:, 0].std(ddof=1))
+    assert by_name["f0"].p_bar == pytest.approx(0.5)
 
 
 def test_select_reliable_example_thresholds():
@@ -163,18 +165,3 @@ def test_selection_params_validation():
         SelectionParams(confidence_z=0.0)
     with pytest.raises(ValueError):
         SelectionParams(min_doc_len=0)
-    with pytest.raises(ValueError):
-        SelectionParams(sigma_mode="bogus")
-
-
-def test_sigma_mode_augmented_pools_mirrors():
-    values = np.array([[0.1], [0.3], [0.5], [0.7]])
-    matrix = _matrix(values)
-    orig = select_reliable(matrix, SelectionParams(min_doc_len=10**9))
-    aug = select_reliable(
-        matrix, SelectionParams(min_doc_len=10**9, sigma_mode="augmented")
-    )
-    col = values[:, 0]
-    pooled = np.concatenate([col, (col.max() + col.min()) - col])
-    assert aug.per_feature[0].sigma == pytest.approx(pooled.std(ddof=1))
-    assert orig.per_feature[0].sigma == pytest.approx(col.std(ddof=1))
