@@ -56,13 +56,6 @@ class Dendrogram:
     def n_leaves(self) -> int:
         return len(self.leaves)
 
-    def members(self, node: int) -> tuple[int, ...]:
-        """Leaf indices under a node, in increasing order."""
-        if node < self.n_leaves:
-            return (node,)
-        merge = self.merges[node - self.n_leaves]
-        return tuple(sorted(self.members(merge.left) + self.members(merge.right)))
-
 
 def _lance_williams(ni: int, nj: int, nk: int, wik: float, wjk: float, wij: float) -> float:
     return ((ni + nk) * wik + (nj + nk) * wjk - nk * wij) / (ni + nj + nk)

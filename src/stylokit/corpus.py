@@ -5,16 +5,23 @@ blank line closing each verse and ``#`` starting a comment line. All
 forms and lemmas are lowercased and stripped of punctuation on the way
 in; tokens that vanish under that normalization are dropped entirely.
 Proper-name tokens (POS prefix ``NOMpro``) are kept in the document --
-morphosyntactic extractors need them -- but are skipped by the lexical
-extractors.
+morphosyntactic extractors need them -- but are left out of
+``Document.lexical_counts``, which the lexical extractors read.
+
+A parsed document is flat: ``tokens`` holds every surviving token in
+reading order and ``verse_ends`` the exclusive end offset of each verse.
+``normalize_token`` is cached, so identical raw lines yield one shared
+``AnnotatedToken`` and a document costs one pointer per token; the
+feature families then count per distinct token, not per occurrence.
 """
 
 from __future__ import annotations
 
 import csv
-import os
+import functools
+import io
 import unicodedata
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -51,19 +58,6 @@ class AnnotatedToken:
 
 
 @dataclass(frozen=True)
-class Verse:
-    tokens: tuple[AnnotatedToken, ...]
-
-    def __post_init__(self) -> None:
-        if not self.tokens:
-            raise ValueError("a verse holds at least one token")
-
-    @property
-    def rhyme_token(self) -> AnnotatedToken:
-        return self.tokens[-1]
-
-
-@dataclass(frozen=True)
 class DocumentMeta:
     id: str
     title: str = ""
@@ -77,25 +71,23 @@ class DocumentMeta:
 @dataclass(frozen=True)
 class Document:
     meta: DocumentMeta
-    verses: tuple[Verse, ...]
+    tokens: tuple[AnnotatedToken, ...]
+    verse_ends: tuple[int, ...]
 
     @property
     def token_count(self) -> int:
-        return sum(len(v.tokens) for v in self.verses)
+        return len(self.tokens)
 
     @property
-    def lexical_token_count(self) -> int:
-        """Tokens counted by the lexical feature families (proper nouns excluded)."""
-        return sum(1 for t in self.tokens() if not t.is_proper_noun)
+    def verses(self) -> tuple[tuple[AnnotatedToken, ...], ...]:
+        """Each verse's tokens, sliced out of the flat stream."""
+        starts = (0, *self.verse_ends[:-1])
+        return tuple(self.tokens[s:e] for s, e in zip(starts, self.verse_ends))
 
-    def tokens(self) -> Iterator[AnnotatedToken]:
-        for verse in self.verses:
-            yield from verse.tokens
-
-    def lexical_tokens(self) -> Iterator[AnnotatedToken]:
-        for tok in self.tokens():
-            if not tok.is_proper_noun:
-                yield tok
+    def lexical_counts(self) -> Counter[AnnotatedToken]:
+        """Each distinct token the lexical families count, proper names excluded."""
+        counts = Counter(self.tokens)
+        return Counter({tok: n for tok, n in counts.items() if not tok.is_proper_noun})
 
 
 @dataclass(frozen=True)
@@ -122,12 +114,14 @@ class Corpus:
         return {d.meta.id: d.meta.alleged_author for d in self.documents}
 
 
+@functools.cache
 def normalize_token(raw_form: str, lemma: str, pos: str) -> AnnotatedToken | None:
     """Lowercase and strip punctuation; return None when nothing survives.
 
     Proper-name tokens are normalized and returned like any other: the
     decision to skip them belongs to the lexical extractors, because POS
-    n-grams still consume them.
+    n-grams still consume them. Cached for the life of the process, so
+    equal inputs share one token object.
     """
     form = _strip_punctuation(raw_form.lower())
     lem = _strip_punctuation(lemma.lower())
@@ -143,13 +137,12 @@ def parse_document(lines: Iterable[str], meta: DocumentMeta) -> Document:
     CorpusFormatError on malformed lines (naming the line number) or when
     no token survives at all.
     """
-    verses: list[Verse] = []
-    current: list[AnnotatedToken] = []
+    tokens: list[AnnotatedToken] = []
+    verse_ends: list[int] = []
 
     def close_verse() -> None:
-        if current:
-            verses.append(Verse(tokens=tuple(current)))
-            current.clear()
+        if len(tokens) > (verse_ends[-1] if verse_ends else 0):
+            verse_ends.append(len(tokens))
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
@@ -166,23 +159,28 @@ def parse_document(lines: Iterable[str], meta: DocumentMeta) -> Document:
             )
         token = normalize_token(*fields)
         if token is not None:
-            current.append(token)
+            tokens.append(token)
     close_verse()
 
-    if not verses:
+    if not tokens:
         raise CorpusFormatError(f"{meta.id}: empty document")
-    return Document(meta=meta, verses=tuple(verses))
+    return Document(meta=meta, tokens=tuple(tokens), verse_ends=tuple(verse_ends))
 
 
 def parse_token_file(path: str | Path, meta: DocumentMeta) -> Document:
-    with open(path, encoding="utf-8") as fh:
-        return parse_document(fh, meta)
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise CorpusFormatError(f"{path}: line {line}: not valid UTF-8 ({exc.reason})") from None
+    return parse_document(io.StringIO(text, newline=None), meta)
 
 
 def write_token_file(doc: Document, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for verse in doc.verses:
-            for tok in verse.tokens:
+            for tok in verse:
                 fh.write(f"{tok.form}\t{tok.lemma}\t{tok.pos}\n")
             fh.write("\n")
 
@@ -190,31 +188,32 @@ def write_token_file(doc: Document, path: str | Path) -> None:
 MANIFEST_FIELDS = ("id", "title", "author", "genre", "form", "acts", "year", "path")
 
 
-def _parse_manifest_row(row: dict[str, str], manifest_dir: Path) -> tuple[DocumentMeta, Path]:
+def _parse_manifest_row(
+    row: dict[str, str], manifest_path: Path, line: int
+) -> tuple[DocumentMeta, Path]:
+    where = f"{manifest_path}: line {line}"
+    if None in row or None in row.values():
+        raise CorpusFormatError(f"{where}: expected {len(MANIFEST_FIELDS)} fields")
+    try:
+        act_count = int(row["acts"]) if row["acts"] else 0
+        year = int(row["year"]) if row["year"] else None
+    except ValueError:
+        raise CorpusFormatError(
+            f"{where}: acts and year must be integers, got {row['acts']!r} and {row['year']!r}"
+        ) from None
     meta = DocumentMeta(
         id=row["id"],
         title=row["title"],
         alleged_author=row["author"],
         genre=row["genre"],
         form=row["form"],
-        act_count=int(row["acts"]) if row["acts"] else 0,
-        year=int(row["year"]) if row["year"] else None,
+        act_count=act_count,
+        year=year,
     )
     path = Path(row["path"])
     if not path.is_absolute():
-        path = manifest_dir / path
+        path = manifest_path.parent / path
     return meta, path
-
-
-def max_workers() -> int:
-    """Worker cap for document-level parallelism, from STYLO_THREADS."""
-    env = os.environ.get("STYLO_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise CorpusFormatError(f"STYLO_THREADS is not an integer: {env!r}") from None
-    return min(8, os.cpu_count() or 1)
 
 
 def load_manifest(manifest_path: str | Path) -> Corpus:
@@ -234,13 +233,10 @@ def load_manifest(manifest_path: str | Path) -> Corpus:
                 f"manifest header must be {','.join(MANIFEST_FIELDS)}, "
                 f"got {reader.fieldnames}"
             )
-        rows = [_parse_manifest_row(row, manifest_path.parent) for row in reader]
+        rows = [_parse_manifest_row(row, manifest_path, reader.line_num) for row in reader]
     if not rows:
         raise CorpusFormatError(f"manifest is empty: {manifest_path}")
-
-    with ThreadPoolExecutor(max_workers=max_workers()) as pool:
-        docs = list(pool.map(lambda mp: parse_token_file(mp[1], mp[0]), rows))
-    return Corpus(documents=tuple(docs))
+    return Corpus(documents=tuple(parse_token_file(path, meta) for meta, path in rows))
 
 
 def filter_corpus(corpus: Corpus, min_tokens: int, min_plays_per_author: int) -> Corpus:

@@ -40,41 +40,41 @@ class Scale(str, Enum):
     L2_NORMALIZED_ZSCORE = "l2_normalized_zscore"
 
 
+POS_NGRAM_N = 3
+AFFIX_MIN_WORD_LEN = 4
+
+
 @dataclass(frozen=True)
 class FeatureSpec:
     kind: FeatureKind
-    ngram_n: int = 3
-    min_affix_word_len: int = 4
     function_words: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.ngram_n < 1:
-            raise ValueError("ngram_n must be >= 1")
-        if self.min_affix_word_len < 1:
-            raise ValueError("min_affix_word_len must be >= 1")
         if self.kind is FeatureKind.FUNCTION_WORD and not self.function_words:
             raise ValueError("function-word extraction needs a non-empty word list")
 
 
 def extract_lemmas(doc: Document) -> Counter[str]:
-    return Counter(tok.lemma for tok in doc.lexical_tokens())
+    counts: Counter[str] = Counter()
+    for tok, n in doc.lexical_counts().items():
+        counts[tok.lemma] += n
+    return counts
 
 
 def extract_rhyme_lemmas(doc: Document) -> Counter[str]:
     """Count the lemma closing each verse; proper-name rhymes contribute nothing."""
-    counts: Counter[str] = Counter()
-    for verse in doc.verses:
-        tok = verse.rhyme_token
-        if not tok.is_proper_noun:
-            counts[tok.lemma] += 1
-    return counts
+    rhymes = (doc.tokens[end - 1] for end in doc.verse_ends)
+    return Counter(tok.lemma for tok in rhymes if not tok.is_proper_noun)
 
 
 def extract_forms(doc: Document) -> Counter[str]:
-    return Counter(tok.form for tok in doc.lexical_tokens())
+    counts: Counter[str] = Counter()
+    for tok, n in doc.lexical_counts().items():
+        counts[tok.form] += n
+    return counts
 
 
-def affixes_of(form: str, min_word_len: int = 4) -> list[str]:
+def affixes_of(form: str, min_word_len: int = AFFIX_MIN_WORD_LEN) -> list[str]:
     """Edge-anchored character 3-grams plus interword-space 2-grams.
 
     Words of at least ``min_word_len`` characters yield ``^xxx`` and
@@ -90,20 +90,21 @@ def affixes_of(form: str, min_word_len: int = 4) -> list[str]:
     return out
 
 
-def extract_affixes(doc: Document, min_word_len: int = 4) -> Counter[str]:
+def extract_affixes(doc: Document, min_word_len: int = AFFIX_MIN_WORD_LEN) -> Counter[str]:
     counts: Counter[str] = Counter()
-    for tok in doc.lexical_tokens():
-        counts.update(affixes_of(tok.form, min_word_len))
+    for form, n in extract_forms(doc).items():
+        for affix in affixes_of(form, min_word_len):
+            counts[affix] += n
     return counts
 
 
-def extract_pos_ngrams(doc: Document, n: int = 3) -> Counter[str]:
+def extract_pos_ngrams(doc: Document, n: int = POS_NGRAM_N) -> Counter[str]:
     """Contiguous POS tag n-grams over the whole token stream.
 
     Verse boundaries do not break the window, and proper-name tokens stay
     in: their tag is part of the sequence signal.
     """
-    tags = [tok.pos for tok in doc.tokens()]
+    tags = [tok.pos for tok in doc.tokens]
     return Counter(
         ".".join(tags[i : i + n]) for i in range(len(tags) - n + 1)
     )
@@ -111,11 +112,7 @@ def extract_pos_ngrams(doc: Document, n: int = 3) -> Counter[str]:
 
 def extract_function_words(doc: Document, fw_list: tuple[str, ...]) -> Counter[str]:
     wanted = set(fw_list)
-    counts: Counter[str] = Counter()
-    for tok in doc.lexical_tokens():
-        if tok.form in wanted:
-            counts[tok.form] += 1
-    return counts
+    return Counter({form: n for form, n in extract_forms(doc).items() if form in wanted})
 
 
 def extract_counts(doc: Document, spec: FeatureSpec) -> Counter[str]:
@@ -126,9 +123,9 @@ def extract_counts(doc: Document, spec: FeatureSpec) -> Counter[str]:
     if spec.kind is FeatureKind.WORD_FORM:
         return extract_forms(doc)
     if spec.kind is FeatureKind.AFFIX:
-        return extract_affixes(doc, spec.min_affix_word_len)
+        return extract_affixes(doc)
     if spec.kind is FeatureKind.POS_NGRAM:
-        return extract_pos_ngrams(doc, spec.ngram_n)
+        return extract_pos_ngrams(doc)
     if spec.kind is FeatureKind.FUNCTION_WORD:
         return extract_function_words(doc, spec.function_words)
     raise ValueError(f"unknown feature kind: {spec.kind}")
@@ -223,7 +220,7 @@ def build_matrix(corpus: Corpus, spec: FeatureSpec) -> FeatureMatrix:
             values[i, index[name]] = count
 
     if spec.kind is FeatureKind.FUNCTION_WORD:
-        denoms = np.array([doc.lexical_token_count for doc in corpus], dtype=float)
+        denoms = np.array([sum(doc.lexical_counts().values()) for doc in corpus], dtype=float)
     else:
         denoms = values.sum(axis=1)
     safe = np.where(denoms > 0, denoms, 1.0)

@@ -157,3 +157,11 @@ def delta_by_hand(rows: list[list[float]]) -> list[list[float]]:
         for j in range(n):
             out[i][j] = sum(abs(u[i][kk] - u[j][kk]) for kk in range(p))
     return out
+
+
+def leaf_members(dend, node: int) -> tuple[int, ...]:
+    """Leaf indices under a dendrogram node, in increasing order, by recursion."""
+    if node < dend.n_leaves:
+        return (node,)
+    merge = dend.merges[node - dend.n_leaves]
+    return tuple(sorted(leaf_members(dend, merge.left) + leaf_members(dend, merge.right)))

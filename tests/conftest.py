@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from stylokit.corpus import (
@@ -7,7 +9,6 @@ from stylokit.corpus import (
     Corpus,
     Document,
     DocumentMeta,
-    Verse,
     filter_corpus,
     load_manifest,
 )
@@ -19,11 +20,12 @@ SYNTH_SEPARATION = 1.5
 
 def make_doc(doc_id: str, verses: list[list[tuple[str, str, str]]], author: str = "") -> Document:
     """Document from pre-normalized (form, lemma, pos) triples, one list per verse."""
+    tokens = tuple(AnnotatedToken(*t) for verse in verses for t in verse)
+    ends = itertools.accumulate(len(verse) for verse in verses)
     return Document(
         meta=DocumentMeta(id=doc_id, alleged_author=author),
-        verses=tuple(
-            Verse(tokens=tuple(AnnotatedToken(*t) for t in verse)) for verse in verses
-        ),
+        tokens=tokens,
+        verse_ends=tuple(ends),
     )
 
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from _oracles import anova_by_sums, naive_ward
+from _oracles import anova_by_sums, leaf_members, naive_ward
 from conftest import SYNTH_SEED, SYNTH_SEPARATION
 from stylokit.cli import main
 from stylokit.cluster import Dendrogram, Merge, agglomerative_coefficient, cut, ward_cluster
@@ -67,7 +67,7 @@ def test_criterion_2_ward_oracle_equivalence():
         oracle = naive_ward(m, ids)
         for t, merge in enumerate(dend.merges):
             members, height = oracle[t]
-            assert dend.members(n + t) == members
+            assert leaf_members(dend, n + t) == members
             assert abs(merge.height - height) <= 1e-10
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stylokit import features
 from stylokit.cli import main
@@ -50,6 +52,31 @@ def test_missing_manifest_exits_2(tmp_path, capsys):
     ])
     assert code == 2
     assert "absent.csv" in capsys.readouterr().err
+
+
+MANIFEST_HEADER = "id,title,author,genre,form,acts,year,path\n"
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["x,t,a,g,verse,five,1660,x.tsv\n", "x,t,a,g,verse,5,mcclx,x.tsv\n", "x,t,a\n"],
+    ids=["bad-acts", "bad-year", "short-row"],
+)
+def test_malformed_manifest_row_exits_2_naming_file_and_line(tmp_path, capsys, row):
+    manifest = tmp_path / "bad_manifest.csv"
+    manifest.write_text(MANIFEST_HEADER + row, encoding="utf-8")
+    code = main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "bad_manifest.csv: line 2:" in capsys.readouterr().err
+
+
+def test_non_utf8_token_file_exits_2_naming_file_and_line(tmp_path, capsys):
+    (tmp_path / "latin1.tsv").write_bytes(b"a\ta\tNOMcom\n\ngl\xf4ire\tgloire\tNOMcom\n")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(MANIFEST_HEADER + "x,t,a,g,verse,5,1660,latin1.tsv\n", encoding="utf-8")
+    code = main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "latin1.tsv: line 3:" in capsys.readouterr().err
 
 
 def test_unfilterable_corpus_exits_1(corpus_dir, tmp_path, capsys):
@@ -222,21 +249,6 @@ def test_default_function_word_list_is_used_without_flag(corpus_dir, tmp_path, c
     assert "0 features" in capsys.readouterr().out
 
 
-def test_stylo_threads_env_is_honored(corpus_dir, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("STYLO_THREADS", "2")
-    out = tmp_path / "run"
-    assert main([
-        "extract", "--manifest", str(corpus_dir / "manifest.csv"),
-        "--features", "lemma", "--out", str(out),
-    ]) == 0
-    assert "30 docs" in capsys.readouterr().out
-    monkeypatch.setenv("STYLO_THREADS", "zebra")
-    assert main([
-        "extract", "--manifest", str(corpus_dir / "manifest.csv"),
-        "--features", "lemma", "--out", str(out),
-    ]) == 2
-
-
 def test_synth_determinism_via_cli(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     argv = ["synth", "--seed", "7", "--authors", "2", "--docs-per-author", "2"]
@@ -256,3 +268,30 @@ def test_bad_select_spec_exits_2(corpus_dir, tmp_path, capsys):
             "--select", "happy", "--out", str(tmp_path / "o"),
         ])
     assert excinfo.value.code == 2
+
+
+def _cluster_k3(corpus_dir: Path, manifest: Path, out: Path) -> tuple[bytes, str]:
+    assert main([
+        "cluster", "--manifest", str(manifest), "--features", "fw",
+        "--fw-list", str(corpus_dir / "function_words.txt"), "--k", "3", "--out", str(out),
+    ]) == 0
+    purity = json.loads((out / "summary.json").read_text())["purity"]
+    return (out / "assignment.csv").read_bytes(), repr(purity)
+
+
+@settings(
+    max_examples=3, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.randoms(use_true_random=False))
+def test_cluster_invariant_under_manifest_row_order(corpus_dir, tmp_path_factory, rnd):
+    with open(corpus_dir / "manifest.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    rnd.shuffle(rows)
+    work = tmp_path_factory.mktemp("shuffled")
+    shuffled = work / "manifest.csv"
+    with open(shuffled, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows({**row, "path": str(corpus_dir / row["path"])} for row in rows)
+    reference = _cluster_k3(corpus_dir, corpus_dir / "manifest.csv", work / "reference")
+    assert _cluster_k3(corpus_dir, shuffled, work / "shuffled") == reference

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import ess_ward, naive_ward
+from _oracles import ess_ward, leaf_members, naive_ward
 from stylokit.cluster import (
     Dendrogram,
     Merge,
@@ -83,7 +83,7 @@ def test_matches_naive_recompute_oracle():
             oracle = naive_ward(dist.values, dist.doc_ids, variant)
             for t, merge in enumerate(dend.merges):
                 members, height = oracle[t]
-                assert dend.members(n + t) == members
+                assert leaf_members(dend, n + t) == members
                 assert merge.height == pytest.approx(height, abs=1e-10)
 
 
@@ -98,7 +98,7 @@ def test_squared_variant_equals_explicit_variance_minimization():
         oracle = ess_ward(points, dist.doc_ids)
         for t, merge in enumerate(dend.merges):
             members, height = oracle[t]
-            assert dend.members(n + t) == members
+            assert leaf_members(dend, n + t) == members
             assert merge.height == pytest.approx(height, abs=1e-8)
 
 
@@ -113,7 +113,7 @@ def test_matches_scipy_topology_up_to_scale():
     dist = _dist(values)
     dend = ward_cluster(dist)
     linkage = scipy_hier.linkage(squareform(values, checks=False), method="ward")
-    ours = {dend.members(10 + t): dend.merges[t].height for t in range(9)}
+    ours = {leaf_members(dend, 10 + t): dend.merges[t].height for t in range(9)}
     n = 10
     members = [(i,) for i in range(n)]
     for row in linkage:
@@ -136,8 +136,8 @@ def test_permutation_invariance():
     )
     dend2 = ward_cluster(shuffled)
     for t in range(8):
-        ours = tuple(sorted(dend.leaves[i] for i in dend.members(9 + t)))
-        theirs = tuple(sorted(dend2.leaves[i] for i in dend2.members(9 + t)))
+        ours = tuple(sorted(dend.leaves[i] for i in leaf_members(dend, 9 + t)))
+        theirs = tuple(sorted(dend2.leaves[i] for i in leaf_members(dend2, 9 + t)))
         assert ours == theirs
         assert dend.merges[t].height == pytest.approx(dend2.merges[t].height, abs=1e-12)
 

@@ -22,7 +22,7 @@ META = DocumentMeta(id="doc1")
 def test_parse_two_tokens_one_verse():
     doc = parse_document(["Je\tje\tPROper\n", "pense\tpenser\tVERcjg\n", "\n"], META)
     assert len(doc.verses) == 1
-    assert [t.form for t in doc.verses[0].tokens] == ["je", "pense"]
+    assert [t.form for t in doc.verses[0]] == ["je", "pense"]
     assert doc.token_count == 2
 
 
@@ -79,8 +79,7 @@ def test_proper_names_excluded_from_lexical_stream_only():
         [[("le", "le", "DETdef"), ("alcandre", "alcandre", "NOMpro")]],
     )
     assert doc.token_count == 2
-    assert doc.lexical_token_count == 1
-    assert [t.form for t in doc.lexical_tokens()] == ["le"]
+    assert [(t.form, n) for t, n in doc.lexical_counts().items()] == [("le", 1)]
 
 
 @given(
@@ -171,6 +170,38 @@ def test_token_file_round_trip(tmp_path):
     again = parse_token_file(path, doc.meta)
     assert again.verses == doc.verses
     assert again.token_count == doc.token_count
+
+
+PRE_NORMALIZED = st.text(alphabet="abcdefgh'", min_size=1, max_size=8)
+
+
+@given(
+    st.lists(
+        st.lists(
+            st.tuples(PRE_NORMALIZED, PRE_NORMALIZED, st.sampled_from(["NOMcom", "NOMpro"])),
+            min_size=1,
+            max_size=6,
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_token_file_round_trip_keeps_tokens_and_verse_ends(tmp_path_factory, verses):
+    doc = make_doc("d", verses)
+    path = tmp_path_factory.mktemp("round_trip") / "d.tsv"
+    write_token_file(doc, path)
+    again = parse_token_file(path, doc.meta)
+    assert again.tokens == doc.tokens
+    assert again.verse_ends == doc.verse_ends
+
+
+def test_identical_lines_share_one_token_object():
+    lines = ["Gloire,\tgloire\tNOMcom", "et\tet\tCONcoo", "", "Gloire,\tgloire\tNOMcom"]
+    first = parse_document(lines, META)
+    second = parse_document(lines, DocumentMeta(id="doc2"))
+    assert first.verse_ends == (2, 3)
+    assert first.tokens[0] is first.tokens[2]
+    assert all(a is b for a, b in zip(first.tokens, second.tokens))
 
 
 def test_duplicate_document_ids_rejected():

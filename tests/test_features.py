@@ -208,6 +208,4 @@ def test_matrix_csv_round_trip_and_determinism(tmp_path, synth_corpus):
 
 def test_feature_spec_validation():
     with pytest.raises(ValueError):
-        FeatureSpec(kind=FeatureKind.POS_NGRAM, ngram_n=0)
-    with pytest.raises(ValueError):
         FeatureSpec(kind=FeatureKind.FUNCTION_WORD)

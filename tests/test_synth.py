@@ -52,7 +52,7 @@ def test_generated_documents_meet_length_and_verse_contracts(tmp_path):
     for doc in corpus:
         assert doc.token_count >= 5000
         for verse in doc.verses:
-            assert 6 <= len(verse.tokens) <= 12
+            assert 6 <= len(verse) <= 12
 
 
 def test_function_word_list_matches_generated_core(tmp_path):
