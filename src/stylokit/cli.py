@@ -65,6 +65,21 @@ def _fraction(text: str, scale: float, what: str) -> float:
     return value / scale
 
 
+def _at_least(kind: type, minimum: float):
+    """An argparse type: text parsed by kind, at least minimum; a usage error names the text."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a valid {kind.__name__}") from None
+        if not value >= minimum:
+            raise argparse.ArgumentTypeError(f"{text!r} must be at least {minimum:g}")
+        return value
+
+    return parse
+
+
 def _parse_select(value: str) -> str | tuple[str, float]:
     if value == RELIABLE:
         return RELIABLE
@@ -81,8 +96,10 @@ def _parse_cutoffs(value: str) -> tuple[float, ...]:
 
 def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--manifest", required=True, help="corpus manifest CSV")
-    parser.add_argument("--min-tokens", type=int, default=5000, help="shortest play kept")
-    parser.add_argument("--min-plays", type=int, default=3, help="fewest plays per author kept")
+    parser.add_argument("--min-tokens", type=_at_least(int, 0), default=5000,
+                        help="shortest play kept")
+    parser.add_argument("--min-plays", type=_at_least(int, 1), default=3,
+                        help="fewest plays per author kept")
 
 
 def _add_feature_flags(parser: argparse.ArgumentParser) -> None:
@@ -138,9 +155,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a seeded synthetic corpus")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--authors", type=int, default=5)
-    p.add_argument("--docs-per-author", type=int, default=6)
-    p.add_argument("--separation", type=float, default=1.0)
+    p.add_argument("--authors", type=_at_least(int, 2), default=5)
+    p.add_argument("--docs-per-author", type=_at_least(int, 2), default=6)
+    p.add_argument("--separation", type=_at_least(float, 0.0), default=1.0)
     p.add_argument("--out", default="out")
     return parser
 

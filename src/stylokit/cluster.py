@@ -8,10 +8,16 @@ when the input is Euclidean -- and reports square roots as heights. The
 compatibility variant ("ward1") runs the same update on the raw
 dissimilarities and reports them unchanged.
 
-Ties on the minimum are broken deterministically: among candidate pairs,
-the one whose combined membership has the lexicographically smallest
-(min doc id, max doc id) wins, with the full sorted membership as a
-final fallback. This makes dendrograms invariant under input row order.
+The merge state is one n x n matrix with a slot per live cluster. Each
+step takes the matrix minimum; a merge writes the Lance-Williams row of
+the new cluster into one partner's slot and retires the other slot with
++inf, so no pair is ever scanned in Python and nothing grows.
+
+Ties on the minimum (exact equality, no tolerance) are broken
+deterministically: among candidate pairs, the one whose combined
+membership has the lexicographically smallest (min doc id, max doc id)
+wins, with the full sorted membership as a final fallback. This makes
+dendrograms invariant under input row order.
 """
 
 from __future__ import annotations
@@ -57,10 +63,6 @@ class Dendrogram:
         return len(self.leaves)
 
 
-def _lance_williams(ni: int, nj: int, nk: int, wik: float, wjk: float, wij: float) -> float:
-    return ((ni + nk) * wik + (nj + nk) * wjk - nk * wij) / (ni + nj + nk)
-
-
 def ward_cluster(dist: DistanceMatrix, variant: str = WARD_SQUARED) -> Dendrogram:
     """Greedy minimum-variance merging via the Lance-Williams recurrence.
 
@@ -82,45 +84,26 @@ def ward_cluster(dist: DistanceMatrix, variant: str = WARD_SQUARED) -> Dendrogra
     if np.any(np.diag(values) != 0.0):
         raise AnalysisError("dissimilarity matrix has a non-zero diagonal")
 
-    if variant == WARD_SQUARED:
-        state = values * values / 2.0
-    else:
-        state = values.copy()
-
-    # Node bookkeeping: grow the state matrix to hold merged nodes.
-    total = 2 * n - 1
-    big = np.full((total, total), np.inf)
-    big[:n, :n] = state
-    size = [1] * n
-    min_doc = list(ids)
-    max_doc = list(ids)
-    member_key: list[tuple[str, ...]] = [(doc,) for doc in ids]
-    active: list[int] = list(range(n))
+    # Slot i holds one live cluster: its row of merge values, its size,
+    # its sorted doc ids and its dendrogram node. The diagonal and every
+    # retired slot hold +inf, so the minimum is always a live pair.
+    state = values * values / 2.0 if variant == WARD_SQUARED else values.copy()
+    np.fill_diagonal(state, np.inf)
+    size = np.ones(n)
+    members: list[tuple[str, ...]] = [(doc,) for doc in ids]
+    node = list(range(n))
     merges: list[Merge] = []
     last_height = -math.inf
 
     def tie_key(pair: tuple[int, int]) -> tuple:
-        a, b = pair
-        return (
-            min(min_doc[a], min_doc[b]),
-            max(max_doc[a], max_doc[b]),
-            tuple(sorted(member_key[a] + member_key[b])),
-        )
+        docs = tuple(sorted(members[pair[0]] + members[pair[1]]))
+        return (docs[0], docs[-1], docs)
 
     for step in range(n - 1):
-        best_value = math.inf
-        tied: list[tuple[int, int]] = []
-        for ai in range(len(active)):
-            a = active[ai]
-            for bi in range(ai + 1, len(active)):
-                b = active[bi]
-                v = big[a, b]
-                if v < best_value:
-                    best_value = v
-                    tied = [(a, b)]
-                elif v == best_value:
-                    tied.append((a, b))
-        a, b = min(tied, key=tie_key) if len(tied) > 1 else tied[0]
+        best_value = state.min()
+        # Each tied pair appears twice, as (i, j) and (j, i); the key is symmetric.
+        tied = [divmod(k, n) for k in np.flatnonzero(state == best_value).tolist()]
+        a, b = min(tied, key=tie_key) if len(tied) > 2 else tied[0]
         if best_value < -1e-12:
             raise AnalysisError("Ward linkage produced a negative merge value")
         best_value = max(best_value, 0.0)
@@ -128,32 +111,26 @@ def ward_cluster(dist: DistanceMatrix, variant: str = WARD_SQUARED) -> Dendrogra
         assert height >= last_height - 1e-12, "Ward heights must be non-decreasing"
         last_height = max(last_height, height)
 
-        new = n + step
-        for k in active:
-            if k in (a, b):
-                continue
-            big[new, k] = big[k, new] = _lance_williams(
-                size[a], size[b], size[k], big[a, k], big[b, k], big[a, b]
-            )
-        left, right = (a, b) if min_doc[a] <= min_doc[b] else (b, a)
-        merges.append(Merge(left=left, right=right, height=height, size=size[a] + size[b]))
-        size.append(size[a] + size[b])
-        min_doc.append(min(min_doc[a], min_doc[b]))
-        max_doc.append(max(max_doc[a], max_doc[b]))
-        member_key.append(tuple(sorted(member_key[a] + member_key[b])))
-        active = [x for x in active if x not in (a, b)] + [new]
+        row = ((size[a] + size) * state[a] + (size[b] + size) * state[b]
+               - size * state[a, b]) / (size[a] + size[b] + size)
+        row[a] = np.inf
+        state[a] = state[:, a] = row
+        state[b] = state[:, b] = np.inf
+        left, right = (a, b) if members[a][0] <= members[b][0] else (b, a)
+        size[a] += size[b]
+        merges.append(Merge(left=node[left], right=node[right], height=height, size=int(size[a])))
+        members[a] = tuple(sorted(members[a] + members[b]))
+        node[a] = n + step
 
     dend = Dendrogram(leaves=ids, merges=tuple(merges), ac=0.0)
     return replace(dend, ac=agglomerative_coefficient(dend))
 
 
-def agglomerative_coefficient(dend: Dendrogram, normalized: bool = True) -> float:
-    """Mean over leaves of 1 - (height of the leaf's first merge).
+def agglomerative_coefficient(dend: Dendrogram) -> float:
+    """Mean over leaves of 1 - (height of the leaf's first merge) / (final height).
 
-    In the default normalized mode each first-merge height is divided by
-    the final merge height, which keeps the coefficient in [0, 1] and
+    Dividing by the final merge height keeps the coefficient in [0, 1] and
     makes it invariant under uniform scaling of the input dissimilarities.
-    The literal mode skips that division.
     """
     n = dend.n_leaves
     final_height = dend.merges[-1].height
@@ -162,12 +139,10 @@ def agglomerative_coefficient(dend: Dendrogram, normalized: bool = True) -> floa
         for child in (merge.left, merge.right):
             if child < n:
                 first[child] = merge.height
-    if normalized:
-        if final_height == 0.0:
-            warnings.warn("all merge heights are zero; agglomerative coefficient set to 0")
-            return 0.0
-        return float(np.mean([1.0 - first[i] / final_height for i in range(n)]))
-    return float(np.mean([1.0 - first[i] for i in range(n)]))
+    if final_height == 0.0:
+        warnings.warn("all merge heights are zero; agglomerative coefficient set to 0")
+        return 0.0
+    return float(np.mean([1.0 - first[i] / final_height for i in range(n)]))
 
 
 def cut(dend: Dendrogram, k: int) -> ClusterAssignment:
@@ -205,7 +180,7 @@ def _newick_label(name: str) -> str:
     return name
 
 
-def to_newick(dend: Dendrogram, digits: int = 12) -> str:
+def to_newick(dend: Dendrogram) -> str:
     """Newick string with branch lengths equal to height differences."""
     n = dend.n_leaves
 
@@ -213,7 +188,7 @@ def to_newick(dend: Dendrogram, digits: int = 12) -> str:
         return 0.0 if node < n else dend.merges[node - n].height
 
     def render(node: int, parent_height: float) -> str:
-        branch = format(parent_height - height_of(node), f".{digits}g")
+        branch = format(parent_height - height_of(node), ".12g")
         if node < n:
             return f"{_newick_label(dend.leaves[node])}:{branch}"
         merge = dend.merges[node - n]
@@ -226,7 +201,7 @@ def to_newick(dend: Dendrogram, digits: int = 12) -> str:
     return f"({left},{right});\n"
 
 
-def to_dot(dend: Dendrogram, digits: int = 6) -> str:
+def to_dot(dend: Dendrogram) -> str:
     """Graphviz rendering of the merge tree, top node last."""
     n = dend.n_leaves
     lines = ["graph dendrogram {", "  node [shape=box, fontsize=10];"]
@@ -234,7 +209,7 @@ def to_dot(dend: Dendrogram, digits: int = 6) -> str:
         lines.append(f'  n{i} [label="{doc}"];')
     for t, merge in enumerate(dend.merges):
         node = n + t
-        height = format(merge.height, f".{digits}g")
+        height = format(merge.height, ".6g")
         lines.append(f'  n{node} [label="h={height}", shape=ellipse];')
     for t, merge in enumerate(dend.merges):
         node = n + t

@@ -167,14 +167,18 @@ def parse_document(lines: Iterable[str], meta: DocumentMeta) -> Document:
     return Document(meta=meta, tokens=tuple(tokens), verse_ends=tuple(verse_ends))
 
 
-def parse_token_file(path: str | Path, meta: DocumentMeta) -> Document:
+def read_utf8(path: str | Path) -> str:
+    """A whole input file as text; a bad byte raises CorpusFormatError naming its line."""
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise CorpusFormatError(f"{path}: line {line}: not valid UTF-8 ({exc.reason})") from None
-    return parse_document(io.StringIO(text, newline=None), meta)
+
+
+def parse_token_file(path: str | Path, meta: DocumentMeta) -> Document:
+    return parse_document(io.StringIO(read_utf8(path), newline=None), meta)
 
 
 def write_token_file(doc: Document, path: str | Path) -> None:
@@ -226,14 +230,12 @@ def load_manifest(manifest_path: str | Path) -> Corpus:
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise CorpusFormatError(f"manifest not found: {manifest_path}")
-    with open(manifest_path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != MANIFEST_FIELDS:
-            raise CorpusFormatError(
-                f"manifest header must be {','.join(MANIFEST_FIELDS)}, "
-                f"got {reader.fieldnames}"
-            )
-        rows = [_parse_manifest_row(row, manifest_path, reader.line_num) for row in reader]
+    reader = csv.DictReader(io.StringIO(read_utf8(manifest_path), newline=""))
+    if reader.fieldnames is None or tuple(reader.fieldnames) != MANIFEST_FIELDS:
+        raise CorpusFormatError(
+            f"manifest header must be {','.join(MANIFEST_FIELDS)}, got {reader.fieldnames}"
+        )
+    rows = [_parse_manifest_row(row, manifest_path, reader.line_num) for row in reader]
     if not rows:
         raise CorpusFormatError(f"manifest is empty: {manifest_path}")
     return Corpus(documents=tuple(parse_token_file(path, meta) for meta, path in rows))

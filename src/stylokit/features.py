@@ -12,6 +12,7 @@ list words keep their corpus-level scale.
 from __future__ import annotations
 
 import csv
+import io
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -20,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Document
+from .corpus import Corpus, Document, read_utf8
 from .errors import AnalysisError
 
 
@@ -253,7 +254,7 @@ def write_matrix_csv(matrix: FeatureMatrix, path: str | Path) -> None:
     write_csv(path, ("doc_id", *matrix.feature_names), rows)
 
 
-def read_matrix_csv(path: str | Path, scale: Scale = Scale.RELATIVE_FREQUENCY) -> FeatureMatrix:
+def read_matrix_csv(path: str | Path) -> FeatureMatrix:
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -269,18 +270,17 @@ def read_matrix_csv(path: str | Path, scale: Scale = Scale.RELATIVE_FREQUENCY) -
         doc_ids=tuple(doc_ids),
         feature_names=names,
         values=np.array(rows, dtype=float) if rows else np.zeros((0, len(names))),
-        scale=scale,
+        scale=Scale.RELATIVE_FREQUENCY,
     )
 
 
 def load_word_list(path: str | Path) -> tuple[str, ...]:
     """One word per line; blank lines and ``#`` comments ignored."""
     words = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip()
-            if word and not word.startswith("#"):
-                words.append(word)
+    for line in io.StringIO(read_utf8(path), newline=None):
+        word = line.strip()
+        if word and not word.startswith("#"):
+            words.append(word)
     return tuple(words)
 
 

@@ -81,15 +81,17 @@ def tfsd_transform(matrix: FeatureMatrix) -> FeatureMatrix:
     return matrix.with_values(matrix.values / sd, Scale.TFSD)
 
 
-def _pairwise(values: np.ndarray, fn) -> np.ndarray:
+def _pairwise(values: np.ndarray, row_fn) -> np.ndarray:
+    """Symmetric matrix from row_fn(a, rest): one row against all later rows."""
     n = values.shape[0]
     out = np.zeros((n, n), dtype=float)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = fn(values[i], values[j])
-            out[i, j] = d
-            out[j, i] = d
+    for i in range(n - 1):
+        out[i, i + 1:] = out[i + 1:, i] = row_fn(values[i], values[i + 1:])
     return out
+
+
+def _manhattan_row(a: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    return np.abs(rest - a).sum(axis=1)
 
 
 def burrows_delta(matrix: FeatureMatrix) -> DistanceMatrix:
@@ -97,8 +99,15 @@ def burrows_delta(matrix: FeatureMatrix) -> DistanceMatrix:
     if matrix.n_docs < 2:
         raise AnalysisError("delta needs at least 2 documents")
     normalized = l2_normalize_rows(zscore_transform(matrix))
-    values = _pairwise(normalized.values, lambda a, b: float(np.abs(a - b).sum()))
+    values = _pairwise(normalized.values, _manhattan_row)
     return DistanceMatrix(matrix.doc_ids, values, Measure.BURROWS_DELTA)
+
+
+def _minmax_row(a: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    denom = np.maximum(rest, a).sum(axis=1)
+    if np.any(denom == 0.0):
+        raise AnalysisError("min/max distance undefined for two all-zero documents")
+    return 1.0 - np.minimum(rest, a).sum(axis=1) / denom
 
 
 def minmax_distance(matrix: FeatureMatrix) -> DistanceMatrix:
@@ -107,14 +116,7 @@ def minmax_distance(matrix: FeatureMatrix) -> DistanceMatrix:
         raise AnalysisError("min/max distance expects tfsd-scaled values")
     if np.any(matrix.values < 0):
         raise AnalysisError("min/max distance requires non-negative values")
-
-    def one(a: np.ndarray, b: np.ndarray) -> float:
-        denom = np.maximum(a, b).sum()
-        if denom == 0.0:
-            raise AnalysisError("min/max distance undefined for two all-zero documents")
-        return float(1.0 - np.minimum(a, b).sum() / denom)
-
-    return DistanceMatrix(matrix.doc_ids, _pairwise(matrix.values, one), Measure.MINMAX)
+    return DistanceMatrix(matrix.doc_ids, _pairwise(matrix.values, _minmax_row), Measure.MINMAX)
 
 
 def minmax_pipeline(matrix: FeatureMatrix) -> DistanceMatrix:
@@ -124,13 +126,20 @@ def minmax_pipeline(matrix: FeatureMatrix) -> DistanceMatrix:
 
 
 def manhattan_distance(matrix: FeatureMatrix) -> DistanceMatrix:
-    values = _pairwise(matrix.values, lambda a, b: float(np.abs(a - b).sum()))
+    values = _pairwise(matrix.values, _manhattan_row)
     return DistanceMatrix(matrix.doc_ids, values, Measure.MANHATTAN)
+
+
+def _euclidean_row(a: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    # A stack of vector dot products: the same summation as the norm of one
+    # vector, where norm(..., axis=1) would sum in another order.
+    diff = (rest - a)[:, None, :]
+    return np.sqrt(diff @ diff.transpose(0, 2, 1)).ravel()
 
 
 def euclidean_distance(matrix: FeatureMatrix) -> DistanceMatrix:
     """Plain Euclidean baseline; kept for comparison, not attribution."""
-    values = _pairwise(matrix.values, lambda a, b: float(np.linalg.norm(a - b)))
+    values = _pairwise(matrix.values, _euclidean_row)
     return DistanceMatrix(matrix.doc_ids, values, Measure.EUCLIDEAN)
 
 

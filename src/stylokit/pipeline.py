@@ -35,7 +35,6 @@ def apply_selection(
     matrix: FeatureMatrix,
     mode: str | tuple[str, float],
     min_doc_len: int,
-    params: SelectionParams | None = None,
 ) -> tuple[FeatureMatrix, SelectionReport | None]:
     """Reduce the matrix by reliability ("reliable") or by ("top", fraction).
 
@@ -43,9 +42,7 @@ def apply_selection(
     which the reliability path excludes by construction.
     """
     if mode == RELIABLE:
-        if params is None:
-            params = SelectionParams(min_doc_len=min_doc_len)
-        report = select_reliable(matrix, params)
+        report = select_reliable(matrix, SelectionParams(min_doc_len=min_doc_len))
         return matrix.subset(report.retained), report
     if isinstance(mode, tuple) and len(mode) == 2 and mode[0] == "top":
         usable = nonconstant_features(matrix, select_top_frequency(matrix, mode[1]))
@@ -64,12 +61,9 @@ def run_pipeline(
     distance: Measure | str,
     k: int,
     linkage_variant: str = "ward2",
-    selection_params: SelectionParams | None = None,
 ) -> PipelineResult:
     matrix = build_matrix(corpus, spec)
-    selected, report = apply_selection(
-        matrix, selection_mode, shortest_document_length(corpus), selection_params
-    )
+    selected, report = apply_selection(matrix, selection_mode, shortest_document_length(corpus))
     dist = compute_distance(selected, distance)
     dend = ward_cluster(dist, linkage_variant)
     assignment = cut(dend, k)

@@ -53,22 +53,17 @@ class SelectionReport:
     per_feature: tuple[FeatureDiagnostic, ...]
 
 
-def mirror_correct(values: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Average each value with its mirror (max + min) - v.
+def corrected_mean(values: Sequence[float] | np.ndarray) -> float:
+    """Mean of the values each averaged with its mirror (max + min) - v.
 
-    Every corrected entry (v + ((max + min) - v)) / 2 equals the midrange
-    (max + min) / 2, so that is what gets returned, avoiding the rounding
-    noise of the elementwise form.
+    Every mirrored entry (v + ((max + min) - v)) / 2 equals the midrange,
+    so the midrange (max + min) / 2 is returned directly, avoiding the
+    rounding noise of the elementwise form.
     """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("mirror correction needs at least one value")
-    return np.full(arr.shape, (arr.max() + arr.min()) / 2.0)
-
-
-def corrected_mean(values: Sequence[float] | np.ndarray) -> float:
-    # The corrected vector is constant, so its mean is its first entry.
-    return float(mirror_correct(values)[0])
+    return float((arr.max() + arr.min()) / 2.0)
 
 
 def required_sample_size(p_bar: float, sigma: float, params: SelectionParams) -> float:

@@ -79,6 +79,43 @@ def test_non_utf8_token_file_exits_2_naming_file_and_line(tmp_path, capsys):
     assert "latin1.tsv: line 3:" in capsys.readouterr().err
 
 
+def test_non_utf8_manifest_exits_2_naming_file_and_line(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_bytes(MANIFEST_HEADER.encode() + b"x,Le Cid \xe9,a,g,verse,5,1660,x.tsv\n")
+    code = main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "manifest.csv: line 2: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_non_utf8_function_word_list_exits_2_naming_file_and_line(corpus_dir, tmp_path, capsys):
+    fw_list = tmp_path / "fw.txt"
+    fw_list.write_bytes(b"le\nla\n\xe0\n")
+    code = main([
+        "extract", "--manifest", str(corpus_dir / "manifest.csv"),
+        "--features", "fw", "--fw-list", str(fw_list), "--out", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert "fw.txt: line 3: not valid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("extract", "--min-tokens", "-1"),
+        ("extract", "--min-plays", "0"),
+        ("synth", "--authors", "1"),
+        ("synth", "--docs-per-author", "1"),
+        ("synth", "--separation", "-1"),
+    ],
+)
+def test_out_of_range_flag_exits_2_naming_it(corpus_dir, tmp_path, capsys, command, flag, value):
+    required = {"extract": ["--manifest", str(corpus_dir / "manifest.csv")], "synth": ["--seed", "1"]}
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *required[command], flag, value, "--out", str(tmp_path / "o")])
+    assert excinfo.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
 def test_unfilterable_corpus_exits_1(corpus_dir, tmp_path, capsys):
     code = main([
         "cluster", "--manifest", str(corpus_dir / "manifest.csv"),

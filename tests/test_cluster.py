@@ -33,6 +33,11 @@ def _random_dist(rng, n) -> DistanceMatrix:
     return _dist(m)
 
 
+def _grid_dist(rng, n) -> DistanceMatrix:
+    points = rng.integers(0, 3, size=(n, 2))
+    return _dist(np.abs(points[:, None, :] - points[None, :, :]).sum(-1))
+
+
 def _hand_dendrogram() -> Dendrogram:
     # Four leaves a,b,c,d: (a,b)@1, (c,d)@1, then everything @4.
     return Dendrogram(
@@ -75,9 +80,12 @@ def test_three_equidistant_points_tie_break_and_growth():
 
 def test_matches_naive_recompute_oracle():
     rng = np.random.default_rng(101)
-    for _ in range(25):
-        n = int(rng.integers(8, 13))
-        dist = _random_dist(rng, n)
+    uniform = [_random_dist(rng, int(rng.integers(8, 13))) for _ in range(25)]
+    # Cityblock distances on a 3x3 integer grid tie often, so the tie-break
+    # also runs between merged clusters, which uniform inputs never reach.
+    grid = [_grid_dist(rng, int(rng.integers(6, 13))) for _ in range(60)]
+    for dist in uniform + grid:
+        n = dist.n_docs
         for variant in ("ward2", "ward1"):
             dend = ward_cluster(dist, variant)
             oracle = naive_ward(dist.values, dist.doc_ids, variant)
@@ -182,11 +190,6 @@ def test_ac_tight_pairs_approach_one():
         ac=0.0,
     )
     assert agglomerative_coefficient(dend) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_ac_literal_mode_skips_normalization():
-    dend = _hand_dendrogram()
-    assert agglomerative_coefficient(dend, normalized=False) == pytest.approx(0.0)
 
 
 def test_ac_invariant_under_uniform_scaling():

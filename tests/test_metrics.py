@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from _oracles import delta_by_hand
 from stylokit.errors import AnalysisError
@@ -194,3 +195,19 @@ def test_distance_csv_is_square_with_header(tmp_path):
     assert len(lines) == 4
     first = lines[1].split(",")
     assert first[0] == "d0" and float(first[1]) == 0.0
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_docs=st.integers(3, 8),
+    n_features=st.integers(2, 10),
+    column=st.integers(0, 9),
+    factor=st.floats(1e-3, 1e3),
+)
+def test_delta_and_minmax_ignore_one_column_scaled(seed, n_docs, n_features, column, factor):
+    matrix = _random_relfreq(np.random.default_rng(seed), n_docs, n_features)
+    values = matrix.values.copy()
+    values[:, column % n_features] *= factor
+    scaled = _matrix(values)
+    for measure in (burrows_delta, minmax_pipeline):
+        assert np.allclose(measure(scaled).values, measure(matrix).values, rtol=0, atol=1e-12)

@@ -9,7 +9,6 @@ from stylokit.features import FeatureMatrix, Scale
 from stylokit.selection import (
     SelectionParams,
     corrected_mean,
-    mirror_correct,
     required_sample_size,
     select_reliable,
     select_top_frequency,
@@ -32,7 +31,6 @@ def _matrix(values, names=None) -> FeatureMatrix:
 
 def test_mirror_corrected_mean_is_midrange():
     assert corrected_mean([0.1, 0.3, 0.5]) == pytest.approx(0.3, abs=0)
-    assert np.allclose(mirror_correct([0.1, 0.3, 0.5]), 0.3)
 
 
 def test_mirror_constant_vector_unchanged():
