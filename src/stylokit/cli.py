@@ -154,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="out")
 
     p = sub.add_parser("synth", help="generate a seeded synthetic corpus")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_at_least(int, 0), required=True)
     p.add_argument("--authors", type=_at_least(int, 2), default=5)
     p.add_argument("--docs-per-author", type=_at_least(int, 2), default=6)
     p.add_argument("--separation", type=_at_least(float, 0.0), default=1.0)

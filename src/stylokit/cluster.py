@@ -131,6 +131,8 @@ def agglomerative_coefficient(dend: Dendrogram) -> float:
 
     Dividing by the final merge height keeps the coefficient in [0, 1] and
     makes it invariant under uniform scaling of the input dissimilarities.
+    The mean sums the leaves in doc-id order, so it does not depend on the
+    order of the input rows.
     """
     n = dend.n_leaves
     final_height = dend.merges[-1].height
@@ -142,7 +144,8 @@ def agglomerative_coefficient(dend: Dendrogram) -> float:
     if final_height == 0.0:
         warnings.warn("all merge heights are zero; agglomerative coefficient set to 0")
         return 0.0
-    return float(np.mean([1.0 - first[i] / final_height for i in range(n)]))
+    in_id_order = sorted(range(n), key=dend.leaves.__getitem__)
+    return float(np.mean([1.0 - first[i] / final_height for i in in_id_order]))
 
 
 def cut(dend: Dendrogram, k: int) -> ClusterAssignment:

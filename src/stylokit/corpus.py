@@ -168,8 +168,15 @@ def parse_document(lines: Iterable[str], meta: DocumentMeta) -> Document:
 
 
 def read_utf8(path: str | Path) -> str:
-    """A whole input file as text; a bad byte raises CorpusFormatError naming its line."""
-    data = Path(path).read_bytes()
+    """A whole input file as text; a bad byte raises CorpusFormatError naming its line.
+
+    A file that cannot be read at all (missing, a directory, no permission)
+    raises CorpusFormatError naming the path.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise CorpusFormatError(f"{path}: cannot read: {exc.strerror or exc}") from None
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

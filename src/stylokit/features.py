@@ -36,9 +36,6 @@ class FeatureKind(str, Enum):
 
 class Scale(str, Enum):
     RELATIVE_FREQUENCY = "relative_frequency"
-    ZSCORE = "zscore"
-    TFSD = "tfsd"
-    L2_NORMALIZED_ZSCORE = "l2_normalized_zscore"
 
 
 POS_NGRAM_N = 3
@@ -154,8 +151,9 @@ class FeatureMatrix:
     doc_ids: tuple[str, ...]
     feature_names: tuple[str, ...]
     values: np.ndarray
-    scale: Scale
-    kind: FeatureKind | None = None
+    # Always relative frequencies: every transform lives inside compute_distance.
+    # The field stays only for callers that still pass it positionally.
+    scale: Scale = Scale.RELATIVE_FREQUENCY
 
     def __post_init__(self) -> None:
         if self.values.shape != (len(self.doc_ids), len(self.feature_names)):
@@ -188,17 +186,6 @@ class FeatureMatrix:
             doc_ids=self.doc_ids,
             feature_names=tuple(self.feature_names[i] for i in idx),
             values=self.values[:, idx].copy(),
-            scale=self.scale,
-            kind=self.kind,
-        )
-
-    def with_values(self, values: np.ndarray, scale: Scale) -> "FeatureMatrix":
-        return FeatureMatrix(
-            doc_ids=self.doc_ids,
-            feature_names=self.feature_names,
-            values=values,
-            scale=scale,
-            kind=self.kind,
         )
 
 
@@ -231,8 +218,6 @@ def build_matrix(corpus: Corpus, spec: FeatureSpec) -> FeatureMatrix:
         doc_ids=corpus.doc_ids,
         feature_names=tuple(names),
         values=values,
-        scale=Scale.RELATIVE_FREQUENCY,
-        kind=spec.kind,
     )
 
 
@@ -252,26 +237,6 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
 def write_matrix_csv(matrix: FeatureMatrix, path: str | Path) -> None:
     rows = ([doc, *map(format_value, row)] for doc, row in zip(matrix.doc_ids, matrix.values))
     write_csv(path, ("doc_id", *matrix.feature_names), rows)
-
-
-def read_matrix_csv(path: str | Path) -> FeatureMatrix:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "doc_id":
-            raise AnalysisError(f"not a feature matrix CSV: {path}")
-        names = tuple(header[1:])
-        doc_ids = []
-        rows = []
-        for row in reader:
-            doc_ids.append(row[0])
-            rows.append([float(v) for v in row[1:]])
-    return FeatureMatrix(
-        doc_ids=tuple(doc_ids),
-        feature_names=names,
-        values=np.array(rows, dtype=float) if rows else np.zeros((0, len(names))),
-        scale=Scale.RELATIVE_FREQUENCY,
-    )
 
 
 def load_word_list(path: str | Path) -> tuple[str, ...]:

@@ -1,11 +1,20 @@
-"""Matrix transforms and document dissimilarities.
+"""Document dissimilarities from a relative-frequency matrix.
 
-The delta pipeline standardizes every feature column (sample standard
-deviation, n-1), length-normalizes each document vector, and takes
-pairwise Manhattan distances. The min/max pipeline divides each column
-by its standard deviation without centering -- keeping the matrix
-non-negative -- and scores a pair as one minus the ratio of
-componentwise minima to componentwise maxima.
+``compute_distance(matrix, measure)`` is the one entry point. Each
+measure is a transform of the matrix followed by a row function applied
+to every pair of documents:
+
+- delta: z-score every feature column (sample standard deviation, n-1),
+  length-normalize each document vector, take Manhattan distances;
+- min/max: divide each column by its standard deviation without
+  centering -- keeping the matrix non-negative -- and score a pair as
+  one minus the ratio of componentwise minima to componentwise maxima;
+- manhattan and euclidean: the raw frequencies, as baselines kept for
+  comparison, not attribution.
+
+Column means and standard deviations are taken over the rows sorted by
+doc id, so every distance is bit-identical whatever order the manifest
+lists the documents in.
 """
 
 from __future__ import annotations
@@ -17,7 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AnalysisError
-from .features import FeatureMatrix, Scale, format_value, write_csv
+from .features import FeatureMatrix, format_value, write_csv
+
+__all__ = ["Measure", "DistanceMatrix", "compute_distance", "write_distance_csv"]
 
 
 class Measure(str, Enum):
@@ -43,42 +54,42 @@ class DistanceMatrix:
         return len(self.doc_ids)
 
 
-def _column_sd(values: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
-    if values.shape[0] < 2:
-        raise AnalysisError("column standardization needs at least 2 documents")
-    sd = values.std(axis=0, ddof=1)
+def _column_stats(matrix: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Column mean and sd (n-1), both taken over one copy of the rows sorted by doc id."""
+    ordered = matrix.values[sorted(range(matrix.n_docs), key=matrix.doc_ids.__getitem__)]
+    sd = ordered.std(axis=0, ddof=1)
     dead = np.flatnonzero(sd == 0.0)
     if dead.size:
         raise AnalysisError(
             f"feature has zero variance (selection should have removed it): "
-            f"{names[dead[0]]}"
+            f"{matrix.feature_names[dead[0]]}"
         )
-    return sd
+    return ordered.mean(axis=0), sd
 
 
-def zscore_transform(matrix: FeatureMatrix) -> FeatureMatrix:
-    if matrix.scale is not Scale.RELATIVE_FREQUENCY:
-        raise AnalysisError("z-scoring expects relative frequencies")
-    sd = _column_sd(matrix.values, matrix.feature_names)
-    z = (matrix.values - matrix.values.mean(axis=0)) / sd
-    return matrix.with_values(z, Scale.ZSCORE)
+def _zscore(matrix: FeatureMatrix) -> np.ndarray:
+    mean, sd = _column_stats(matrix)
+    return (matrix.values - mean) / sd
 
 
-def l2_normalize_rows(matrix: FeatureMatrix) -> FeatureMatrix:
-    norms = np.linalg.norm(matrix.values, axis=1)
+def _unit_rows(values: np.ndarray, doc_ids: tuple[str, ...]) -> np.ndarray:
+    norms = np.linalg.norm(values, axis=1)
     dead = np.flatnonzero(norms == 0.0)
     if dead.size:
         raise AnalysisError(
-            f"document has no signal under selected features: {matrix.doc_ids[dead[0]]}"
+            f"document has no signal under selected features: {doc_ids[dead[0]]}"
         )
-    return matrix.with_values(matrix.values / norms[:, None], Scale.L2_NORMALIZED_ZSCORE)
+    return values / norms[:, None]
 
 
-def tfsd_transform(matrix: FeatureMatrix) -> FeatureMatrix:
-    if matrix.scale is not Scale.RELATIVE_FREQUENCY:
-        raise AnalysisError("tfsd expects relative frequencies")
-    sd = _column_sd(matrix.values, matrix.feature_names)
-    return matrix.with_values(matrix.values / sd, Scale.TFSD)
+def _delta_vectors(matrix: FeatureMatrix) -> np.ndarray:
+    return _unit_rows(_zscore(matrix), matrix.doc_ids)
+
+
+def _tfsd(matrix: FeatureMatrix) -> np.ndarray:
+    if np.any(matrix.values < 0):
+        raise AnalysisError("min/max distance requires non-negative values")
+    return matrix.values / _column_stats(matrix)[1]
 
 
 def _pairwise(values: np.ndarray, row_fn) -> np.ndarray:
@@ -94,40 +105,11 @@ def _manhattan_row(a: np.ndarray, rest: np.ndarray) -> np.ndarray:
     return np.abs(rest - a).sum(axis=1)
 
 
-def burrows_delta(matrix: FeatureMatrix) -> DistanceMatrix:
-    """Full delta pipeline: z-score, row length-normalization, Manhattan."""
-    if matrix.n_docs < 2:
-        raise AnalysisError("delta needs at least 2 documents")
-    normalized = l2_normalize_rows(zscore_transform(matrix))
-    values = _pairwise(normalized.values, _manhattan_row)
-    return DistanceMatrix(matrix.doc_ids, values, Measure.BURROWS_DELTA)
-
-
 def _minmax_row(a: np.ndarray, rest: np.ndarray) -> np.ndarray:
     denom = np.maximum(rest, a).sum(axis=1)
     if np.any(denom == 0.0):
         raise AnalysisError("min/max distance undefined for two all-zero documents")
     return 1.0 - np.minimum(rest, a).sum(axis=1) / denom
-
-
-def minmax_distance(matrix: FeatureMatrix) -> DistanceMatrix:
-    """Pairwise 1 - sum(min)/sum(max) on a non-negative tfsd matrix."""
-    if matrix.scale is not Scale.TFSD:
-        raise AnalysisError("min/max distance expects tfsd-scaled values")
-    if np.any(matrix.values < 0):
-        raise AnalysisError("min/max distance requires non-negative values")
-    return DistanceMatrix(matrix.doc_ids, _pairwise(matrix.values, _minmax_row), Measure.MINMAX)
-
-
-def minmax_pipeline(matrix: FeatureMatrix) -> DistanceMatrix:
-    if matrix.n_docs < 2:
-        raise AnalysisError("min/max needs at least 2 documents")
-    return minmax_distance(tfsd_transform(matrix))
-
-
-def manhattan_distance(matrix: FeatureMatrix) -> DistanceMatrix:
-    values = _pairwise(matrix.values, _manhattan_row)
-    return DistanceMatrix(matrix.doc_ids, values, Measure.MANHATTAN)
 
 
 def _euclidean_row(a: np.ndarray, rest: np.ndarray) -> np.ndarray:
@@ -137,21 +119,26 @@ def _euclidean_row(a: np.ndarray, rest: np.ndarray) -> np.ndarray:
     return np.sqrt(diff @ diff.transpose(0, 2, 1)).ravel()
 
 
-def euclidean_distance(matrix: FeatureMatrix) -> DistanceMatrix:
-    """Plain Euclidean baseline; kept for comparison, not attribution."""
-    values = _pairwise(matrix.values, _euclidean_row)
-    return DistanceMatrix(matrix.doc_ids, values, Measure.EUCLIDEAN)
+def _raw(matrix: FeatureMatrix) -> np.ndarray:
+    return matrix.values
+
+
+# Per measure: the transform of the matrix, then the row function over pairs.
+_MEASURES = {
+    Measure.BURROWS_DELTA: (_delta_vectors, _manhattan_row),
+    Measure.MINMAX: (_tfsd, _minmax_row),
+    Measure.MANHATTAN: (_raw, _manhattan_row),
+    Measure.EUCLIDEAN: (_raw, _euclidean_row),
+}
 
 
 def compute_distance(matrix: FeatureMatrix, measure: Measure | str) -> DistanceMatrix:
+    """Pairwise dissimilarities between the documents of a relative-frequency matrix."""
     measure = Measure(measure)
-    if measure is Measure.BURROWS_DELTA:
-        return burrows_delta(matrix)
-    if measure is Measure.MINMAX:
-        return minmax_pipeline(matrix)
-    if measure is Measure.MANHATTAN:
-        return manhattan_distance(matrix)
-    return euclidean_distance(matrix)
+    if matrix.n_docs < 2:
+        raise AnalysisError(f"{measure.value} distance needs at least 2 documents")
+    transform, row_fn = _MEASURES[measure]
+    return DistanceMatrix(matrix.doc_ids, _pairwise(transform(matrix), row_fn), measure)
 
 
 def write_distance_csv(dist: DistanceMatrix, path: str | Path) -> None:

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AnalysisError
-from .features import FeatureMatrix, Scale, format_value, write_csv
+from .features import FeatureMatrix, format_value, write_csv
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,6 @@ def select_reliable(matrix: FeatureMatrix, params: SelectionParams) -> Selection
     Constant features (sigma = 0) are dropped as degenerate: they carry no
     clustering signal and break the z-score transform downstream.
     """
-    if matrix.scale is not Scale.RELATIVE_FREQUENCY:
-        raise AnalysisError("reliability selection expects relative frequencies")
     rows: list[FeatureDiagnostic] = []
     retained: list[str] = []
     for j, name in enumerate(matrix.feature_names):

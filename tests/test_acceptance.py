@@ -17,14 +17,8 @@ from conftest import SYNTH_SEED, SYNTH_SEPARATION
 from stylokit.cli import main
 from stylokit.cluster import Dendrogram, Merge, agglomerative_coefficient, cut, ward_cluster
 from stylokit.evaluate import cluster_purity, eta_squared, robustness_sweep
-from stylokit.features import FeatureKind, FeatureMatrix, FeatureSpec, Scale, affixes_of
-from stylokit.metrics import (
-    DistanceMatrix,
-    Measure,
-    burrows_delta,
-    minmax_distance,
-    minmax_pipeline,
-)
+from stylokit.features import FeatureKind, FeatureMatrix, FeatureSpec, affixes_of
+from stylokit.metrics import DistanceMatrix, Measure, _minmax_row, compute_distance
 from stylokit.pipeline import run_pipeline
 from stylokit.selection import SelectionParams, corrected_mean, required_sample_size
 from stylokit.synth import function_word_forms
@@ -40,7 +34,6 @@ def _relfreq_matrix(rng, n_docs, n_features) -> FeatureMatrix:
         doc_ids=tuple(f"d{i:03d}" for i in range(n_docs)),
         feature_names=tuple(f"f{j:03d}" for j in range(n_features)),
         values=raw / raw.sum(axis=1, keepdims=True),
-        scale=Scale.RELATIVE_FREQUENCY,
     )
 
 
@@ -81,7 +74,7 @@ def test_criterion_3_delta_metric_axioms():
         matrix = _relfreq_matrix(
             rng, int(rng.integers(5, 21)), int(rng.integers(10, 201))
         )
-        d = burrows_delta(matrix).values
+        d = compute_distance(matrix, "delta").values
         assert np.allclose(d, d.T, atol=0)
         assert np.all(np.diag(d) == 0.0)
         assert np.all(d >= 0.0)
@@ -93,25 +86,16 @@ def test_criterion_3_delta_metric_axioms():
 
 
 def test_criterion_4_minmax_bounds():
-    identical = FeatureMatrix(
-        doc_ids=("a", "b"),
-        feature_names=("f0", "f1"),
-        values=np.array([[1.0, 2.0], [1.0, 2.0]]),
-        scale=Scale.TFSD,
-    )
-    assert minmax_distance(identical).values[0, 1] == 0.0
-    disjoint = FeatureMatrix(
-        doc_ids=("a", "b"),
-        feature_names=("f0", "f1"),
-        values=np.array([[1.0, 0.0], [0.0, 3.0]]),
-        scale=Scale.TFSD,
-    )
-    assert minmax_distance(disjoint).values[0, 1] == 1.0
+    # The min/max row formula on already-scaled vectors.
+    identical = np.array([[1.0, 2.0], [1.0, 2.0]])
+    assert _minmax_row(identical[0], identical[1:])[0] == 0.0
+    disjoint = np.array([[1.0, 0.0], [0.0, 3.0]])
+    assert _minmax_row(disjoint[0], disjoint[1:])[0] == 1.0
 
     rng = np.random.default_rng(404)
     for _ in range(100):
         matrix = _relfreq_matrix(rng, int(rng.integers(3, 12)), int(rng.integers(5, 60)))
-        d = minmax_pipeline(matrix).values
+        d = compute_distance(matrix, "minmax").values
         assert np.all(d >= -1e-12)
         assert np.all(d <= 1.0 + 1e-12)
         assert np.all(np.diag(d) == 0.0)

@@ -87,6 +87,17 @@ def test_non_utf8_manifest_exits_2_naming_file_and_line(tmp_path, capsys):
     assert "manifest.csv: line 2: not valid UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--manifest", "--fw-list"])
+def test_directory_as_input_exits_2_naming_it(corpus_dir, tmp_path, capsys, flag):
+    inputs = {"--manifest": corpus_dir / "manifest.csv", "--fw-list": corpus_dir / "function_words.txt"}
+    inputs[flag] = tmp_path
+    argv = ["extract", "--features", "fw", "--out", str(tmp_path / "o")]
+    for name, path in inputs.items():
+        argv += [name, str(path)]
+    assert main(argv) == 2
+    assert f"{tmp_path}: cannot read:" in capsys.readouterr().err
+
+
 def test_non_utf8_function_word_list_exits_2_naming_file_and_line(corpus_dir, tmp_path, capsys):
     fw_list = tmp_path / "fw.txt"
     fw_list.write_bytes(b"le\nla\n\xe0\n")
@@ -106,6 +117,7 @@ def test_non_utf8_function_word_list_exits_2_naming_file_and_line(corpus_dir, tm
         ("synth", "--authors", "1"),
         ("synth", "--docs-per-author", "1"),
         ("synth", "--separation", "-1"),
+        ("synth", "--seed", "-1"),
     ],
 )
 def test_out_of_range_flag_exits_2_naming_it(corpus_dir, tmp_path, capsys, command, flag, value):
@@ -307,20 +319,31 @@ def test_bad_select_spec_exits_2(corpus_dir, tmp_path, capsys):
     assert excinfo.value.code == 2
 
 
-def _cluster_k3(corpus_dir: Path, manifest: Path, out: Path) -> tuple[bytes, str]:
-    assert main([
-        "cluster", "--manifest", str(manifest), "--features", "fw",
-        "--fw-list", str(corpus_dir / "function_words.txt"), "--k", "3", "--out", str(out),
-    ]) == 0
-    purity = json.loads((out / "summary.json").read_text())["purity"]
-    return (out / "assignment.csv").read_bytes(), repr(purity)
+def _cluster_k3(corpus_dir: Path, manifest: Path, out: Path) -> dict[str, bytes]:
+    """The fw outputs of `cluster --k 3` under delta and min/max, keyed by measure/file."""
+    outputs = {}
+    for measure in ("delta", "minmax"):
+        run = out / measure
+        assert main([
+            "cluster", "--manifest", str(manifest), "--features", "fw",
+            "--fw-list", str(corpus_dir / "function_words.txt"), "--distance", measure,
+            "--k", "3", "--out", str(run),
+        ]) == 0
+        for name in ("assignment.csv", "summary.json", "dendrogram.newick"):
+            outputs[f"{measure}/{name}"] = (run / name).read_bytes()
+    return outputs
+
+
+@pytest.fixture(scope="module")
+def k3_reference(corpus_dir, tmp_path_factory):
+    return _cluster_k3(corpus_dir, corpus_dir / "manifest.csv", tmp_path_factory.mktemp("reference"))
 
 
 @settings(
     max_examples=3, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(st.randoms(use_true_random=False))
-def test_cluster_invariant_under_manifest_row_order(corpus_dir, tmp_path_factory, rnd):
+def test_cluster_invariant_under_manifest_row_order(corpus_dir, k3_reference, tmp_path_factory, rnd):
     with open(corpus_dir / "manifest.csv", encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
     rnd.shuffle(rows)
@@ -330,5 +353,4 @@ def test_cluster_invariant_under_manifest_row_order(corpus_dir, tmp_path_factory
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows({**row, "path": str(corpus_dir / row["path"])} for row in rows)
-    reference = _cluster_k3(corpus_dir, corpus_dir / "manifest.csv", work / "reference")
-    assert _cluster_k3(corpus_dir, shuffled, work / "shuffled") == reference
+    assert _cluster_k3(corpus_dir, shuffled, work / "shuffled") == k3_reference

@@ -20,7 +20,7 @@ from stylokit.evaluate import (
     write_eta_csv,
     write_sweep_csv,
 )
-from stylokit.features import FeatureKind, FeatureMatrix, FeatureSpec, Scale
+from stylokit.features import FeatureKind, FeatureMatrix, FeatureSpec
 from stylokit.pipeline import run_pipeline
 from stylokit.synth import function_word_forms
 
@@ -199,7 +199,6 @@ def test_eta_table_sorted_descending():
         doc_ids=("a", "b", "c", "d"),
         feature_names=("noisy", "sharp"),
         values=np.array([[0.5, 1.0], [0.4, 1.1], [0.45, 5.0], [0.55, 5.2]]),
-        scale=Scale.RELATIVE_FREQUENCY,
     )
     rows = eta_table(matrix, {"a": 1, "b": 1, "c": 2, "d": 2})
     assert [r.feature for r in rows] == ["sharp", "noisy"]

@@ -19,7 +19,6 @@ from stylokit.features import (
     extract_lemmas,
     extract_pos_ngrams,
     extract_rhyme_lemmas,
-    read_matrix_csv,
     write_matrix_csv,
 )
 
@@ -194,16 +193,12 @@ def test_build_matrix_all_proper_doc_yields_zero_row():
     assert np.allclose(matrix.values[1], 0.0)
 
 
-def test_matrix_csv_round_trip_and_determinism(tmp_path, synth_corpus):
+def test_matrix_csv_is_byte_deterministic(tmp_path, synth_corpus):
     matrix = build_matrix(synth_corpus, FeatureSpec(kind=FeatureKind.LEMMA))
     p1, p2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
     write_matrix_csv(matrix, p1)
     write_matrix_csv(matrix, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    again = read_matrix_csv(p1)
-    assert again.doc_ids == matrix.doc_ids
-    assert again.feature_names == matrix.feature_names
-    assert np.allclose(again.values, matrix.values, rtol=1e-11)
 
 
 def test_feature_spec_validation():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stylokit.errors import AnalysisError
-from stylokit.features import FeatureMatrix, Scale
+from stylokit.features import FeatureMatrix
 from stylokit.selection import (
     SelectionParams,
     corrected_mean,
@@ -25,7 +25,6 @@ def _matrix(values, names=None) -> FeatureMatrix:
         doc_ids=tuple(f"d{i}" for i in range(values.shape[0])),
         feature_names=tuple(names),
         values=values,
-        scale=Scale.RELATIVE_FREQUENCY,
     )
 
 
@@ -109,13 +108,6 @@ def test_select_reliable_example_thresholds():
     values = np.array([[0.4], [0.6], [0.5], [0.5]])
     with pytest.raises(AnalysisError, match="eliminated all features"):
         select_reliable(_matrix(values), tight)
-
-
-def test_select_reliable_requires_relative_frequencies():
-    matrix = _matrix([[1.0, 2.0], [2.0, 1.0]])
-    bad = matrix.with_values(matrix.values, Scale.ZSCORE)
-    with pytest.raises(AnalysisError):
-        select_reliable(bad, SelectionParams(min_doc_len=100))
 
 
 def test_top_frequency_whole_matrix():
