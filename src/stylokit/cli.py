@@ -113,7 +113,7 @@ def _add_analysis_flags(parser: argparse.ArgumentParser, select: bool = True) ->
                             help="'reliable' or 'top:<pct>'")
     parser.add_argument("--distance", choices=[m.value for m in Measure], default="delta")
     parser.add_argument("--linkage", choices=["ward2", "ward1"], default="ward2")
-    parser.add_argument("--k", type=int, default=None,
+    parser.add_argument("--k", type=_at_least(int, 1), default=None,
                         help="number of clusters (default: number of authors)")
 
 

@@ -4,27 +4,26 @@ Token files carry one token per line as FORM<TAB>LEMMA<TAB>POS, with a
 blank line closing each verse and ``#`` starting a comment line. All
 forms and lemmas are lowercased and stripped of punctuation on the way
 in; tokens that vanish under that normalization are dropped entirely.
-Proper-name tokens (POS prefix ``NOMpro``) are kept in the document --
-morphosyntactic extractors need them -- but are left out of
-``Document.lexical_counts``, which the lexical extractors read.
 
-A parsed document is flat: ``tokens`` holds every surviving token in
-reading order and ``verse_ends`` the exclusive end offset of each verse.
-``normalize_token`` is cached, so identical raw lines yield one shared
-``AnnotatedToken`` and a document costs one pointer per token; the
-feature families then count per distinct token, not per occurrence.
+A corpus is parsed as a whole over one vocabulary: ``Corpus.types``
+holds each distinct normalized token once, and a ``Document`` is an
+int32 array of ids into it, in reading order, plus the exclusive end
+offset of each verse. One table local to the parse maps every distinct
+raw line to its type id, so ``normalize_token`` runs once per distinct
+line. Proper-name tokens (POS prefix ``NOMpro``) keep their types --
+POS n-grams need them -- and the lexical families skip those types.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import unicodedata
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import AnalysisError, CorpusFormatError
 
@@ -68,31 +67,27 @@ class DocumentMeta:
     year: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Document:
+    """One play as ids into its corpus's ``types``, with verse end offsets.
+
+    Documents compare by identity: their ids mean something only against
+    the vocabulary of the corpus that parsed them.
+    """
+
     meta: DocumentMeta
-    tokens: tuple[AnnotatedToken, ...]
-    verse_ends: tuple[int, ...]
+    type_ids: np.ndarray
+    verse_ends: np.ndarray
 
     @property
     def token_count(self) -> int:
-        return len(self.tokens)
-
-    @property
-    def verses(self) -> tuple[tuple[AnnotatedToken, ...], ...]:
-        """Each verse's tokens, sliced out of the flat stream."""
-        starts = (0, *self.verse_ends[:-1])
-        return tuple(self.tokens[s:e] for s, e in zip(starts, self.verse_ends))
-
-    def lexical_counts(self) -> Counter[AnnotatedToken]:
-        """Each distinct token the lexical families count, proper names excluded."""
-        counts = Counter(self.tokens)
-        return Counter({tok: n for tok, n in counts.items() if not tok.is_proper_noun})
+        return len(self.type_ids)
 
 
 @dataclass(frozen=True)
 class Corpus:
-    documents: tuple[Document, ...] = field(default_factory=tuple)
+    documents: tuple[Document, ...] = ()
+    types: tuple[AnnotatedToken, ...] = ()
 
     def __post_init__(self) -> None:
         ids = [d.meta.id for d in self.documents]
@@ -114,14 +109,12 @@ class Corpus:
         return {d.meta.id: d.meta.alleged_author for d in self.documents}
 
 
-@functools.cache
 def normalize_token(raw_form: str, lemma: str, pos: str) -> AnnotatedToken | None:
     """Lowercase and strip punctuation; return None when nothing survives.
 
     Proper-name tokens are normalized and returned like any other: the
-    decision to skip them belongs to the lexical extractors, because POS
-    n-grams still consume them. Cached for the life of the process, so
-    equal inputs share one token object.
+    decision to skip them belongs to the lexical families, because POS
+    n-grams still consume them.
     """
     form = _strip_punctuation(raw_form.lower())
     lem = _strip_punctuation(lemma.lower())
@@ -130,41 +123,55 @@ def normalize_token(raw_form: str, lemma: str, pos: str) -> AnnotatedToken | Non
     return AnnotatedToken(form=form, lemma=lem, pos=pos)
 
 
-def parse_document(lines: Iterable[str], meta: DocumentMeta) -> Document:
-    """Build a Document from FORM/LEMMA/POS lines with blank-line verse breaks.
+# Line ids that are not type ids: comments and lines that normalize to
+# nothing are skipped, blank lines close a verse.
+_SKIPPED, _VERSE_BREAK = -1, -2
 
-    A trailing verse without a closing blank line is accepted. Raises
-    CorpusFormatError on malformed lines (naming the line number) or when
-    no token survives at all.
+
+def _line_id(raw: str, vocabulary: dict[AnnotatedToken, int], where: str) -> int:
+    """The type id of one raw line, adding its token to the vocabulary if new."""
+    line = raw.rstrip("\r\n")
+    if line.startswith("#"):
+        return _SKIPPED
+    if not line.strip():
+        return _VERSE_BREAK
+    fields = line.split("\t")
+    if len(fields) != 3:
+        raise CorpusFormatError(
+            f"{where}: expected FORM<TAB>LEMMA<TAB>POS, got {len(fields)} field(s)"
+        )
+    token = normalize_token(*fields)
+    return _SKIPPED if token is None else vocabulary.setdefault(token, len(vocabulary))
+
+
+def parse_corpus(sources: Iterable[tuple[DocumentMeta, Iterable[str]]]) -> Corpus:
+    """Parse each (meta, FORM/LEMMA/POS lines) source over one shared vocabulary.
+
+    Identical lines, within and across documents, get one type id. A
+    trailing verse without a closing blank line is accepted. Raises
+    CorpusFormatError on a malformed line (naming the document and line
+    number) or when no token of a document survives.
     """
-    tokens: list[AnnotatedToken] = []
-    verse_ends: list[int] = []
-
-    def close_verse() -> None:
-        if len(tokens) > (verse_ends[-1] if verse_ends else 0):
-            verse_ends.append(len(tokens))
-
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
-        if line.startswith("#"):
-            continue
-        if not line.strip():
-            close_verse()
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise CorpusFormatError(
-                f"{meta.id}: line {lineno}: expected FORM<TAB>LEMMA<TAB>POS, "
-                f"got {len(fields)} field(s)"
-            )
-        token = normalize_token(*fields)
-        if token is not None:
-            tokens.append(token)
-    close_verse()
-
-    if not tokens:
-        raise CorpusFormatError(f"{meta.id}: empty document")
-    return Document(meta=meta, tokens=tuple(tokens), verse_ends=tuple(verse_ends))
+    line_ids: dict[str, int] = {}
+    vocabulary: dict[AnnotatedToken, int] = {}
+    documents = []
+    for meta, lines in sources:
+        ids: list[int] = []
+        ends: list[int] = []
+        for lineno, raw in enumerate(lines, start=1):
+            tid = line_ids.get(raw)
+            if tid is None:
+                tid = line_ids[raw] = _line_id(raw, vocabulary, f"{meta.id}: line {lineno}")
+            if tid >= 0:
+                ids.append(tid)
+            elif tid == _VERSE_BREAK and len(ids) > (ends[-1] if ends else 0):
+                ends.append(len(ids))
+        if not ids:
+            raise CorpusFormatError(f"{meta.id}: empty document")
+        if len(ids) > (ends[-1] if ends else 0):
+            ends.append(len(ids))
+        documents.append(Document(meta, np.array(ids, np.int32), np.array(ends, np.int32)))
+    return Corpus(documents=tuple(documents), types=tuple(vocabulary))
 
 
 def read_utf8(path: str | Path) -> str:
@@ -182,18 +189,6 @@ def read_utf8(path: str | Path) -> str:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise CorpusFormatError(f"{path}: line {line}: not valid UTF-8 ({exc.reason})") from None
-
-
-def parse_token_file(path: str | Path, meta: DocumentMeta) -> Document:
-    return parse_document(io.StringIO(read_utf8(path), newline=None), meta)
-
-
-def write_token_file(doc: Document, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for verse in doc.verses:
-            for tok in verse:
-                fh.write(f"{tok.form}\t{tok.lemma}\t{tok.pos}\n")
-            fh.write("\n")
 
 
 MANIFEST_FIELDS = ("id", "title", "author", "genre", "form", "acts", "year", "path")
@@ -232,7 +227,7 @@ def load_manifest(manifest_path: str | Path) -> Corpus:
 
     The manifest has the header ``id,title,author,genre,form,acts,year,path``
     with paths resolved relative to the manifest location. Documents keep
-    manifest order.
+    manifest order and are read one at a time.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -245,7 +240,9 @@ def load_manifest(manifest_path: str | Path) -> Corpus:
     rows = [_parse_manifest_row(row, manifest_path, reader.line_num) for row in reader]
     if not rows:
         raise CorpusFormatError(f"manifest is empty: {manifest_path}")
-    return Corpus(documents=tuple(parse_token_file(path, meta) for meta, path in rows))
+    return parse_corpus(
+        (meta, io.StringIO(read_utf8(path), newline=None)) for meta, path in rows
+    )
 
 
 def filter_corpus(corpus: Corpus, min_tokens: int, min_plays_per_author: int) -> Corpus:
@@ -253,7 +250,7 @@ def filter_corpus(corpus: Corpus, min_tokens: int, min_plays_per_author: int) ->
 
     Documents shorter than ``min_tokens`` go first; afterwards every author
     with fewer than ``min_plays_per_author`` surviving documents loses all
-    of them, repeated until stable.
+    of them, repeated until stable. The vocabulary is kept whole.
     """
     if min_tokens < 0:
         raise ValueError("min_tokens must be >= 0")
@@ -271,4 +268,4 @@ def filter_corpus(corpus: Corpus, min_tokens: int, min_plays_per_author: int) ->
         docs = kept
     if not docs:
         raise AnalysisError("no documents survive filtering")
-    return Corpus(documents=tuple(docs))
+    return replace(corpus, documents=tuple(docs))

@@ -1,19 +1,24 @@
 """The six feature families and the document-by-feature matrix.
 
-Every extractor maps a Document to a plain Counter of feature names.
-``build_matrix`` takes the sorted union of names over the corpus and
-fills rows with relative frequencies. Denominators are per family: the
-event total of the family itself (tokens, rhyme positions, affix
-occurrences, n-gram windows), except for function words, whose counts
-are divided by the document's lexical token total so that rarely-used
-list words keep their corpus-level scale.
+Every family is a count over the corpus's one token stream, so
+``build_matrix`` counts once and relabels. It bincounts each document's
+type ids into a docs x types count matrix, then sums type columns onto
+feature columns: lemmas, word forms, function words and affixes map each
+non-proper type to its name(s), rhyme lemmas do the same with the types
+that close a verse, and POS 3-grams are counted as integer trigram codes
+over each type's tag id. A family's columns are the names with a
+positive total in the corpus, in sorted name order; rows hold relative
+frequencies. Denominators are per family: the event total of the family
+itself (tokens, rhyme positions, affix occurrences, n-gram windows),
+except for function words, whose counts are divided by the document's
+lexical token total so that rarely-used list words keep their
+corpus-level scale.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -21,8 +26,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Document, read_utf8
-from .errors import AnalysisError
+from .corpus import AnnotatedToken, Corpus, read_utf8
+from .errors import AnalysisError, CorpusFormatError
 
 
 class FeatureKind(str, Enum):
@@ -52,26 +57,6 @@ class FeatureSpec:
             raise ValueError("function-word extraction needs a non-empty word list")
 
 
-def extract_lemmas(doc: Document) -> Counter[str]:
-    counts: Counter[str] = Counter()
-    for tok, n in doc.lexical_counts().items():
-        counts[tok.lemma] += n
-    return counts
-
-
-def extract_rhyme_lemmas(doc: Document) -> Counter[str]:
-    """Count the lemma closing each verse; proper-name rhymes contribute nothing."""
-    rhymes = (doc.tokens[end - 1] for end in doc.verse_ends)
-    return Counter(tok.lemma for tok in rhymes if not tok.is_proper_noun)
-
-
-def extract_forms(doc: Document) -> Counter[str]:
-    counts: Counter[str] = Counter()
-    for tok, n in doc.lexical_counts().items():
-        counts[tok.form] += n
-    return counts
-
-
 def affixes_of(form: str, min_word_len: int = AFFIX_MIN_WORD_LEN) -> list[str]:
     """Edge-anchored character 3-grams plus interword-space 2-grams.
 
@@ -88,47 +73,6 @@ def affixes_of(form: str, min_word_len: int = AFFIX_MIN_WORD_LEN) -> list[str]:
     return out
 
 
-def extract_affixes(doc: Document, min_word_len: int = AFFIX_MIN_WORD_LEN) -> Counter[str]:
-    counts: Counter[str] = Counter()
-    for form, n in extract_forms(doc).items():
-        for affix in affixes_of(form, min_word_len):
-            counts[affix] += n
-    return counts
-
-
-def extract_pos_ngrams(doc: Document, n: int = POS_NGRAM_N) -> Counter[str]:
-    """Contiguous POS tag n-grams over the whole token stream.
-
-    Verse boundaries do not break the window, and proper-name tokens stay
-    in: their tag is part of the sequence signal.
-    """
-    tags = [tok.pos for tok in doc.tokens]
-    return Counter(
-        ".".join(tags[i : i + n]) for i in range(len(tags) - n + 1)
-    )
-
-
-def extract_function_words(doc: Document, fw_list: tuple[str, ...]) -> Counter[str]:
-    wanted = set(fw_list)
-    return Counter({form: n for form, n in extract_forms(doc).items() if form in wanted})
-
-
-def extract_counts(doc: Document, spec: FeatureSpec) -> Counter[str]:
-    if spec.kind is FeatureKind.LEMMA:
-        return extract_lemmas(doc)
-    if spec.kind is FeatureKind.RHYME_LEMMA:
-        return extract_rhyme_lemmas(doc)
-    if spec.kind is FeatureKind.WORD_FORM:
-        return extract_forms(doc)
-    if spec.kind is FeatureKind.AFFIX:
-        return extract_affixes(doc)
-    if spec.kind is FeatureKind.POS_NGRAM:
-        return extract_pos_ngrams(doc)
-    if spec.kind is FeatureKind.FUNCTION_WORD:
-        return extract_function_words(doc, spec.function_words)
-    raise ValueError(f"unknown feature kind: {spec.kind}")
-
-
 def candidate_function_words(corpus: Corpus, top_k: int) -> list[tuple[str, int]]:
     """Most frequent surface forms corpus-wide, for manual curation.
 
@@ -139,11 +83,9 @@ def candidate_function_words(corpus: Corpus, top_k: int) -> list[tuple[str, int]
         raise ValueError("top_k must be >= 1")
     if len(corpus) == 0:
         raise AnalysisError("cannot rank forms of an empty corpus")
-    totals: Counter[str] = Counter()
-    for doc in corpus:
-        totals.update(extract_forms(doc))
-    ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[:top_k]
+    forms = [[] if tok.is_proper_noun else [tok.form] for tok in corpus.types]
+    names, counts = _sum_columns(_type_counts(corpus), forms)
+    return sorted(zip(names, counts.sum(axis=0).tolist()), key=lambda kv: (-kv[1], kv[0]))[:top_k]
 
 
 @dataclass(frozen=True)
@@ -172,9 +114,6 @@ class FeatureMatrix:
     def n_features(self) -> int:
         return len(self.feature_names)
 
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.feature_names.index(name)]
-
     def subset(self, names: tuple[str, ...] | list[str]) -> "FeatureMatrix":
         """Restrict to the given features, keeping current column order."""
         keep = set(names)
@@ -189,36 +128,94 @@ class FeatureMatrix:
         )
 
 
+def _type_counts(corpus: Corpus, verse_ends_only: bool = False) -> np.ndarray:
+    """docs x types occurrence counts, or counts of the types closing a verse."""
+    n_types = len(corpus.types)
+    counts = np.zeros((len(corpus), n_types), dtype=np.int64)
+    for row, doc in zip(counts, corpus):
+        ids = doc.type_ids[doc.verse_ends - 1] if verse_ends_only else doc.type_ids
+        row[:] = np.bincount(ids, minlength=n_types)
+    return counts
+
+
+def _pos_ngram_counts(corpus: Corpus, n: int = POS_NGRAM_N) -> tuple[np.ndarray, list[list[str]]]:
+    """docs x distinct POS n-gram counts, and each column's name.
+
+    Verse boundaries do not break the window, and proper-name tokens stay
+    in: their tag is part of the sequence signal. Each window is coded as
+    a base-(number of tags) integer over the tag ids of its types.
+    """
+    tag_ids: dict[str, int] = {}
+    type_tags = np.array(
+        [tag_ids.setdefault(tok.pos, len(tag_ids)) for tok in corpus.types], dtype=np.int64
+    )
+    per_doc = []
+    for doc in corpus:
+        tags = type_tags[doc.type_ids]
+        codes = np.zeros(max(len(tags) - n + 1, 0), dtype=np.int64)
+        for k in range(n):
+            codes = codes * len(tag_ids) + tags[k : k + len(codes)]
+        per_doc.append(np.unique(codes, return_counts=True))
+    all_codes = np.unique(np.concatenate([codes for codes, _ in per_doc]))
+    counts = np.zeros((len(corpus), len(all_codes)), dtype=np.int64)
+    for row, (codes, n_codes) in zip(counts, per_doc):
+        row[np.searchsorted(all_codes, codes)] = n_codes
+    tags = list(tag_ids)
+    places = [len(tags) ** (n - 1 - k) for k in range(n)]
+    names = [[".".join(tags[code // p % len(tags)] for p in places)] for code in all_codes.tolist()]
+    return counts, names
+
+
+def _sum_columns(
+    counts: np.ndarray, names_of_column: Sequence[Sequence[str]]
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """Sum each count column onto every feature name it carries.
+
+    Only names with a positive total are kept, in sorted order.
+    """
+    totals = counts.sum(axis=0).tolist()
+    pairs = [
+        (name, c) for c, names in enumerate(names_of_column) if totals[c] > 0 for name in names
+    ]
+    index = {name: j for j, name in enumerate(sorted({name for name, _ in pairs}))}
+    summed = np.zeros((len(counts), len(index)), dtype=np.int64)
+    features = np.array([index[name] for name, _ in pairs], dtype=np.intp)
+    columns = np.array([c for _, c in pairs], dtype=np.intp)
+    np.add.at(summed, (slice(None), features), counts[:, columns])
+    return tuple(index), summed
+
+
+def _type_features(tok: AnnotatedToken, spec: FeatureSpec, words: set[str]) -> list[str]:
+    """The features one type contributes to a lexical family; proper names none."""
+    if tok.is_proper_noun or (spec.kind is FeatureKind.FUNCTION_WORD and tok.form not in words):
+        return []
+    if spec.kind in (FeatureKind.LEMMA, FeatureKind.RHYME_LEMMA):
+        return [tok.lemma]
+    return affixes_of(tok.form) if spec.kind is FeatureKind.AFFIX else [tok.form]
+
+
 def build_matrix(corpus: Corpus, spec: FeatureSpec) -> FeatureMatrix:
     """Assemble the corpus-wide matrix for one feature family.
 
-    Columns are the lexicographically sorted union of feature names over
-    all documents; rows hold relative frequencies. A document with no
+    Columns are the lexicographically sorted names with a positive count
+    in some document; rows hold relative frequencies. A document with no
     extractable features keeps an all-zero row.
     """
     if len(corpus) == 0:
         raise AnalysisError("cannot build a matrix from an empty corpus")
-    per_doc = [extract_counts(doc, spec) for doc in corpus]
-    names = sorted(set().union(*map(set, per_doc)))
-    index = {name: j for j, name in enumerate(names)}
-
-    values = np.zeros((len(corpus), len(names)), dtype=float)
-    for i, counts in enumerate(per_doc):
-        for name, count in counts.items():
-            values[i, index[name]] = count
-
-    if spec.kind is FeatureKind.FUNCTION_WORD:
-        denoms = np.array([sum(doc.lexical_counts().values()) for doc in corpus], dtype=float)
+    if spec.kind is FeatureKind.POS_NGRAM:
+        column_counts, column_names = _pos_ngram_counts(corpus)
     else:
-        denoms = values.sum(axis=1)
-    safe = np.where(denoms > 0, denoms, 1.0)
-    values = values / safe[:, None]
-
-    return FeatureMatrix(
-        doc_ids=corpus.doc_ids,
-        feature_names=tuple(names),
-        values=values,
-    )
+        column_counts = _type_counts(corpus, spec.kind is FeatureKind.RHYME_LEMMA)
+        words = set(spec.function_words)
+        column_names = [_type_features(tok, spec, words) for tok in corpus.types]
+    names, counts = _sum_columns(column_counts, column_names)
+    if spec.kind is FeatureKind.FUNCTION_WORD:
+        denoms = column_counts[:, [not tok.is_proper_noun for tok in corpus.types]].sum(axis=1)
+    else:
+        denoms = counts.sum(axis=1)
+    safe = np.where(denoms > 0, denoms, 1).astype(float)
+    return FeatureMatrix(corpus.doc_ids, names, counts.astype(float) / safe[:, None])
 
 
 def format_value(v: float) -> str:
@@ -240,12 +237,17 @@ def write_matrix_csv(matrix: FeatureMatrix, path: str | Path) -> None:
 
 
 def load_word_list(path: str | Path) -> tuple[str, ...]:
-    """One word per line; blank lines and ``#`` comments ignored."""
+    """One word per line; blank lines and ``#`` comments ignored.
+
+    A file without a single word raises CorpusFormatError naming it.
+    """
     words = []
     for line in io.StringIO(read_utf8(path), newline=None):
         word = line.strip()
         if word and not word.startswith("#"):
             words.append(word)
+    if not words:
+        raise CorpusFormatError(f"{path}: no function words")
     return tuple(words)
 
 

@@ -165,3 +165,61 @@ def leaf_members(dend, node: int) -> tuple[int, ...]:
         return (node,)
     merge = dend.merges[node - dend.n_leaves]
     return tuple(sorted(leaf_members(dend, merge.left) + leaf_members(dend, merge.right)))
+
+
+def naive_family_counts(verses, kind: str, function_words=()) -> tuple[dict[str, int], int]:
+    """One document's counts for a feature family, token by token, and its denominator.
+
+    ``verses`` is a list of verses of (form, lemma, pos) triples. Proper
+    names (POS prefix NOMpro) count only in POS 3-grams. The denominator
+    is the family's own event total, except for function words, which are
+    divided by the number of non-proper tokens.
+    """
+    tokens = [tok for verse in verses for tok in verse]
+    lexical = [(form, lemma) for form, lemma, pos in tokens if not pos.startswith("NOMpro")]
+    counts: dict[str, int] = {}
+
+    def add(name: str) -> None:
+        counts[name] = counts.get(name, 0) + 1
+
+    if kind == "lemma":
+        for _, lemma in lexical:
+            add(lemma)
+    elif kind == "rhyme":
+        for verse in verses:
+            _, lemma, pos = verse[-1]
+            if not pos.startswith("NOMpro"):
+                add(lemma)
+    elif kind == "form":
+        for form, _ in lexical:
+            add(form)
+    elif kind == "fw":
+        for form, _ in lexical:
+            if form in function_words:
+                add(form)
+    elif kind == "affix":
+        for form, _ in lexical:
+            if len(form) >= 4:
+                add("^" + form[:3])
+                add(form[-3:] + "$")
+            add("_" + form[:2])
+            add(form[-2:] + "_")
+    elif kind == "pos":
+        tags = [pos for _, _, pos in tokens]
+        for i in range(len(tags) - 2):
+            add(".".join(tags[i : i + 3]))
+    else:
+        raise ValueError(kind)
+    denominator = len(lexical) if kind == "fw" else sum(counts.values())
+    return counts, denominator
+
+
+def naive_family_matrix(docs, kind: str, function_words=()) -> tuple[tuple[str, ...], np.ndarray]:
+    """Sorted feature names and per-document relative frequencies, by plain division."""
+    per_doc = [naive_family_counts(verses, kind, function_words) for verses in docs]
+    names = sorted({name for counts, _ in per_doc for name in counts})
+    rows = [
+        [counts.get(name, 0) / denominator if denominator else 0.0 for name in names]
+        for counts, denominator in per_doc
+    ]
+    return tuple(names), np.array(rows, dtype=float).reshape(len(docs), len(names))

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
 from stylokit.corpus import (
@@ -11,6 +9,7 @@ from stylokit.corpus import (
     DocumentMeta,
     filter_corpus,
     load_manifest,
+    parse_corpus,
 )
 from stylokit.synth import SynthConfig, generate_corpus
 
@@ -18,19 +17,36 @@ SYNTH_SEED = 1234
 SYNTH_SEPARATION = 1.5
 
 
-def make_doc(doc_id: str, verses: list[list[tuple[str, str, str]]], author: str = "") -> Document:
-    """Document from pre-normalized (form, lemma, pos) triples, one list per verse."""
-    tokens = tuple(AnnotatedToken(*t) for verse in verses for t in verse)
-    ends = itertools.accumulate(len(verse) for verse in verses)
-    return Document(
-        meta=DocumentMeta(id=doc_id, alleged_author=author),
-        tokens=tokens,
-        verse_ends=tuple(ends),
-    )
+def make_doc(
+    doc_id: str, verses: list[list[tuple[str, str, str]]], author: str = ""
+) -> tuple[DocumentMeta, list[str]]:
+    """A parse source: token lines from (form, lemma, pos) triples, one list per verse."""
+    lines = []
+    for verse in verses:
+        lines += [f"{form}\t{lemma}\t{pos}\n" for form, lemma, pos in verse]
+        lines.append("\n")
+    return DocumentMeta(id=doc_id, alleged_author=author), lines
 
 
-def make_corpus(*docs: Document) -> Corpus:
-    return Corpus(documents=tuple(docs))
+def make_corpus(*docs: tuple[DocumentMeta, list[str]]) -> Corpus:
+    return parse_corpus(docs)
+
+
+def verses_of(corpus: Corpus, doc: Document) -> list[list[AnnotatedToken]]:
+    """The types behind a document's ids, split at its verse ends."""
+    starts = [0, *doc.verse_ends[:-1].tolist()]
+    return [
+        [corpus.types[t] for t in doc.type_ids[s:e].tolist()]
+        for s, e in zip(starts, doc.verse_ends.tolist())
+    ]
+
+
+def write_token_file(corpus: Corpus, doc: Document, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for verse in verses_of(corpus, doc):
+            for tok in verse:
+                fh.write(f"{tok.form}\t{tok.lemma}\t{tok.pos}\n")
+            fh.write("\n")
 
 
 @pytest.fixture(scope="session")

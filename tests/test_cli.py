@@ -118,14 +118,27 @@ def test_non_utf8_function_word_list_exits_2_naming_file_and_line(corpus_dir, tm
         ("synth", "--docs-per-author", "1"),
         ("synth", "--separation", "-1"),
         ("synth", "--seed", "-1"),
+        ("cluster", "--k", "0"),
     ],
 )
 def test_out_of_range_flag_exits_2_naming_it(corpus_dir, tmp_path, capsys, command, flag, value):
-    required = {"extract": ["--manifest", str(corpus_dir / "manifest.csv")], "synth": ["--seed", "1"]}
+    manifest = ["--manifest", str(corpus_dir / "manifest.csv")]
+    required = {"extract": manifest, "cluster": manifest, "synth": ["--seed", "1"]}
     with pytest.raises(SystemExit) as excinfo:
         main([command, *required[command], flag, value, "--out", str(tmp_path / "o")])
     assert excinfo.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_function_word_list_without_words_exits_2_naming_it(corpus_dir, tmp_path, capsys):
+    fw_list = tmp_path / "comments.txt"
+    fw_list.write_text("# curated list\n\n   \n# nothing yet\n", encoding="utf-8")
+    code = main([
+        "cluster", "--manifest", str(corpus_dir / "manifest.csv"),
+        "--features", "fw", "--fw-list", str(fw_list), "--out", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert f"{fw_list}: no function words" in capsys.readouterr().err
 
 
 def test_unfilterable_corpus_exits_1(corpus_dir, tmp_path, capsys):
@@ -319,31 +332,46 @@ def test_bad_select_spec_exits_2(corpus_dir, tmp_path, capsys):
     assert excinfo.value.code == 2
 
 
-def _cluster_k3(corpus_dir: Path, manifest: Path, out: Path) -> dict[str, bytes]:
-    """The fw outputs of `cluster --k 3` under delta and min/max, keyed by measure/file."""
+def _row_order_outputs(corpus_dir: Path, manifest: Path, out: Path) -> dict:
+    """What must not move under a manifest shuffle.
+
+    The fw outputs of `cluster --k 3` under delta and min/max, byte for
+    byte, and for each family `extract`'s matrix.csv header and set of rows.
+    """
+    fw_list = ["--fw-list", str(corpus_dir / "function_words.txt")]
     outputs = {}
     for measure in ("delta", "minmax"):
         run = out / measure
         assert main([
-            "cluster", "--manifest", str(manifest), "--features", "fw",
-            "--fw-list", str(corpus_dir / "function_words.txt"), "--distance", measure,
-            "--k", "3", "--out", str(run),
+            "cluster", "--manifest", str(manifest), "--features", "fw", *fw_list,
+            "--distance", measure, "--k", "3", "--out", str(run),
         ]) == 0
         for name in ("assignment.csv", "summary.json", "dendrogram.newick"):
             outputs[f"{measure}/{name}"] = (run / name).read_bytes()
+    for family in ("lemma", "rhyme", "form", "affix", "pos3", "fw"):
+        run = out / family
+        assert main([
+            "extract", "--manifest", str(manifest), "--features", family, *fw_list,
+            "--out", str(run),
+        ]) == 0
+        header, *rows = (run / "matrix.csv").read_text(encoding="utf-8").splitlines()
+        outputs[f"{family}/matrix.csv"] = (header, frozenset(rows))
     return outputs
 
 
 @pytest.fixture(scope="module")
-def k3_reference(corpus_dir, tmp_path_factory):
-    return _cluster_k3(corpus_dir, corpus_dir / "manifest.csv", tmp_path_factory.mktemp("reference"))
+def row_order_reference(corpus_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("reference")
+    return _row_order_outputs(corpus_dir, corpus_dir / "manifest.csv", out)
 
 
 @settings(
     max_examples=3, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(st.randoms(use_true_random=False))
-def test_cluster_invariant_under_manifest_row_order(corpus_dir, k3_reference, tmp_path_factory, rnd):
+def test_cluster_invariant_under_manifest_row_order(
+    corpus_dir, row_order_reference, tmp_path_factory, rnd
+):
     with open(corpus_dir / "manifest.csv", encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
     rnd.shuffle(rows)
@@ -353,4 +381,4 @@ def test_cluster_invariant_under_manifest_row_order(corpus_dir, k3_reference, tm
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows({**row, "path": str(corpus_dir / row["path"])} for row in rows)
-    assert _cluster_k3(corpus_dir, shuffled, work / "shuffled") == k3_reference
+    assert _row_order_outputs(corpus_dir, shuffled, work / "shuffled") == row_order_reference

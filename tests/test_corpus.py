@@ -1,52 +1,60 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_corpus, make_doc
+from conftest import make_corpus, make_doc, verses_of, write_token_file
+from stylokit import corpus as corpus_module
 from stylokit.corpus import (
     Corpus,
     DocumentMeta,
     filter_corpus,
     load_manifest,
     normalize_token,
-    parse_document,
-    parse_token_file,
-    write_token_file,
+    parse_corpus,
 )
 from stylokit.errors import AnalysisError, CorpusFormatError
+from stylokit.features import FeatureKind, FeatureSpec, build_matrix
 
 META = DocumentMeta(id="doc1")
 
 
+def _parse(lines, meta=META):
+    """A one-document corpus and its document."""
+    corpus = parse_corpus([(meta, lines)])
+    return corpus, corpus.documents[0]
+
+
 def test_parse_two_tokens_one_verse():
-    doc = parse_document(["Je\tje\tPROper\n", "pense\tpenser\tVERcjg\n", "\n"], META)
-    assert len(doc.verses) == 1
-    assert [t.form for t in doc.verses[0]] == ["je", "pense"]
+    corpus, doc = _parse(["Je\tje\tPROper\n", "pense\tpenser\tVERcjg\n", "\n"])
+    verses = verses_of(corpus, doc)
+    assert len(verses) == 1
+    assert [t.form for t in verses[0]] == ["je", "pense"]
     assert doc.token_count == 2
 
 
 def test_parse_trailing_unterminated_verse():
-    doc = parse_document(["a\ta\tNOMcom", "", "b\tb\tNOMcom"], META)
-    assert len(doc.verses) == 2
+    _, doc = _parse(["a\ta\tNOMcom", "", "b\tb\tNOMcom"])
+    assert doc.verse_ends.tolist() == [1, 2]
 
 
 def test_parse_empty_stream_is_an_error():
     with pytest.raises(CorpusFormatError, match="empty document"):
-        parse_document([], META)
+        _parse([])
     with pytest.raises(CorpusFormatError, match="empty document"):
-        parse_document(["\n", "\n"], META)
+        _parse(["\n", "\n"])
 
 
 def test_parse_malformed_line_names_its_number():
-    with pytest.raises(CorpusFormatError, match="line 2"):
-        parse_document(["a\ta\tNOMcom\n", "gloire\n"], META)
+    with pytest.raises(CorpusFormatError, match="doc1: line 2"):
+        _parse(["a\ta\tNOMcom\n", "gloire\n"])
 
 
 def test_parse_ignores_comment_lines():
-    doc = parse_document(["# header\n", "a\ta\tNOMcom\n", "# note\n", "b\tb\tNOMcom\n"], META)
+    _, doc = _parse(["# header\n", "a\ta\tNOMcom\n", "# note\n", "b\tb\tNOMcom\n"])
     assert doc.token_count == 2
-    assert len(doc.verses) == 1
+    assert doc.verse_ends.tolist() == [2]
 
 
 def test_normalize_lowercases():
@@ -74,12 +82,14 @@ def test_normalize_strips_punctuation_but_keeps_apostrophe():
 
 
 def test_proper_names_excluded_from_lexical_stream_only():
-    doc = make_doc(
-        "d",
-        [[("le", "le", "DETdef"), ("alcandre", "alcandre", "NOMpro")]],
-    )
-    assert doc.token_count == 2
-    assert [(t.form, n) for t, n in doc.lexical_counts().items()] == [("le", 1)]
+    verse = [("le", "le", "DETdef"), ("alcandre", "alcandre", "NOMpro"), ("dort", "dormir", "VER")]
+    corpus = make_corpus(make_doc("d", [verse]))
+    assert corpus.documents[0].token_count == 3
+    lemmas = build_matrix(corpus, FeatureSpec(kind=FeatureKind.LEMMA))
+    assert lemmas.feature_names == ("dormir", "le")
+    assert lemmas.values.tolist() == [[0.5, 0.5]]
+    pos = build_matrix(corpus, FeatureSpec(kind=FeatureKind.POS_NGRAM))
+    assert pos.feature_names == ("DETdef.NOMpro.VER",)
 
 
 @given(
@@ -157,19 +167,25 @@ def test_filter_is_idempotent(spec, min_tokens, min_plays):
     assert filter_corpus(once, min_tokens, min_plays) == once
 
 
+def _round_trip(corpus: Corpus, path):
+    """Write the corpus's one document out and parse the file back in."""
+    doc = corpus.documents[0]
+    write_token_file(corpus, doc, path)
+    with open(path, encoding="utf-8") as fh:
+        return parse_corpus([(doc.meta, fh)])
+
+
 def test_token_file_round_trip(tmp_path):
-    doc = make_doc(
+    corpus = make_corpus(make_doc(
         "d",
         [
             [("l'", "le", "DETdef"), ("amour", "amour", "NOMcom")],
             [("alcandre", "alcandre", "NOMpro"), ("dort", "dormir", "VERcjg")],
         ],
-    )
-    path = tmp_path / "d.tsv"
-    write_token_file(doc, path)
-    again = parse_token_file(path, doc.meta)
-    assert again.verses == doc.verses
-    assert again.token_count == doc.token_count
+    ))
+    again = _round_trip(corpus, tmp_path / "d.tsv")
+    assert verses_of(again, again.documents[0]) == verses_of(corpus, corpus.documents[0])
+    assert again.documents[0].token_count == 4
 
 
 PRE_NORMALIZED = st.text(alphabet="abcdefgh'", min_size=1, max_size=8)
@@ -187,27 +203,34 @@ PRE_NORMALIZED = st.text(alphabet="abcdefgh'", min_size=1, max_size=8)
     )
 )
 def test_token_file_round_trip_keeps_tokens_and_verse_ends(tmp_path_factory, verses):
-    doc = make_doc("d", verses)
-    path = tmp_path_factory.mktemp("round_trip") / "d.tsv"
-    write_token_file(doc, path)
-    again = parse_token_file(path, doc.meta)
-    assert again.tokens == doc.tokens
-    assert again.verse_ends == doc.verse_ends
+    corpus = make_corpus(make_doc("d", verses))
+    again = _round_trip(corpus, tmp_path_factory.mktemp("round_trip") / "d.tsv")
+    doc, again_doc = corpus.documents[0], again.documents[0]
+    assert [again.types[t] for t in again_doc.type_ids] == [corpus.types[t] for t in doc.type_ids]
+    assert np.array_equal(again_doc.verse_ends, doc.verse_ends)
 
 
-def test_identical_lines_share_one_token_object():
-    lines = ["Gloire,\tgloire\tNOMcom", "et\tet\tCONcoo", "", "Gloire,\tgloire\tNOMcom"]
-    first = parse_document(lines, META)
-    second = parse_document(lines, DocumentMeta(id="doc2"))
-    assert first.verse_ends == (2, 3)
-    assert first.tokens[0] is first.tokens[2]
-    assert all(a is b for a, b in zip(first.tokens, second.tokens))
+def test_identical_lines_share_one_type_id(monkeypatch):
+    calls = []
+
+    def counting(*fields):
+        calls.append(fields)
+        return normalize_token(*fields)
+
+    monkeypatch.setattr(corpus_module, "normalize_token", counting)
+    lines = ["Gloire,\tgloire\tNOMcom\n", "et\tet\tCONcoo\n", "\n", "Gloire,\tgloire\tNOMcom\n"]
+    corpus = parse_corpus([(META, lines), (DocumentMeta(id="doc2"), lines)])
+    first, second = corpus.documents
+    assert first.verse_ends.tolist() == [2, 3]
+    assert first.type_ids.tolist() == second.type_ids.tolist() == [0, 1, 0]
+    assert [t.form for t in corpus.types] == ["gloire", "et"]
+    assert len(calls) == 2  # once per distinct token line
 
 
 def test_duplicate_document_ids_rejected():
     doc = _sized_doc("same", "A", 10)
     with pytest.raises(CorpusFormatError, match="duplicate"):
-        Corpus(documents=(doc, doc))
+        make_corpus(doc, doc)
 
 
 def test_load_manifest_missing_file_names_path(tmp_path):

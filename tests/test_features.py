@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from _oracles import naive_family_counts, naive_family_matrix
 from conftest import make_corpus, make_doc
+from stylokit.corpus import filter_corpus
 from stylokit.errors import AnalysisError
 from stylokit.features import (
     FeatureKind,
@@ -13,12 +17,6 @@ from stylokit.features import (
     affixes_of,
     build_matrix,
     candidate_function_words,
-    extract_affixes,
-    extract_forms,
-    extract_function_words,
-    extract_lemmas,
-    extract_pos_ngrams,
-    extract_rhyme_lemmas,
     write_matrix_csv,
 )
 
@@ -29,36 +27,46 @@ def _tok(form, lemma=None, pos="NOMcom"):
     return (form, lemma or form, pos)
 
 
+def _family(kind: FeatureKind, verses, words: tuple[str, ...] = ()) -> dict[str, float]:
+    """One document's row of the family's matrix, keyed by feature name."""
+    spec = FeatureSpec(kind=kind, function_words=words)
+    matrix = build_matrix(make_corpus(make_doc("d", verses)), spec)
+    return dict(zip(matrix.feature_names, matrix.values[0].tolist()))
+
+
+def _rel(counts: dict[str, int], total: int | None = None) -> dict[str, float]:
+    """Counts over their total (or a given denominator), divided as build_matrix does."""
+    total = sum(counts.values()) if total is None else total
+    return {name: n / total for name, n in counts.items()}
+
+
 def test_lemma_counts():
-    doc = make_doc("d", [[_tok("aime", "aimer"), _tok("aimes", "aimer"), _tok("gloire")]])
-    assert extract_lemmas(doc) == {"aimer": 2, "gloire": 1}
+    verses = [[_tok("aime", "aimer"), _tok("aimes", "aimer"), _tok("gloire")]]
+    assert _family(FeatureKind.LEMMA, verses) == _rel({"aimer": 2, "gloire": 1})
 
 
 def test_lemmas_skip_proper_names():
-    doc = make_doc("d", [[("alcandre", "alcandre", "NOMpro")]])
-    assert extract_lemmas(doc) == {}
+    verses = [[("alcandre", "alcandre", "NOMpro")]]
+    assert _family(FeatureKind.LEMMA, verses) == {}
 
 
 def test_rhyme_lemma_uses_last_token_of_each_verse():
-    doc = make_doc(
-        "d",
-        [
-            [_tok("ma"), _tok("gloire")],
-            [_tok("mon"), _tok("contentement")],
-            [_tok("ta"), _tok("gloire")],
-        ],
-    )
-    assert extract_rhyme_lemmas(doc) == {"gloire": 2, "contentement": 1}
+    verses = [
+        [_tok("ma"), _tok("gloire")],
+        [_tok("mon"), _tok("contentement")],
+        [_tok("ta"), _tok("gloire")],
+    ]
+    assert _family(FeatureKind.RHYME_LEMMA, verses) == _rel({"gloire": 2, "contentement": 1})
 
 
 def test_rhyme_proper_name_contributes_nothing():
-    doc = make_doc("d", [[_tok("le"), ("alcandre", "alcandre", "NOMpro")]])
-    assert extract_rhyme_lemmas(doc) == {}
+    verses = [[_tok("le"), ("alcandre", "alcandre", "NOMpro")]]
+    assert _family(FeatureKind.RHYME_LEMMA, verses) == {}
 
 
 def test_forms_do_not_merge_inflections():
-    doc = make_doc("d", [[_tok("aime", "aimer"), _tok("aimes", "aimer")]])
-    assert extract_forms(doc) == {"aime": 1, "aimes": 1}
+    verses = [[_tok("aime", "aimer"), _tok("aimes", "aimer")]]
+    assert _family(FeatureKind.WORD_FORM, verses) == _rel({"aime": 1, "aimes": 1})
 
 
 def test_affixes_of_gloire():
@@ -80,48 +88,40 @@ def test_affix_emission_counts(word):
 
 
 def test_affix_document_counts_aggregate():
-    doc = make_doc("d", [[_tok("gloire"), _tok("gloire"), _tok("et")]])
-    counts = extract_affixes(doc)
-    assert counts["^glo"] == 2
-    assert counts["_et"] == 1
-    assert sum(counts.values()) == 2 * 4 + 2
+    counts = _family(FeatureKind.AFFIX, [[_tok("gloire"), _tok("gloire"), _tok("et")]])
+    expected = {"^glo": 2, "ire$": 2, "_gl": 2, "re_": 2, "_et": 1, "et_": 1}
+    assert sum(expected.values()) == 2 * 4 + 2
+    assert counts == _rel(expected)
 
 
 def test_pos_ngrams_basic():
-    doc = make_doc("d", [[("ce", "ce", "DETdem"), ("beau", "beau", "ADJqua"), ("jour", "jour", "NOMcom")]])
-    assert extract_pos_ngrams(doc, 3) == {"DETdem.ADJqua.NOMcom": 1}
+    verses = [[("ce", "ce", "DETdem"), ("beau", "beau", "ADJqua"), ("jour", "jour", "NOMcom")]]
+    assert _family(FeatureKind.POS_NGRAM, verses) == {"DETdem.ADJqua.NOMcom": 1.0}
 
 
 def test_pos_ngrams_cross_verse_boundaries():
-    doc = make_doc(
-        "d",
-        [[("a", "a", "T1"), ("b", "b", "T2")], [("c", "c", "T3"), ("d", "d", "T4")]],
-    )
-    counts = extract_pos_ngrams(doc, 3)
-    assert counts == {"T1.T2.T3": 1, "T2.T3.T4": 1}
+    verses = [[("a", "a", "T1"), ("b", "b", "T2")], [("c", "c", "T3"), ("d", "d", "T4")]]
+    assert _family(FeatureKind.POS_NGRAM, verses) == _rel({"T1.T2.T3": 1, "T2.T3.T4": 1})
 
 
 def test_pos_ngrams_keep_proper_names():
-    doc = make_doc(
-        "d",
-        [[("roi", "roi", "NOMcom"), ("jean", "jean", "NOMpro"), ("paul", "paul", "NOMpro")]],
-    )
-    assert extract_pos_ngrams(doc, 3) == {"NOMcom.NOMpro.NOMpro": 1}
+    verses = [[("roi", "roi", "NOMcom"), ("jean", "jean", "NOMpro"), ("paul", "paul", "NOMpro")]]
+    assert _family(FeatureKind.POS_NGRAM, verses) == {"NOMcom.NOMpro.NOMpro": 1.0}
 
 
-@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=30))
-def test_pos_ngram_total_is_window_count(n, k):
-    if k == 0:
-        return
-    doc = make_doc("d", [[("x", "x", f"T{i % 3}") for i in range(k)]])
-    total = sum(extract_pos_ngrams(doc, n).values())
-    assert total == max(0, k - n + 1)
+@given(st.integers(min_value=1, max_value=30))
+def test_pos_ngram_total_is_window_count(k):
+    # Every tag is distinct, so each of the k - 2 windows is its own feature.
+    counts = _family(FeatureKind.POS_NGRAM, [[("x", "x", f"T{i}") for i in range(k)]])
+    windows = max(0, k - 2)
+    assert len(counts) == windows
+    assert all(value == 1 / windows for value in counts.values())
 
 
 def test_function_word_counts_restricted_to_list():
-    doc = make_doc("d", [[_tok("et"), _tok("gloire"), _tok("et")]])
-    assert extract_function_words(doc, ("et",)) == {"et": 2}
-    assert extract_function_words(doc, ("mais",)) == {}
+    verses = [[_tok("et"), _tok("gloire"), _tok("et")]]
+    assert _family(FeatureKind.FUNCTION_WORD, verses, ("et",)) == _rel({"et": 2}, 3)
+    assert _family(FeatureKind.FUNCTION_WORD, verses, ("mais",)) == {}
 
 
 @given(
@@ -130,10 +130,51 @@ def test_function_word_counts_restricted_to_list():
     )
 )
 def test_rhyme_counts_bounded_by_lemma_counts(verses):
-    doc = make_doc("d", [[(f, le, "NOMcom") for f, le in verse] for verse in verses])
-    lemmas = extract_lemmas(doc)
-    for lemma, count in extract_rhyme_lemmas(doc).items():
-        assert count <= lemmas[lemma]
+    verses = [[(f, le, "NOMcom") for f, le in verse] for verse in verses]
+    tokens = sum(len(verse) for verse in verses)
+    lemmas = _family(FeatureKind.LEMMA, verses)
+    for lemma, value in _family(FeatureKind.RHYME_LEMMA, verses).items():
+        assert round(value * len(verses)) <= round(lemmas[lemma] * tokens)
+
+
+VOCABULARY = [
+    ("le", "le", "DETdef"),
+    ("l'", "le", "DETdef"),
+    ("et", "et", "CONcoo"),
+    ("gloire", "gloire", "NOMcom"),
+    ("gloires", "gloire", "NOMcom"),
+    ("aime", "aimer", "VERcjg"),
+    ("y", "y", "PROper"),
+    ("alcandre", "alcandre", "NOMpro"),
+    ("ab", "ab", "NOMpro"),
+]
+TOKENS = st.sampled_from(VOCABULARY) | st.tuples(
+    WORDS, WORDS, st.sampled_from(["NOMcom", "NOMpro", "VERcjg"])
+)
+VERSES = st.lists(st.lists(TOKENS, min_size=1, max_size=5), min_size=1, max_size=4)
+FW_LIST = ("le", "et", "ab", "mais")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(VERSES, min_size=2, max_size=5))
+def test_build_matrix_matches_per_token_oracle(docs):
+    # "lone" is the only play of its author, so the filter drops it, and
+    # with it the only occurrence of "solitaire".
+    lone = [[("solitaire", "solitaire", "NOMcom"), ("alcandre", "alcandre", "NOMpro")]]
+    sources = [make_doc(f"d{i}", verses, author="A") for i, verses in enumerate(docs)]
+    corpus = filter_corpus(make_corpus(*sources, make_doc("lone", lone, author="Z")), 0, 2)
+    assert "lone" not in corpus.doc_ids
+    for kind in FeatureKind:
+        words = FW_LIST if kind is FeatureKind.FUNCTION_WORD else ()
+        matrix = build_matrix(corpus, FeatureSpec(kind=kind, function_words=words))
+        names, values = naive_family_matrix(docs, kind.value, words)
+        assert matrix.feature_names == names, kind
+        assert np.array_equal(matrix.values, values), kind
+    totals: Counter[str] = Counter()
+    for verses in docs:
+        totals.update(naive_family_counts(verses, "form")[0])
+    ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
+    assert candidate_function_words(corpus, 1000) == ranked
 
 
 def test_candidate_function_words_ranking_and_ties():

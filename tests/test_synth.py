@@ -51,8 +51,8 @@ def test_generated_documents_meet_length_and_verse_contracts(tmp_path):
     assert len(corpus) == 4
     for doc in corpus:
         assert doc.token_count >= 5000
-        for verse in doc.verses:
-            assert 6 <= len(verse) <= 12
+        verse_lengths = np.diff(doc.verse_ends, prepend=0)
+        assert np.all((6 <= verse_lengths) & (verse_lengths <= 12))
 
 
 def test_function_word_list_matches_generated_core(tmp_path):
