@@ -179,8 +179,13 @@ def _write_run_record(args: argparse.Namespace, out_dir: Path) -> None:
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
+    """The --out directory, made if missing; a file in its way is an input error naming it."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise CorpusFormatError(f"{out}: cannot create output directory: {reason}") from None
     return out
 
 
@@ -329,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (CorpusFormatError, FileNotFoundError) as exc:
+    except CorpusFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AnalysisError as exc:

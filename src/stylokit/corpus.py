@@ -144,30 +144,32 @@ def _line_id(raw: str, vocabulary: dict[AnnotatedToken, int], where: str) -> int
     return _SKIPPED if token is None else vocabulary.setdefault(token, len(vocabulary))
 
 
-def parse_corpus(sources: Iterable[tuple[DocumentMeta, Iterable[str]]]) -> Corpus:
-    """Parse each (meta, FORM/LEMMA/POS lines) source over one shared vocabulary.
+def parse_corpus(sources: Iterable[tuple]) -> Corpus:
+    """Parse each (meta, FORM/LEMMA/POS lines[, label]) source over one shared vocabulary.
 
     Identical lines, within and across documents, get one type id. A
     trailing verse without a closing blank line is accepted. Raises
-    CorpusFormatError on a malformed line (naming the document and line
-    number) or when no token of a document survives.
+    CorpusFormatError on a malformed line (naming the source's label and
+    the line number) or when no token of a document survives (naming the
+    label). The label defaults to the document id.
     """
     line_ids: dict[str, int] = {}
     vocabulary: dict[AnnotatedToken, int] = {}
     documents = []
-    for meta, lines in sources:
+    for meta, lines, *label in sources:
+        where = label[0] if label else meta.id
         ids: list[int] = []
         ends: list[int] = []
         for lineno, raw in enumerate(lines, start=1):
             tid = line_ids.get(raw)
             if tid is None:
-                tid = line_ids[raw] = _line_id(raw, vocabulary, f"{meta.id}: line {lineno}")
+                tid = line_ids[raw] = _line_id(raw, vocabulary, f"{where}: line {lineno}")
             if tid >= 0:
                 ids.append(tid)
             elif tid == _VERSE_BREAK and len(ids) > (ends[-1] if ends else 0):
                 ends.append(len(ids))
         if not ids:
-            raise CorpusFormatError(f"{meta.id}: empty document")
+            raise CorpusFormatError(f"{where}: empty document")
         if len(ids) > (ends[-1] if ends else 0):
             ends.append(len(ids))
         documents.append(Document(meta, np.array(ids, np.int32), np.array(ends, np.int32)))
@@ -227,11 +229,10 @@ def load_manifest(manifest_path: str | Path) -> Corpus:
 
     The manifest has the header ``id,title,author,genre,form,acts,year,path``
     with paths resolved relative to the manifest location. Documents keep
-    manifest order and are read one at a time.
+    manifest order and are read one at a time; an error in a token file
+    names its path.
     """
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise CorpusFormatError(f"manifest not found: {manifest_path}")
     reader = csv.DictReader(io.StringIO(read_utf8(manifest_path), newline=""))
     if reader.fieldnames is None or tuple(reader.fieldnames) != MANIFEST_FIELDS:
         raise CorpusFormatError(
@@ -241,7 +242,7 @@ def load_manifest(manifest_path: str | Path) -> Corpus:
     if not rows:
         raise CorpusFormatError(f"manifest is empty: {manifest_path}")
     return parse_corpus(
-        (meta, io.StringIO(read_utf8(path), newline=None)) for meta, path in rows
+        (meta, io.StringIO(read_utf8(path), newline=None), path) for meta, path in rows
     )
 
 

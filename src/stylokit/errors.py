@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the toolkit.
 
-CorpusFormatError covers malformed input files (CLI exit code 2);
+CorpusFormatError covers malformed or unusable input files and output
+paths (CLI exit code 2);
 AnalysisError covers everything that goes wrong after parsing
 (CLI exit code 1).
 """

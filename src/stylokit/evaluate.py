@@ -5,6 +5,10 @@ correlation ratio eta^2 = SS_between / SS_total measures how much of a
 feature's variance the clustering explains, with a one-way ANOVA F test
 supplying the p-value through a hand-rolled regularized incomplete beta
 (continued fraction, relative error around 1e-10 down to p = 1e-300).
+
+``eta_table`` sums all features at once, one cluster at a time, over the
+rows sorted by doc id, so ``eta.csv`` ignores manifest row order; a
+feature whose values are all equal scores (0, 1).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from .cluster import ClusterAssignment, cut, ward_cluster
 from .errors import AnalysisError
-from .features import FeatureMatrix, format_value, write_csv
+from .features import FeatureMatrix, degenerate, format_value, write_csv
 from .metrics import compute_distance
 from .pipeline import PipelineResult
 from .selection import nonconstant_features, select_top_frequency
@@ -90,42 +94,30 @@ def cluster_purity(assignment: ClusterAssignment, truth: Mapping[str, str]) -> E
     )
 
 
+def _off_zero(v: float) -> float:
+    """Lentz's guard: a term within 1e-300 of zero is replaced by 1e-300."""
+    return 1e-300 if abs(v) < 1e-300 else v
+
+
 def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta, modified Lentz scheme."""
-    max_iter = 300
-    eps = 1e-15
-    fpmin = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
+    """Continued fraction for the incomplete beta, modified Lentz scheme.
+
+    Each iteration takes the even and the odd coefficient in turn through
+    the same half-step.
+    """
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < fpmin:
-        d = fpmin
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
+    d = h = 1.0 / _off_zero(1.0 - qab * x / qap)
+    for m in range(1, 301):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):
+            d = 1.0 / _off_zero(1.0 + aa * d)
+            c = _off_zero(1.0 + aa / c)
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < 1e-15:
             return h
     raise AnalysisError("incomplete beta continued fraction failed to converge")
 
@@ -164,46 +156,64 @@ def f_pvalue(f_stat: float, df1: int, df2: int) -> float:
     return regularized_incomplete_beta(df2 / 2.0, df1 / 2.0, x)
 
 
+def _eta_rows(columns: np.ndarray, labels: np.ndarray) -> list[tuple[float, float, bool]]:
+    """(eta^2, p, degenerate) of every row of features x docs against the docs' labels.
+
+    Each group's block is copied C-contiguous, so every row reduces exactly
+    as a single feature's values would.
+    """
+    groups = np.unique(labels)
+    k, n = len(groups), columns.shape[1]
+    if k < 2:
+        raise AnalysisError("correlation ratio needs at least 2 groups")
+    if n <= k:
+        raise AnalysisError("correlation ratio needs more observations than groups")
+    grand = columns.mean(axis=1)
+    ss_total = ((columns - grand[:, None]) ** 2).sum(axis=1)
+    ss_between = ss_within = 0.0
+    for g in groups:
+        block = np.ascontiguousarray(columns[:, labels == g])
+        mean = block.mean(axis=1)
+        ss_between = ss_between + block.shape[1] * (mean - grand) ** 2
+        ss_within = ss_within + ((block - mean[:, None]) ** 2).sum(axis=1)
+    flat = degenerate(columns)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta2 = np.where(flat, 0.0, ss_between / ss_total)
+        f_stat = (ss_between / (k - 1)) / (ss_within / (n - k))
+    # A constant feature gives (0, 1); groups internally constant but distinct give p = 0.
+    p = [
+        1.0 if f else 0.0 if w == 0.0 else f_pvalue(stat, k - 1, n - k)
+        for f, w, stat in zip(flat.tolist(), ss_within.tolist(), f_stat.tolist())
+    ]
+    return list(zip(eta2.tolist(), p, flat.tolist()))
+
+
 def eta_squared(values: Sequence[float] | np.ndarray, labels: Sequence[int]) -> tuple[float, float, bool]:
     """Correlation ratio and ANOVA p-value of one feature against groups.
 
-    Returns (eta^2, p, degenerate): a constant feature yields (0, 1, True);
-    groups that are internally constant but distinct give eta^2 = 1, p = 0.
+    Returns (eta^2, p, degenerate): a feature whose values are all equal
+    yields (0, 1, True); groups that are internally constant but distinct
+    give eta^2 = 1, p = 0.
     """
     y = np.asarray(values, dtype=float)
     labs = np.asarray(labels)
     if y.shape != labs.shape:
         raise ValueError("values and labels must have identical length")
-    groups = [y[labs == g] for g in np.unique(labs)]
-    k = len(groups)
-    n = y.size
-    if k < 2:
-        raise AnalysisError("correlation ratio needs at least 2 groups")
-    if n <= k:
-        raise AnalysisError("correlation ratio needs more observations than groups")
-    grand = y.mean()
-    ss_total = float(((y - grand) ** 2).sum())
-    if ss_total == 0.0:
-        return 0.0, 1.0, True
-    ss_between = float(sum(g.size * (g.mean() - grand) ** 2 for g in groups))
-    ss_within = float(sum(((g - g.mean()) ** 2).sum() for g in groups))
-    eta2 = ss_between / ss_total
-    if ss_within == 0.0:
-        return eta2, 0.0, False
-    f_stat = (ss_between / (k - 1)) / (ss_within / (n - k))
-    return eta2, f_pvalue(f_stat, k - 1, n - k), False
+    return _eta_rows(y[None, :], labs)[0]
 
 
 def eta_table(matrix: FeatureMatrix, assignment: ClusterAssignment) -> list[EtaRow]:
-    """Per-feature correlation ratios against a clustering, best first."""
+    """Per-feature correlation ratios against a clustering, best first.
+
+    Taken over the documents in id order, so the table does not depend on
+    the order of the matrix rows.
+    """
     missing = set(matrix.doc_ids) ^ set(assignment)
     if missing:
         raise AnalysisError(f"assignment does not cover the matrix documents: {sorted(missing)}")
-    labels = [assignment[doc] for doc in matrix.doc_ids]
-    rows = []
-    for j, name in enumerate(matrix.feature_names):
-        eta2, p, degenerate = eta_squared(matrix.values[:, j], labels)
-        rows.append(EtaRow(feature=name, eta_squared=eta2, p_value=p, degenerate=degenerate))
+    labels = np.array([assignment[doc] for doc in sorted(matrix.doc_ids)])
+    stats = _eta_rows(matrix.by_feature(), labels)
+    rows = [EtaRow(name, *row) for name, row in zip(matrix.feature_names, stats)]
     rows.sort(key=lambda r: (-r.eta_squared, r.feature))
     return rows
 
@@ -245,27 +255,13 @@ def robustness_sweep(
         names = select_top_frequency(matrix, cutoff)
         usable = nonconstant_features(matrix, names)
         if len(usable) < 2:
-            rows.append(
-                SweepRow(
-                    cutoff=cutoff,
-                    n_features=len(names),
-                    purity_authors=None,
-                    purity_reference=None,
-                    note="insufficient features",
-                )
-            )
+            rows.append(SweepRow(cutoff, len(names), None, None, note="insufficient features"))
             continue
-        sub = matrix.subset(usable)
-        dist = compute_distance(sub, reference.distance.measure)
+        dist = compute_distance(matrix.subset(usable), reference.distance.measure)
         assignment = cut(ward_cluster(dist, reference.linkage_variant), reference.k)
-        rows.append(
-            SweepRow(
-                cutoff=cutoff,
-                n_features=len(names),
-                purity_authors=cluster_purity(assignment, truth).purity,
-                purity_reference=cluster_purity(assignment, reference_labels).purity,
-            )
-        )
+        purity_authors = cluster_purity(assignment, truth).purity
+        purity_reference = cluster_purity(assignment, reference_labels).purity
+        rows.append(SweepRow(cutoff, len(names), purity_authors, purity_reference))
     return rows
 
 

@@ -114,6 +114,14 @@ class FeatureMatrix:
     def n_features(self) -> int:
         return len(self.feature_names)
 
+    def id_order(self) -> list[int]:
+        """Row indices sorting the documents by id: statistics that ignore manifest row order."""
+        return sorted(range(self.n_docs), key=self.doc_ids.__getitem__)
+
+    def by_feature(self) -> np.ndarray:
+        """Features x docs in ``id_order()``, C-contiguous: each feature reduces along a row."""
+        return np.take(self.values.T, self.id_order(), axis=1)
+
     def subset(self, names: tuple[str, ...] | list[str]) -> "FeatureMatrix":
         """Restrict to the given features, keeping current column order."""
         keep = set(names)
@@ -126,6 +134,11 @@ class FeatureMatrix:
             feature_names=tuple(self.feature_names[i] for i in idx),
             values=self.values[:, idx].copy(),
         )
+
+
+def degenerate(columns: np.ndarray) -> np.ndarray:
+    """Per row of features x docs, all values equal: exact and order-free, unlike sd == 0."""
+    return columns.max(axis=1) == columns.min(axis=1)
 
 
 def _type_counts(corpus: Corpus, verse_ends_only: bool = False) -> np.ndarray:

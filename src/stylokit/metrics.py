@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AnalysisError
-from .features import FeatureMatrix, format_value, write_csv
+from .features import FeatureMatrix, degenerate, format_value, write_csv
 
 __all__ = ["Measure", "DistanceMatrix", "compute_distance", "write_distance_csv"]
 
@@ -56,15 +56,14 @@ class DistanceMatrix:
 
 def _column_stats(matrix: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Column mean and sd (n-1), both taken over one copy of the rows sorted by doc id."""
-    ordered = matrix.values[sorted(range(matrix.n_docs), key=matrix.doc_ids.__getitem__)]
-    sd = ordered.std(axis=0, ddof=1)
-    dead = np.flatnonzero(sd == 0.0)
+    ordered = matrix.values[matrix.id_order()]
+    dead = np.flatnonzero(degenerate(ordered.T))
     if dead.size:
         raise AnalysisError(
-            f"feature has zero variance (selection should have removed it): "
+            f"feature is constant (selection should have removed it): "
             f"{matrix.feature_names[dead[0]]}"
         )
-    return ordered.mean(axis=0), sd
+    return ordered.mean(axis=0), ordered.std(axis=0, ddof=1)
 
 
 def _zscore(matrix: FeatureMatrix) -> np.ndarray:

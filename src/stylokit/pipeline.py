@@ -9,7 +9,7 @@ from .corpus import Corpus
 from .errors import AnalysisError
 from .features import FeatureMatrix, FeatureSpec, build_matrix
 from .metrics import DistanceMatrix, Measure, compute_distance
-from .selection import SelectionParams, SelectionReport, nonconstant_features
+from .selection import SelectionReport, nonconstant_features
 from .selection import select_reliable, select_top_frequency
 
 RELIABLE = "reliable"
@@ -38,11 +38,11 @@ def apply_selection(
 ) -> tuple[FeatureMatrix, SelectionReport | None]:
     """Reduce the matrix by reliability ("reliable") or by ("top", fraction).
 
-    The frequency-rank path additionally drops zero-variance columns,
-    which the reliability path excludes by construction.
+    The frequency-rank path additionally drops degenerate (constant)
+    columns, which the reliability path excludes by construction.
     """
     if mode == RELIABLE:
-        report = select_reliable(matrix, SelectionParams(min_doc_len=min_doc_len))
+        report = select_reliable(matrix, min_doc_len)
         return matrix.subset(report.retained), report
     if isinstance(mode, tuple) and len(mode) == 2 and mode[0] == "top":
         usable = nonconstant_features(matrix, select_top_frequency(matrix, mode[1]))

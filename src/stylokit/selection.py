@@ -2,11 +2,14 @@
 
 The reliability criterion asks, per feature, how large a sample would be
 needed to estimate its probability within a margin of two standard
-deviations at the configured confidence, and keeps the feature when the
-shortest document in the corpus is already that large. The probability
-estimate is debiased by averaging each observation with its mirror
-around the observed range, which collapses to the midrange
-(max + min) / 2.
+deviations at z = 1.645, and keeps the feature when the shortest document
+in the corpus is already that large. The probability estimate is
+debiased by averaging each observation with its mirror around the
+observed range, which collapses to the midrange (max + min) / 2.
+
+All features are scored at once over the rows sorted by doc id, so
+``selection.csv`` ignores manifest row order. A feature whose values are
+all equal is degenerate: sigma 0, required n 0, never kept.
 """
 
 from __future__ import annotations
@@ -14,27 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .errors import AnalysisError
-from .features import FeatureMatrix, format_value, write_csv
+from .features import FeatureMatrix, degenerate, format_value, write_csv
 
-
-@dataclass(frozen=True)
-class SelectionParams:
-    confidence_z: float = 1.645
-    margin_multiplier: float = 2.0
-    min_doc_len: int = 1
-
-    def __post_init__(self) -> None:
-        if self.confidence_z <= 0:
-            raise ValueError("confidence_z must be > 0")
-        if self.margin_multiplier <= 0:
-            raise ValueError("margin_multiplier must be > 0")
-        if self.min_doc_len < 1:
-            raise ValueError("min_doc_len must be >= 1")
+CONFIDENCE_Z = 1.645
+MARGIN_MULTIPLIER = 2.0
 
 
 @dataclass(frozen=True)
@@ -53,61 +43,52 @@ class SelectionReport:
     per_feature: tuple[FeatureDiagnostic, ...]
 
 
-def corrected_mean(values: Sequence[float] | np.ndarray) -> float:
-    """Mean of the values each averaged with its mirror (max + min) - v.
+def corrected_mean(values) -> np.ndarray:
+    """Mean of the values each averaged with its mirror (max + min) - v, along the last axis.
 
     Every mirrored entry (v + ((max + min) - v)) / 2 equals the midrange,
     so the midrange (max + min) / 2 is returned directly, avoiding the
     rounding noise of the elementwise form.
     """
     arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
+    if arr.shape[-1] == 0:
         raise ValueError("mirror correction needs at least one value")
-    return float((arr.max() + arr.min()) / 2.0)
+    return (arr.max(axis=-1) + arr.min(axis=-1)) / 2.0
 
 
-def required_sample_size(p_bar: float, sigma: float, params: SelectionParams) -> float:
-    """Minimum sample size for a proportion at margin of error mult * sigma.
+def required_sample_size(p_bar, sigma) -> np.ndarray:
+    """Minimum sample size for a proportion at margin of error 2 * sigma, element-wise.
 
-    A zero sigma marks a constant feature: the formula degenerates and the
-    caller flags the feature instead.
+    A zero sigma marks a constant feature: the formula degenerates to 0
+    and the caller flags the feature instead.
     """
-    if sigma == 0.0:
-        return 0.0
-    ratio = params.confidence_z / (params.margin_multiplier * sigma)
-    return p_bar * (1.0 - p_bar) * ratio * ratio
+    p_bar, sigma = np.asarray(p_bar, dtype=float), np.asarray(sigma, dtype=float)
+    ratio = CONFIDENCE_Z / (MARGIN_MULTIPLIER * np.where(sigma == 0.0, 1.0, sigma))
+    return np.where(sigma == 0.0, 0.0, p_bar * (1.0 - p_bar) * ratio * ratio)[()]
 
 
-def select_reliable(matrix: FeatureMatrix, params: SelectionParams) -> SelectionReport:
+def select_reliable(matrix: FeatureMatrix, min_doc_len: int) -> SelectionReport:
     """Keep features whose required sample size fits the shortest document.
 
-    Constant features (sigma = 0) are dropped as degenerate: they carry no
-    clustering signal and break the z-score transform downstream.
+    Degenerate (constant) features are dropped: they carry no clustering
+    signal and break the z-score transform downstream.
     """
-    rows: list[FeatureDiagnostic] = []
-    retained: list[str] = []
-    for j, name in enumerate(matrix.feature_names):
-        col = matrix.values[:, j]
-        p_bar = corrected_mean(col)
-        sigma = float(col.std(ddof=1)) if col.size > 1 else 0.0
-        degenerate = sigma == 0.0
-        required_n = required_sample_size(p_bar, sigma, params)
-        keep = not degenerate and required_n <= params.min_doc_len
-        rows.append(
-            FeatureDiagnostic(
-                name=name,
-                p_bar=p_bar,
-                sigma=sigma,
-                required_n=required_n,
-                retained=keep,
-                degenerate=degenerate,
-            )
-        )
-        if keep:
-            retained.append(name)
-    if not retained:
+    if min_doc_len < 1:
+        raise ValueError("min_doc_len must be >= 1")
+    if matrix.n_docs < 2:
+        raise AnalysisError("reliability selection needs at least 2 documents")
+    columns = matrix.by_feature()
+    flat = degenerate(columns)
+    sigma = np.where(flat, 0.0, columns.std(axis=1, ddof=1))
+    p_bar = corrected_mean(columns)
+    required_n = required_sample_size(p_bar, sigma)
+    keep = ~flat & (required_n <= min_doc_len)
+    if not keep.any():
         raise AnalysisError("selection eliminated all features")
-    return SelectionReport(retained=tuple(retained), per_feature=tuple(rows))
+    stats = (p_bar, sigma, required_n, keep, flat)
+    rows = tuple(map(FeatureDiagnostic, matrix.feature_names, *(s.tolist() for s in stats)))
+    retained = tuple(row.name for row in rows if row.retained)
+    return SelectionReport(retained=retained, per_feature=rows)
 
 
 def select_top_frequency(matrix: FeatureMatrix, fraction: float) -> tuple[str, ...]:
@@ -128,10 +109,10 @@ def select_top_frequency(matrix: FeatureMatrix, fraction: float) -> tuple[str, .
 
 
 def nonconstant_features(matrix: FeatureMatrix, names: tuple[str, ...]) -> tuple[str, ...]:
-    """The given features minus zero-variance columns, which no transform can scale."""
-    sub = matrix.subset(names)
-    sd = sub.values.std(axis=0, ddof=1)
-    return tuple(n for n, s in zip(sub.feature_names, sd) if s > 0.0)
+    """The given features minus degenerate ones, in column order; no copy, as no order matters."""
+    keep = set(names)
+    flat = degenerate(matrix.values.T).tolist()
+    return tuple(name for name, f in zip(matrix.feature_names, flat) if name in keep and not f)
 
 
 def write_selection_csv(report: SelectionReport, path: str | Path) -> None:

@@ -140,6 +140,26 @@ def anova_by_sums(values, labels) -> tuple[float, float]:
     return eta2, f_tail_quadrature(f_stat, k - 1, n - k)
 
 
+def eta_per_feature(values, labels) -> tuple[float, float]:
+    """eta^2 and the ANOVA F statistic of one feature, summed group by group over its column.
+
+    The per-feature numpy loop the vectorized table replaced, with the same
+    arithmetic in the same order, so the two must agree exactly. F is
+    infinite when every group is internally constant.
+    """
+    y = np.asarray(values, dtype=float)
+    labs = np.asarray(labels)
+    groups = [y[labs == g] for g in np.unique(labs)]
+    k, n = len(groups), y.size
+    grand = y.mean()
+    ss_total = float(((y - grand) ** 2).sum())
+    ss_between = float(sum(g.size * (g.mean() - grand) ** 2 for g in groups))
+    ss_within = float(sum(((g - g.mean()) ** 2).sum() for g in groups))
+    if ss_within == 0.0:
+        return ss_between / ss_total, math.inf
+    return ss_between / ss_total, (ss_between / (k - 1)) / (ss_within / (n - k))
+
+
 def delta_by_hand(rows: list[list[float]]) -> list[list[float]]:
     """Spreadsheet-style delta: explicit z-scores, norms and L1 sums."""
     n = len(rows)

@@ -20,7 +20,7 @@ from stylokit.evaluate import cluster_purity, eta_squared, robustness_sweep
 from stylokit.features import FeatureKind, FeatureMatrix, FeatureSpec, affixes_of
 from stylokit.metrics import DistanceMatrix, Measure, _minmax_row, compute_distance
 from stylokit.pipeline import run_pipeline
-from stylokit.selection import SelectionParams, corrected_mean, required_sample_size
+from stylokit.selection import corrected_mean, required_sample_size
 from stylokit.synth import function_word_forms
 
 
@@ -123,8 +123,7 @@ def test_criterion_5_eta_anova_oracle():
 
 
 def test_criterion_6_sample_size_formula():
-    params = SelectionParams(confidence_z=1.645, margin_multiplier=2.0, min_doc_len=1)
-    n = required_sample_size(0.5, 0.05, params)
+    n = required_sample_size(0.5, 0.05)
     assert n == pytest.approx(67.65, abs=0.01)
     assert corrected_mean([0.1, 0.3, 0.5]) == 0.3
     _report(6, f"required n = {n:.6f}; mirror-corrected mean exact")

@@ -51,10 +51,38 @@ def test_missing_manifest_exits_2(tmp_path, capsys):
         "extract", "--manifest", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "o"),
     ])
     assert code == 2
-    assert "absent.csv" in capsys.readouterr().err
+    assert f"{tmp_path / 'absent.csv'}: cannot read: " in capsys.readouterr().err
 
 
 MANIFEST_HEADER = "id,title,author,genre,form,acts,year,path\n"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [("a\ta\tNOMcom\n\ngloire\n", ": line 3: expected FORM<TAB>LEMMA<TAB>POS"),
+     ("", ": empty document")],
+    ids=["one-field-line", "empty-file"],
+)
+def test_token_file_error_names_the_file(tmp_path, capsys, content, message):
+    (tmp_path / "x.tsv").write_text(content, encoding="utf-8")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(MANIFEST_HEADER + "play1,t,a,g,verse,5,1660,x.tsv\n", encoding="utf-8")
+    code = main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"error: {tmp_path / 'x.tsv'}{message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["extract", "cluster", "synth"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_blocked_by_a_file_exits_2_naming_it(corpus_dir, tmp_path, capsys, command, under):
+    blocker = tmp_path / "taken"
+    blocker.write_text("", encoding="utf-8")
+    out = blocker / "sub" if under else blocker
+    required = {"synth": ["--seed", "1"]}.get(
+        command, ["--manifest", str(corpus_dir / "manifest.csv")]
+    )
+    assert main([command, *required, "--out", str(out)]) == 2
+    assert f"error: {out}: cannot create output directory:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -336,7 +364,9 @@ def _row_order_outputs(corpus_dir: Path, manifest: Path, out: Path) -> dict:
     """What must not move under a manifest shuffle.
 
     The fw outputs of `cluster --k 3` under delta and min/max, byte for
-    byte, and for each family `extract`'s matrix.csv header and set of rows.
+    byte, `eta`'s eta.csv for pos3 and affix and `select --features affix`'s
+    selection.csv, byte for byte, and for each family `extract`'s
+    matrix.csv header and set of rows.
     """
     fw_list = ["--fw-list", str(corpus_dir / "function_words.txt")]
     outputs = {}
@@ -356,6 +386,15 @@ def _row_order_outputs(corpus_dir: Path, manifest: Path, out: Path) -> dict:
         ]) == 0
         header, *rows = (run / "matrix.csv").read_text(encoding="utf-8").splitlines()
         outputs[f"{family}/matrix.csv"] = (header, frozenset(rows))
+    # Summed in manifest order, affix's eta.csv moved under some shuffles.
+    for command, family, name in (
+        ("eta", "pos3", "eta.csv"), ("eta", "affix", "eta.csv"), ("select", "affix", "selection.csv"),
+    ):
+        run = out / f"{command}-{family}"
+        assert main([
+            command, "--manifest", str(manifest), "--features", family, "--out", str(run),
+        ]) == 0
+        outputs[f"{command}/{family}/{name}"] = (run / name).read_bytes()
     return outputs
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from _oracles import anova_by_sums, f_tail_quadrature
+from _oracles import anova_by_sums, eta_per_feature, f_tail_quadrature
 from stylokit.errors import AnalysisError
 from stylokit.evaluate import (
     EtaRow,
@@ -203,6 +203,46 @@ def test_eta_table_sorted_descending():
     rows = eta_table(matrix, {"a": 1, "b": 1, "c": 2, "d": 2})
     assert [r.feature for r in rows] == ["sharp", "noisy"]
     assert rows[0].eta_squared > rows[1].eta_squared
+
+
+def test_eta_constant_non_representable_feature_flagged():
+    # The sample sd of a constant 0.1 column is rounding noise, not zero.
+    assert eta_squared([0.1] * 7, [1, 1, 2, 2, 3, 3, 3]) == (0.0, 1.0, True)
+
+
+def _clustered_matrix(rng, sizes, n_features) -> tuple[FeatureMatrix, dict[str, int]]:
+    """Doc ids in sorted order, one cluster per size, the clusters interleaved."""
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    doc_ids = tuple(f"d{i:03d}" for i in range(len(labels)))
+    values = rng.uniform(size=(len(labels), n_features)) + 0.3 * labels[:, None]
+    names = tuple(f"f{j:02d}" for j in range(n_features))
+    return FeatureMatrix(doc_ids, names, values), dict(zip(doc_ids, labels.tolist()))
+
+
+def test_eta_table_rows_equal_per_column_loop():
+    # Clusters of 9 or more documents: a block reduced in another memory
+    # order than a single column would move the sums by an ulp.
+    rng = np.random.default_rng(41)
+    for sizes in ([9, 12], [9, 10, 17], [20, 9, 11, 30]):
+        matrix, assignment = _clustered_matrix(rng, sizes, 25)
+        labels = [assignment[doc] for doc in matrix.doc_ids]
+        df = (len(sizes) - 1, matrix.n_docs - len(sizes))
+        for row in eta_table(matrix, assignment):
+            column = matrix.values[:, matrix.feature_names.index(row.feature)]
+            assert (row.eta_squared, row.p_value, row.degenerate) == eta_squared(column, labels)
+            eta2, f_stat = eta_per_feature(column, labels)
+            assert (row.eta_squared, row.p_value) == (eta2, f_pvalue(f_stat, *df))
+
+
+def test_eta_table_bit_identical_under_row_permutation():
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        matrix, assignment = _clustered_matrix(rng, [9, 13, 18], 30)
+        perm = rng.permutation(matrix.n_docs)
+        shuffled = FeatureMatrix(
+            tuple(matrix.doc_ids[i] for i in perm), matrix.feature_names, matrix.values[perm]
+        )
+        assert eta_table(shuffled, assignment) == eta_table(matrix, assignment)
 
 
 def test_eta_csv_stores_underflow_as_zero(tmp_path):

@@ -129,6 +129,14 @@ def test_distances_bit_identical_under_row_permutation():
             assert np.array_equal(compute_distance(shuffled, measure).values, want)
 
 
+@pytest.mark.parametrize("measure", ["delta", "minmax"])
+def test_constant_column_raises_naming_the_feature(measure):
+    rng = np.random.default_rng(13)
+    values = np.column_stack([rng.uniform(0.05, 1.0, size=(7, 3)), np.full(7, 0.1)])
+    with pytest.raises(AnalysisError, match="feature is constant.*: f3$"):
+        compute_distance(_matrix(values), measure)
+
+
 def test_tfsd_scales_columns_without_centering():
     m = _matrix([[0.2, 0.1], [0.4, 0.7]])
     t = _tfsd(m)

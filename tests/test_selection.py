@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from stylokit.errors import AnalysisError
 from stylokit.features import FeatureMatrix
+from stylokit.pipeline import apply_selection
 from stylokit.selection import (
-    SelectionParams,
     corrected_mean,
     required_sample_size,
     select_reliable,
@@ -47,34 +47,31 @@ def test_corrected_mean_stays_in_value_range(values):
 
 
 def test_required_sample_size_reference_point():
-    params = SelectionParams(confidence_z=1.645, margin_multiplier=2.0, min_doc_len=1)
-    n = required_sample_size(0.5, 0.05, params)
+    n = required_sample_size(0.5, 0.05)
     assert n == pytest.approx(67.650625, abs=1e-9)
 
 
 def test_required_sample_size_vanishes_at_extreme_probability():
-    params = SelectionParams()
-    assert required_sample_size(0.0, 0.1, params) == 0.0
-    assert required_sample_size(1.0, 0.1, params) == 0.0
+    assert required_sample_size(0.0, 0.1) == 0.0
+    assert required_sample_size(1.0, 0.1) == 0.0
 
 
-@given(
-    st.integers(min_value=0, max_value=64),
-    st.floats(min_value=1e-6, max_value=10.0),
-    st.floats(min_value=0.1, max_value=5.0),
-    st.floats(min_value=0.0, max_value=3.0),
-)
-def test_required_sample_size_symmetry_and_z_monotonicity(num, sigma, z, dz):
+@given(st.integers(min_value=0, max_value=64), st.floats(min_value=1e-6, max_value=10.0))
+def test_required_sample_size_symmetry(num, sigma):
     p = num / 64.0  # exactly representable, so 1 - p is too
-    lo = SelectionParams(confidence_z=z, min_doc_len=1)
-    hi = SelectionParams(confidence_z=z + dz, min_doc_len=1)
-    assert required_sample_size(p, sigma, lo) == required_sample_size(1.0 - p, sigma, lo)
-    assert required_sample_size(p, sigma, hi) >= required_sample_size(p, sigma, lo)
+    assert required_sample_size(p, sigma) == required_sample_size(1.0 - p, sigma)
+
+
+def test_required_sample_size_is_element_wise():
+    p_bar = np.array([0.5, 0.3, 0.5])
+    sigma = np.array([0.05, 0.01, 0.0])
+    want = [required_sample_size(p, s) for p, s in zip(p_bar, sigma)]
+    assert required_sample_size(p_bar, sigma).tolist() == want
+    assert corrected_mean([[0.1, 0.3, 0.5], [0.2, 0.2, 0.2]]).tolist() == [0.3, 0.2]
 
 
 def test_required_sample_size_shrinks_with_wide_sigma():
-    params = SelectionParams()
-    assert required_sample_size(0.5, 100.0, params) < 1e-4
+    assert required_sample_size(0.5, 100.0) < 1e-4
 
 
 def test_select_reliable_threshold_behavior():
@@ -89,8 +86,7 @@ def test_select_reliable_threshold_behavior():
         ]
     )
     matrix = _matrix(values)
-    params = SelectionParams(min_doc_len=5000)
-    report = select_reliable(matrix, params)
+    report = select_reliable(matrix, 5000)
     assert report.retained == ("f0",)
     by_name = {row.name: row for row in report.per_feature}
     assert by_name["f1"].retained is False and by_name["f1"].required_n > 5000
@@ -100,14 +96,12 @@ def test_select_reliable_threshold_behavior():
 
 
 def test_select_reliable_example_thresholds():
-    params = SelectionParams(min_doc_len=7887)
-    diag_keep = required_sample_size(0.3, 0.01, params)
+    diag_keep = required_sample_size(0.3, 0.01)
     assert diag_keep < 7887  # a feature like this is retained
     # Construct a column whose required n exceeds the shortest document.
-    tight = SelectionParams(min_doc_len=10)
     values = np.array([[0.4], [0.6], [0.5], [0.5]])
     with pytest.raises(AnalysisError, match="eliminated all features"):
-        select_reliable(_matrix(values), tight)
+        select_reliable(_matrix(values), 10)
 
 
 def test_top_frequency_whole_matrix():
@@ -141,7 +135,7 @@ def test_top_frequency_nesting(f1, f2):
 
 def test_selection_csv_layout(tmp_path):
     matrix = _matrix([[0.1, 0.3], [0.5, 0.3]])
-    report = select_reliable(matrix, SelectionParams(min_doc_len=1000))
+    report = select_reliable(matrix, 1000)
     path = tmp_path / "sel.csv"
     write_selection_csv(report, path)
     lines = path.read_text().splitlines()
@@ -150,8 +144,44 @@ def test_selection_csv_layout(tmp_path):
     assert lines[2].endswith(",true")  # f1 constant -> degenerate
 
 
-def test_selection_params_validation():
+def test_select_reliable_validation():
     with pytest.raises(ValueError):
-        SelectionParams(confidence_z=0.0)
-    with pytest.raises(ValueError):
-        SelectionParams(min_doc_len=0)
+        select_reliable(_matrix([[0.1, 0.3], [0.5, 0.4]]), 0)
+    with pytest.raises(AnalysisError, match="at least 2 documents"):
+        select_reliable(_matrix([[0.1, 0.3]]), 1)
+
+
+# A constant 0.1 column: every value equal, yet its sample sd is rounding noise.
+CONSTANT = np.full(48, 0.1)
+
+
+def _with_constant_column() -> FeatureMatrix:
+    rng = np.random.default_rng(3)
+    return _matrix(np.column_stack([rng.uniform(0.2, 0.8, size=(48, 2)), CONSTANT]))
+
+
+def test_constant_column_is_degenerate_in_select_reliable():
+    assert CONSTANT.std(ddof=1) != 0.0
+    report = select_reliable(_with_constant_column(), 10**9)
+    row = {r.name: r for r in report.per_feature}["f2"]
+    assert (row.degenerate, row.retained, row.sigma, row.required_n) == (True, False, 0.0, 0.0)
+
+
+def test_constant_column_does_not_survive_top_selection():
+    selected, _ = apply_selection(_with_constant_column(), ("top", 1.0), 1)
+    assert selected.feature_names == ("f0", "f1")
+
+
+def test_select_reliable_bit_identical_under_row_permutation():
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        m = _matrix(rng.uniform(size=(15, 30)) ** 3)
+        perm = rng.permutation(m.n_docs)
+        shuffled = FeatureMatrix(tuple(m.doc_ids[i] for i in perm), m.feature_names, m.values[perm])
+        report = select_reliable(m, 10**6)
+        assert select_reliable(shuffled, 10**6) == report
+        # Against one column at a time, over the rows in doc-id order.
+        ordered = m.values[sorted(range(m.n_docs), key=m.doc_ids.__getitem__)]
+        for j, row in enumerate(report.per_feature):
+            col = ordered[:, j]
+            assert (row.p_bar, row.sigma) == ((col.max() + col.min()) / 2, col.std(ddof=1))
