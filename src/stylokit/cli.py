@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .cluster import to_dot, to_newick, write_text
-from .corpus import Corpus, filter_corpus, load_manifest
+from .corpus import Corpus, filter_corpus, load_manifest, make_output_dir
 from .errors import AnalysisError, CorpusFormatError
 from .evaluate import (
     SweepRow,
@@ -91,7 +91,10 @@ def _parse_select(value: str) -> str | tuple[str, float]:
 
 
 def _parse_cutoffs(value: str) -> tuple[float, ...]:
-    return tuple(_fraction(c.strip(), 1.0, "cutoff") for c in value.split(",") if c.strip())
+    cutoffs = tuple(_fraction(c.strip(), 1.0, "cutoff") for c in value.split(",") if c.strip())
+    if not cutoffs:
+        raise argparse.ArgumentTypeError(f"no cutoff in {value!r}")
+    return cutoffs
 
 
 def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
@@ -178,17 +181,6 @@ def _write_run_record(args: argparse.Namespace, out_dir: Path) -> None:
     write_text(record, out_dir / "run.json")
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    """The --out directory, made if missing; a file in its way is an input error naming it."""
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        reason = exc.strerror or exc
-        raise CorpusFormatError(f"{out}: cannot create output directory: {reason}") from None
-    return out
-
-
 def _load_corpus(args: argparse.Namespace) -> Corpus:
     corpus = load_manifest(args.manifest)
     return filter_corpus(corpus, args.min_tokens, args.min_plays)
@@ -213,7 +205,7 @@ def _run(
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
+    out = make_output_dir(args.out)
     corpus = _load_corpus(args)
     matrix = build_matrix(corpus, _feature_spec(args))
     write_matrix_csv(matrix, out / "matrix.csv")
@@ -223,7 +215,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
+    out = make_output_dir(args.out)
     corpus = _load_corpus(args)
     matrix = build_matrix(corpus, _feature_spec(args))
     _, report = apply_selection(matrix, RELIABLE, shortest_document_length(corpus))
@@ -242,7 +234,7 @@ def _write_assignment_csv(assignment: dict[str, int], truth: dict[str, str], pat
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
+    out = make_output_dir(args.out)
     corpus, result = _run(args, args.select)
     truth = corpus.alleged_authors()
     purity = cluster_purity(result.assignment, truth).purity
@@ -275,7 +267,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_eta(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
+    out = make_output_dir(args.out)
     _, result = _run(args, args.select)
     rows = eta_table(result.selected, result.assignment)
     write_eta_csv(rows, out / "eta.csv")
@@ -286,7 +278,7 @@ def _cmd_eta(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
+    out = make_output_dir(args.out)
     corpus, reference = _run(args, RELIABLE)
     truth = corpus.alleged_authors()
     reference_purity = cluster_purity(reference.assignment, truth).purity
@@ -307,7 +299,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
+    out = make_output_dir(args.out)
     config = SynthConfig(
         seed=args.seed,
         n_authors=args.authors,

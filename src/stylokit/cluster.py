@@ -13,11 +13,11 @@ step takes the matrix minimum; a merge writes the Lance-Williams row of
 the new cluster into one partner's slot and retires the other slot with
 +inf, so no pair is ever scanned in Python and nothing grows.
 
-Ties on the minimum (exact equality, no tolerance) are broken
-deterministically: among candidate pairs, the one whose combined
-membership has the lexicographically smallest (min doc id, max doc id)
-wins, with the full sorted membership as a final fallback. This makes
-dendrograms invariant under input row order.
+Ties on the minimum (exact equality, no tolerance) go to the first
+minimum in row-major order. The documents come in doc-id order and a
+merge keeps the lower of its two slots, so each slot's index is its
+cluster's smallest document: of the tied pairs, the one whose two
+smallest doc ids, taken as (smaller, larger), come first wins.
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import open_output
 from .errors import AnalysisError
+from .features import check_row_order
 from .metrics import DistanceMatrix
 
 WARD_SQUARED = "ward2"
@@ -57,6 +59,7 @@ class Dendrogram:
     def __post_init__(self) -> None:
         if len(self.merges) != len(self.leaves) - 1:
             raise ValueError("a dendrogram over n leaves has exactly n-1 merges")
+        check_row_order(self.leaves)
 
     @property
     def n_leaves(self) -> int:
@@ -84,26 +87,20 @@ def ward_cluster(dist: DistanceMatrix, variant: str = WARD_SQUARED) -> Dendrogra
     if np.any(np.diag(values) != 0.0):
         raise AnalysisError("dissimilarity matrix has a non-zero diagonal")
 
-    # Slot i holds one live cluster: its row of merge values, its size,
-    # its sorted doc ids and its dendrogram node. The diagonal and every
-    # retired slot hold +inf, so the minimum is always a live pair.
+    # Slot i holds one live cluster: its row of merge values, its size and
+    # its dendrogram node. The diagonal and every retired slot hold +inf,
+    # so the minimum is always a live pair.
     state = values * values / 2.0 if variant == WARD_SQUARED else values.copy()
     np.fill_diagonal(state, np.inf)
     size = np.ones(n)
-    members: list[tuple[str, ...]] = [(doc,) for doc in ids]
     node = list(range(n))
     merges: list[Merge] = []
     last_height = -math.inf
 
-    def tie_key(pair: tuple[int, int]) -> tuple:
-        docs = tuple(sorted(members[pair[0]] + members[pair[1]]))
-        return (docs[0], docs[-1], docs)
-
     for step in range(n - 1):
-        best_value = state.min()
-        # Each tied pair appears twice, as (i, j) and (j, i); the key is symmetric.
-        tied = [divmod(k, n) for k in np.flatnonzero(state == best_value).tolist()]
-        a, b = min(tied, key=tie_key) if len(tied) > 2 else tied[0]
+        # state is symmetric, so its first minimum in row-major order has a < b.
+        a, b = divmod(int(state.argmin()), n)
+        best_value = state[a, b]
         if best_value < -1e-12:
             raise AnalysisError("Ward linkage produced a negative merge value")
         best_value = max(best_value, 0.0)
@@ -116,10 +113,8 @@ def ward_cluster(dist: DistanceMatrix, variant: str = WARD_SQUARED) -> Dendrogra
         row[a] = np.inf
         state[a] = state[:, a] = row
         state[b] = state[:, b] = np.inf
-        left, right = (a, b) if members[a][0] <= members[b][0] else (b, a)
         size[a] += size[b]
-        merges.append(Merge(left=node[left], right=node[right], height=height, size=int(size[a])))
-        members[a] = tuple(sorted(members[a] + members[b]))
+        merges.append(Merge(left=node[a], right=node[b], height=height, size=int(size[a])))
         node[a] = n + step
 
     dend = Dendrogram(leaves=ids, merges=tuple(merges), ac=0.0)
@@ -131,8 +126,6 @@ def agglomerative_coefficient(dend: Dendrogram) -> float:
 
     Dividing by the final merge height keeps the coefficient in [0, 1] and
     makes it invariant under uniform scaling of the input dissimilarities.
-    The mean sums the leaves in doc-id order, so it does not depend on the
-    order of the input rows.
     """
     n = dend.n_leaves
     final_height = dend.merges[-1].height
@@ -144,8 +137,7 @@ def agglomerative_coefficient(dend: Dendrogram) -> float:
     if final_height == 0.0:
         warnings.warn("all merge heights are zero; agglomerative coefficient set to 0")
         return 0.0
-    in_id_order = sorted(range(n), key=dend.leaves.__getitem__)
-    return float(np.mean([1.0 - first[i] / final_height for i in in_id_order]))
+    return float(np.mean([1.0 - first[i] / final_height for i in range(n)]))
 
 
 def cut(dend: Dendrogram, k: int) -> ClusterAssignment:
@@ -158,23 +150,13 @@ def cut(dend: Dendrogram, k: int) -> ClusterAssignment:
     n = dend.n_leaves
     if not 1 <= k <= n:
         raise AnalysisError(f"cut size must lie in [1, {n}], got {k}")
-    kept = dend.merges[: n - k]
-    members: list[list[int]] = [[i] for i in range(n)]
-    consumed = [False] * (n + len(kept))
-    for merge in kept:
-        members.append(sorted(members[merge.left] + members[merge.right]))
-        consumed[merge.left] = True
-        consumed[merge.right] = True
-    roots = [node for node in range(n + len(kept)) if not consumed[node]]
-    clusters = sorted(
-        (sorted(dend.leaves[i] for i in members[node]) for node in roots),
-        key=lambda docs: docs[0],
-    )
-    assignment: ClusterAssignment = {}
-    for label, docs in enumerate(clusters, start=1):
-        for doc in docs:
-            assignment[doc] = label
-    return assignment
+    # Each node's cluster is its topmost ancestor under the n - k kept merges.
+    top = list(range(2 * n - k))
+    for t in reversed(range(n - k)):
+        top[dend.merges[t].left] = top[dend.merges[t].right] = top[n + t]
+    # The leaves are in doc-id order, so labels go out by each cluster's first doc.
+    labels: dict[int, int] = {}
+    return {doc: labels.setdefault(top[i], len(labels) + 1) for i, doc in enumerate(dend.leaves)}
 
 
 def _newick_label(name: str) -> str:
@@ -239,5 +221,5 @@ def leaf_order(dend: Dendrogram) -> list[int]:
 
 
 def write_text(content: str, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         fh.write(content)

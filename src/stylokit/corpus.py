@@ -11,7 +11,12 @@ int32 array of ids into it, in reading order, plus the exclusive end
 offset of each verse. One table local to the parse maps every distinct
 raw line to its type id, so ``normalize_token`` runs once per distinct
 line. Proper-name tokens (POS prefix ``NOMpro``) keep their types --
-POS n-grams need them -- and the lexical families skip those types.
+POS n-grams need them -- and the lexical families skip those types. The
+documents are sorted by doc id, the one row order of everything after.
+
+Every file stylokit reads or writes goes through ``read_utf8`` or
+``open_output``, which turn an unusable path into a CorpusFormatError
+naming it.
 """
 
 from __future__ import annotations
@@ -19,9 +24,10 @@ from __future__ import annotations
 import csv
 import io
 import unicodedata
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -148,7 +154,9 @@ def parse_corpus(sources: Iterable[tuple]) -> Corpus:
     """Parse each (meta, FORM/LEMMA/POS lines[, label]) source over one shared vocabulary.
 
     Identical lines, within and across documents, get one type id. A
-    trailing verse without a closing blank line is accepted. Raises
+    trailing verse without a closing blank line is accepted. Sources are
+    read in the order given, but the corpus holds its documents sorted by
+    doc id: that is the one row order of every matrix and output. Raises
     CorpusFormatError on a malformed line (naming the source's label and
     the line number) or when no token of a document survives (naming the
     label). The label defaults to the document id.
@@ -173,6 +181,7 @@ def parse_corpus(sources: Iterable[tuple]) -> Corpus:
         if len(ids) > (ends[-1] if ends else 0):
             ends.append(len(ids))
         documents.append(Document(meta, np.array(ids, np.int32), np.array(ends, np.int32)))
+    documents.sort(key=lambda doc: doc.meta.id)
     return Corpus(documents=tuple(documents), types=tuple(vocabulary))
 
 
@@ -191,6 +200,31 @@ def read_utf8(path: str | Path) -> str:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise CorpusFormatError(f"{path}: line {line}: not valid UTF-8 ({exc.reason})") from None
+
+
+@contextmanager
+def open_output(path: str | Path) -> Iterator[TextIO]:
+    """An output file opened for UTF-8 text with no newline translation.
+
+    Failing to open or write it (a directory in its way, no permission, a
+    full disk) raises CorpusFormatError naming the path.
+    """
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise CorpusFormatError(f"{path}: cannot write: {exc.strerror or exc}") from None
+
+
+def make_output_dir(path: str | Path) -> Path:
+    """The directory at path, made if missing; a file in the way raises CorpusFormatError."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise CorpusFormatError(f"{path}: cannot create output directory: {reason}") from None
+    return path
 
 
 MANIFEST_FIELDS = ("id", "title", "author", "genre", "form", "acts", "year", "path")
@@ -228,9 +262,9 @@ def load_manifest(manifest_path: str | Path) -> Corpus:
     """Read a manifest CSV and parse every token file it points to.
 
     The manifest has the header ``id,title,author,genre,form,acts,year,path``
-    with paths resolved relative to the manifest location. Documents keep
-    manifest order and are read one at a time; an error in a token file
-    names its path.
+    with paths resolved relative to the manifest location. Token files are
+    read one at a time in manifest order, and an error in one names its
+    path; the corpus holds the documents sorted by doc id.
     """
     manifest_path = Path(manifest_path)
     reader = csv.DictReader(io.StringIO(read_utf8(manifest_path), newline=""))

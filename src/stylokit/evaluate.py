@@ -6,8 +6,7 @@ feature's variance the clustering explains, with a one-way ANOVA F test
 supplying the p-value through a hand-rolled regularized incomplete beta
 (continued fraction, relative error around 1e-10 down to p = 1e-300).
 
-``eta_table`` sums all features at once, one cluster at a time, over the
-rows sorted by doc id, so ``eta.csv`` ignores manifest row order; a
+``eta_table`` sums all features at once, one cluster at a time; a
 feature whose values are all equal scores (0, 1).
 """
 
@@ -203,15 +202,11 @@ def eta_squared(values: Sequence[float] | np.ndarray, labels: Sequence[int]) -> 
 
 
 def eta_table(matrix: FeatureMatrix, assignment: ClusterAssignment) -> list[EtaRow]:
-    """Per-feature correlation ratios against a clustering, best first.
-
-    Taken over the documents in id order, so the table does not depend on
-    the order of the matrix rows.
-    """
+    """Per-feature correlation ratios against a clustering, best first."""
     missing = set(matrix.doc_ids) ^ set(assignment)
     if missing:
         raise AnalysisError(f"assignment does not cover the matrix documents: {sorted(missing)}")
-    labels = np.array([assignment[doc] for doc in sorted(matrix.doc_ids)])
+    labels = np.array([assignment[doc] for doc in matrix.doc_ids])
     stats = _eta_rows(matrix.by_feature(), labels)
     rows = [EtaRow(name, *row) for name, row in zip(matrix.feature_names, stats)]
     rows.sort(key=lambda r: (-r.eta_squared, r.feature))

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import AnnotatedToken, Corpus, read_utf8
+from .corpus import AnnotatedToken, Corpus, open_output, read_utf8
 from .errors import AnalysisError, CorpusFormatError
 
 
@@ -88,6 +88,13 @@ def candidate_function_words(corpus: Corpus, top_k: int) -> list[tuple[str, int]
     return sorted(zip(names, counts.sum(axis=0).tolist()), key=lambda kv: (-kv[1], kv[0]))[:top_k]
 
 
+def check_row_order(doc_ids: Sequence[str]) -> None:
+    """One row order everywhere: strictly increasing doc ids, as ``parse_corpus`` sorts them."""
+    for before, after in zip(doc_ids, doc_ids[1:]):
+        if not before < after:
+            raise ValueError(f"doc ids must be strictly increasing, got {after!r} after {before!r}")
+
+
 @dataclass(frozen=True)
 class FeatureMatrix:
     doc_ids: tuple[str, ...]
@@ -105,6 +112,7 @@ class FeatureMatrix:
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("matrix values must be finite")
+        check_row_order(self.doc_ids)
 
     @property
     def n_docs(self) -> int:
@@ -114,13 +122,9 @@ class FeatureMatrix:
     def n_features(self) -> int:
         return len(self.feature_names)
 
-    def id_order(self) -> list[int]:
-        """Row indices sorting the documents by id: statistics that ignore manifest row order."""
-        return sorted(range(self.n_docs), key=self.doc_ids.__getitem__)
-
     def by_feature(self) -> np.ndarray:
-        """Features x docs in ``id_order()``, C-contiguous: each feature reduces along a row."""
-        return np.take(self.values.T, self.id_order(), axis=1)
+        """Features x docs, C-contiguous: each feature reduces along a row."""
+        return np.ascontiguousarray(self.values.T)
 
     def subset(self, names: tuple[str, ...] | list[str]) -> "FeatureMatrix":
         """Restrict to the given features, keeping current column order."""
@@ -238,7 +242,7 @@ def format_value(v: float) -> str:
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """The one on-disk table layout: UTF-8, comma-separated, LF line ends."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

@@ -8,13 +8,7 @@ to every pair of documents:
   length-normalize each document vector, take Manhattan distances;
 - min/max: divide each column by its standard deviation without
   centering -- keeping the matrix non-negative -- and score a pair as
-  one minus the ratio of componentwise minima to componentwise maxima;
-- manhattan and euclidean: the raw frequencies, as baselines kept for
-  comparison, not attribution.
-
-Column means and standard deviations are taken over the rows sorted by
-doc id, so every distance is bit-identical whatever order the manifest
-lists the documents in.
+  one minus the ratio of componentwise minima to componentwise maxima.
 """
 
 from __future__ import annotations
@@ -26,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AnalysisError
-from .features import FeatureMatrix, degenerate, format_value, write_csv
+from .features import FeatureMatrix, check_row_order, degenerate, format_value, write_csv
 
 __all__ = ["Measure", "DistanceMatrix", "compute_distance", "write_distance_csv"]
 
@@ -34,8 +28,6 @@ __all__ = ["Measure", "DistanceMatrix", "compute_distance", "write_distance_csv"
 class Measure(str, Enum):
     BURROWS_DELTA = "delta"
     MINMAX = "minmax"
-    MANHATTAN = "manhattan"
-    EUCLIDEAN = "euclidean"
 
 
 @dataclass(frozen=True)
@@ -48,6 +40,7 @@ class DistanceMatrix:
         n = len(self.doc_ids)
         if self.values.shape != (n, n):
             raise ValueError("distance matrix shape does not match doc ids")
+        check_row_order(self.doc_ids)
 
     @property
     def n_docs(self) -> int:
@@ -55,15 +48,14 @@ class DistanceMatrix:
 
 
 def _column_stats(matrix: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Column mean and sd (n-1), both taken over one copy of the rows sorted by doc id."""
-    ordered = matrix.values[matrix.id_order()]
-    dead = np.flatnonzero(degenerate(ordered.T))
+    """Column mean and sd (n-1); a constant column raises naming its feature."""
+    dead = np.flatnonzero(degenerate(matrix.values.T))
     if dead.size:
         raise AnalysisError(
             f"feature is constant (selection should have removed it): "
             f"{matrix.feature_names[dead[0]]}"
         )
-    return ordered.mean(axis=0), ordered.std(axis=0, ddof=1)
+    return matrix.values.mean(axis=0), matrix.values.std(axis=0, ddof=1)
 
 
 def _zscore(matrix: FeatureMatrix) -> np.ndarray:
@@ -111,23 +103,10 @@ def _minmax_row(a: np.ndarray, rest: np.ndarray) -> np.ndarray:
     return 1.0 - np.minimum(rest, a).sum(axis=1) / denom
 
 
-def _euclidean_row(a: np.ndarray, rest: np.ndarray) -> np.ndarray:
-    # A stack of vector dot products: the same summation as the norm of one
-    # vector, where norm(..., axis=1) would sum in another order.
-    diff = (rest - a)[:, None, :]
-    return np.sqrt(diff @ diff.transpose(0, 2, 1)).ravel()
-
-
-def _raw(matrix: FeatureMatrix) -> np.ndarray:
-    return matrix.values
-
-
 # Per measure: the transform of the matrix, then the row function over pairs.
 _MEASURES = {
     Measure.BURROWS_DELTA: (_delta_vectors, _manhattan_row),
     Measure.MINMAX: (_tfsd, _minmax_row),
-    Measure.MANHATTAN: (_raw, _manhattan_row),
-    Measure.EUCLIDEAN: (_raw, _euclidean_row),
 }
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Mapping
 
-from .cluster import Dendrogram, leaf_order
+from .cluster import Dendrogram, leaf_order, write_text
 
 PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -90,5 +90,4 @@ def dendrogram_svg(
 
 
 def write_svg(content: str, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(content)
+    write_text(content, path)

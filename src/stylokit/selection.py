@@ -7,9 +7,8 @@ in the corpus is already that large. The probability estimate is
 debiased by averaging each observation with its mirror around the
 observed range, which collapses to the midrange (max + min) / 2.
 
-All features are scored at once over the rows sorted by doc id, so
-``selection.csv`` ignores manifest row order. A feature whose values are
-all equal is degenerate: sigma 0, required n 0, never kept.
+All features are scored at once. A feature whose values are all equal
+is degenerate: sigma 0, required n 0, never kept.
 """
 
 from __future__ import annotations
@@ -109,7 +108,7 @@ def select_top_frequency(matrix: FeatureMatrix, fraction: float) -> tuple[str, .
 
 
 def nonconstant_features(matrix: FeatureMatrix, names: tuple[str, ...]) -> tuple[str, ...]:
-    """The given features minus degenerate ones, in column order; no copy, as no order matters."""
+    """The given features minus degenerate ones, in column order; tested without a copy."""
     keep = set(names)
     flat = degenerate(matrix.values.T).tolist()
     return tuple(name for name, f in zip(matrix.feature_names, flat) if name in keep and not f)

@@ -11,11 +11,13 @@ least 5000 tokens long. Identical seeds give byte-identical output.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .corpus import MANIFEST_FIELDS, make_output_dir, open_output
+from .features import write_csv
 
 N_FUNCTION_WORDS = 110
 N_CONTENT_WORDS = 600
@@ -85,8 +87,7 @@ def _author_distributions(config: SynthConfig, rng: np.random.Generator, base: n
 def generate_corpus(config: SynthConfig, out_dir: str | Path) -> Path:
     """Write manifest, token files and the function-word list; return the manifest path."""
     out_dir = Path(out_dir)
-    tokens_dir = out_dir / "tokens"
-    tokens_dir.mkdir(parents=True, exist_ok=True)
+    tokens_dir = make_output_dir(out_dir / "tokens")
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     words, tags, base = _vocabulary()
@@ -110,7 +111,7 @@ def generate_corpus(config: SynthConfig, out_dir: str | Path) -> Path:
             content_lo = N_FUNCTION_WORDS
             content_hi = N_FUNCTION_WORDS + N_CONTENT_WORDS
             path = tokens_dir / f"{doc_id}.tsv"
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            with open_output(path) as fh:
                 pos = 0
                 for length in verse_lengths:
                     for t in range(pos, pos + length):
@@ -123,32 +124,17 @@ def generate_corpus(config: SynthConfig, out_dir: str | Path) -> Path:
                         fh.write(f"{form}\t{lemma}\t{tag}\n")
                     fh.write("\n")
                     pos += length
-            manifest_rows.append(
-                {
-                    "id": doc_id,
-                    "title": f"Synthetic play {d} of {author}",
-                    "author": author,
-                    "genre": "comedy",
-                    "form": "verse",
-                    "acts": "5",
-                    "year": str(1660 + d),
-                    "path": f"tokens/{doc_id}.tsv",
-                }
-            )
+            manifest_rows.append((
+                doc_id, f"Synthetic play {d} of {author}", author, "comedy", "verse", "5",
+                str(1660 + d), f"tokens/{doc_id}.tsv",
+            ))
 
     fw_path = out_dir / "function_words.txt"
-    with open(fw_path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(fw_path) as fh:
         fh.write("# synthetic closed-class vocabulary\n")
         for word in function_word_forms():
             fh.write(word + "\n")
 
     manifest_path = out_dir / "manifest.csv"
-    with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=["id", "title", "author", "genre", "form", "acts", "year", "path"],
-            lineterminator="\n",
-        )
-        writer.writeheader()
-        writer.writerows(manifest_rows)
+    write_csv(manifest_path, MANIFEST_FIELDS, manifest_rows)
     return manifest_path

@@ -54,8 +54,8 @@ def naive_ward(values: np.ndarray, ids: tuple[str, ...], variant: str = "ward2")
         for i in range(len(active)):
             for j in range(i + 1, len(active)):
                 a, b = active[i], active[j]
-                docs = sorted(ids[x] for x in leaves(a) + leaves(b))
-                key = (w(a, b), docs[0], docs[-1], tuple(docs))
+                firsts = sorted((min(ids[x] for x in leaves(a)), min(ids[x] for x in leaves(b))))
+                key = (w(a, b), *firsts)
                 if best is None or key < best[0]:
                     best = (key, a, b)
         (value, *_), a, b = best
@@ -81,8 +81,8 @@ def ess_ward(points: np.ndarray, ids: tuple[str, ...]):
             for j in range(i + 1, len(clusters)):
                 a, b = clusters[i], clusters[j]
                 cost = ess(points[a + b]) - ess(points[a]) - ess(points[b])
-                docs = sorted(ids[x] for x in a + b)
-                key = (cost, docs[0], docs[-1], tuple(docs))
+                firsts = sorted((min(ids[x] for x in a), min(ids[x] for x in b)))
+                key = (cost, *firsts)
                 if best is None or key < best[0]:
                     best = (key, i, j)
         (cost, *_), i, j = best

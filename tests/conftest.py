@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from stylokit.corpus import (
@@ -30,6 +31,26 @@ def make_doc(
 
 def make_corpus(*docs: tuple[DocumentMeta, list[str]]) -> Corpus:
     return parse_corpus(docs)
+
+
+def random_sources(
+    rng: np.random.Generator, n_docs: int, n_words: int = 30, n_tokens: int = 240
+) -> list[tuple[DocumentMeta, list[str]]]:
+    """Parse sources d000, d001, ...: each draws its tokens from its own mix of one word list."""
+    tags = ("NOMcom", "VERcjg", "ADJqua")
+    words = [(f"w{j:02d}", f"w{j:02d}", tags[j % 3]) for j in range(n_words)]
+    sources = []
+    for i in range(n_docs):
+        draws = rng.choice(n_words, size=n_tokens, p=rng.dirichlet(np.ones(n_words))).tolist()
+        verses = [[words[w] for w in draws[s : s + 8]] for s in range(0, n_tokens, 8)]
+        sources.append(make_doc(f"d{i:03d}", verses, author=f"a{i % 3}"))
+    return sources
+
+
+def parsed_both_ways(rng: np.random.Generator, sources: list) -> tuple[Corpus, Corpus]:
+    """The corpus of the sources in the order given and in a random order."""
+    perm = rng.permutation(len(sources))
+    return parse_corpus(sources), parse_corpus([sources[i] for i in perm])
 
 
 def verses_of(corpus: Corpus, doc: Document) -> list[list[AnnotatedToken]]:

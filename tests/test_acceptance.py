@@ -56,7 +56,7 @@ def test_criterion_2_ward_oracle_equivalence():
         m = (m + m.T) / 2.0
         np.fill_diagonal(m, 0.0)
         ids = tuple(f"d{i:02d}" for i in range(n))
-        dend = ward_cluster(DistanceMatrix(ids, m, Measure.MANHATTAN))
+        dend = ward_cluster(DistanceMatrix(ids, m, Measure.BURROWS_DELTA))
         oracle = naive_ward(m, ids)
         for t, merge in enumerate(dend.merges):
             members, height = oracle[t]
@@ -201,7 +201,7 @@ def test_criterion_10_agglomerative_coefficient():
         m = (m + m.T) / 2.0
         np.fill_diagonal(m, 0.0)
         ids = tuple(f"d{i:02d}" for i in range(n))
-        dend = ward_cluster(DistanceMatrix(ids, m, Measure.MANHATTAN))
+        dend = ward_cluster(DistanceMatrix(ids, m, Measure.BURROWS_DELTA))
         assert 0.0 <= dend.ac <= 1.0
     hand = Dendrogram(
         leaves=("a", "b", "c", "d"),

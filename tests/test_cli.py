@@ -72,17 +72,44 @@ def test_token_file_error_names_the_file(tmp_path, capsys, content, message):
     assert f"error: {tmp_path / 'x.tsv'}{message}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["extract", "cluster", "synth"])
-@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
-def test_out_blocked_by_a_file_exits_2_naming_it(corpus_dir, tmp_path, capsys, command, under):
-    blocker = tmp_path / "taken"
-    blocker.write_text("", encoding="utf-8")
-    out = blocker / "sub" if under else blocker
+NO_DIR, NO_WRITE = "cannot create output directory", "cannot write"
+
+
+@pytest.mark.parametrize(
+    "command, blocker, out, named, message",
+    [
+        *(pytest.param(c, "taken", "taken", "taken", NO_DIR, id=f"file-{c}")
+          for c in ("cluster", "extract", "synth")),
+        *(pytest.param(c, "taken", "taken/sub", "taken/sub", NO_DIR, id=f"under-file-{c}")
+          for c in ("cluster", "extract", "synth")),
+        # A blocker ending in "/" is a directory where an output file goes.
+        pytest.param("extract", "out/matrix.csv/", "out", "out/matrix.csv", NO_WRITE,
+                     id="dir-matrix-extract"),
+        pytest.param("select", "out/run.json/", "out", "out/run.json", NO_WRITE,
+                     id="dir-run-json-select"),
+        pytest.param("cluster", "out/dendrogram.svg/", "out", "out/dendrogram.svg", NO_WRITE,
+                     id="dir-svg-cluster"),
+        pytest.param("synth", "out/manifest.csv/", "out", "out/manifest.csv", NO_WRITE,
+                     id="dir-manifest-synth"),
+        pytest.param("synth", "out/tokens/auth00_doc00.tsv/", "out",
+                     "out/tokens/auth00_doc00.tsv", NO_WRITE, id="dir-token-file-synth"),
+        pytest.param("synth", "out/tokens", "out", "out/tokens", NO_DIR, id="file-tokens-synth"),
+    ],
+)
+def test_out_blocked_by_a_file_exits_2_naming_it(
+    corpus_dir, tmp_path, capsys, command, blocker, out, named, message
+):
+    path = tmp_path / blocker
+    if blocker.endswith("/"):
+        path.mkdir(parents=True)
+    else:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("", encoding="utf-8")
     required = {"synth": ["--seed", "1"]}.get(
-        command, ["--manifest", str(corpus_dir / "manifest.csv")]
+        command, ["--manifest", str(corpus_dir / "manifest.csv"), "--features", "lemma"]
     )
-    assert main([command, *required, "--out", str(out)]) == 2
-    assert f"error: {out}: cannot create output directory:" in capsys.readouterr().err
+    assert main([command, *required, "--out", str(tmp_path / out)]) == 2
+    assert f"error: {tmp_path / named}: {message}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -301,7 +328,9 @@ def test_sweep_rejects_select(corpus_dir, tmp_path, capsys):
     assert "--select" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cutoffs, bad", [("0.1,abc", "'abc'"), ("0.1,1.5", "'1.5'")])
+@pytest.mark.parametrize(
+    "cutoffs, bad", [("0.1,abc", "'abc'"), ("0.1,1.5", "'1.5'"), (",", "no cutoff in ','")]
+)
 def test_sweep_bad_cutoff_exits_2(corpus_dir, tmp_path, capsys, cutoffs, bad):
     with pytest.raises(SystemExit) as excinfo:
         main([
@@ -361,40 +390,27 @@ def test_bad_select_spec_exits_2(corpus_dir, tmp_path, capsys):
 
 
 def _row_order_outputs(corpus_dir: Path, manifest: Path, out: Path) -> dict:
-    """What must not move under a manifest shuffle.
+    """Every file these commands write except run.json, which records the manifest path.
 
-    The fw outputs of `cluster --k 3` under delta and min/max, byte for
-    byte, `eta`'s eta.csv for pos3 and affix and `select --features affix`'s
-    selection.csv, byte for byte, and for each family `extract`'s
-    matrix.csv header and set of rows.
+    `cluster --k 3` on fw under delta and min/max, `extract` for every
+    family, `eta` for pos3 and affix, `select --features affix` and `sweep`.
     """
     fw_list = ["--fw-list", str(corpus_dir / "function_words.txt")]
+    runs = [
+        *(["cluster", "--features", "fw", *fw_list, "--distance", m, "--k", "3"]
+          for m in ("delta", "minmax")),
+        *(["extract", "--features", family, *fw_list]
+          for family in ("lemma", "rhyme", "form", "affix", "pos3", "fw")),
+        ["eta", "--features", "pos3"], ["eta", "--features", "affix"],
+        ["select", "--features", "affix"], ["sweep", "--features", "fw", *fw_list],
+    ]
     outputs = {}
-    for measure in ("delta", "minmax"):
-        run = out / measure
-        assert main([
-            "cluster", "--manifest", str(manifest), "--features", "fw", *fw_list,
-            "--distance", measure, "--k", "3", "--out", str(run),
-        ]) == 0
-        for name in ("assignment.csv", "summary.json", "dendrogram.newick"):
-            outputs[f"{measure}/{name}"] = (run / name).read_bytes()
-    for family in ("lemma", "rhyme", "form", "affix", "pos3", "fw"):
-        run = out / family
-        assert main([
-            "extract", "--manifest", str(manifest), "--features", family, *fw_list,
-            "--out", str(run),
-        ]) == 0
-        header, *rows = (run / "matrix.csv").read_text(encoding="utf-8").splitlines()
-        outputs[f"{family}/matrix.csv"] = (header, frozenset(rows))
-    # Summed in manifest order, affix's eta.csv moved under some shuffles.
-    for command, family, name in (
-        ("eta", "pos3", "eta.csv"), ("eta", "affix", "eta.csv"), ("select", "affix", "selection.csv"),
-    ):
-        run = out / f"{command}-{family}"
-        assert main([
-            command, "--manifest", str(manifest), "--features", family, "--out", str(run),
-        ]) == 0
-        outputs[f"{command}/{family}/{name}"] = (run / name).read_bytes()
+    for i, argv in enumerate(runs):
+        run = out / str(i)
+        assert main([*argv, "--manifest", str(manifest), "--out", str(run)]) == 0
+        for path in run.iterdir():
+            if path.name != "run.json":
+                outputs[f"{argv[0]} {i}/{path.name}"] = path.read_bytes()
     return outputs
 
 

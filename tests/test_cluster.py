@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from _oracles import ess_ward, leaf_members, naive_ward
+from conftest import parsed_both_ways, random_sources
 from stylokit.cluster import (
     Dendrogram,
     Merge,
@@ -17,13 +18,14 @@ from stylokit.cluster import (
     ward_cluster,
 )
 from stylokit.errors import AnalysisError
-from stylokit.metrics import DistanceMatrix, Measure
+from stylokit.features import FeatureKind, FeatureSpec, build_matrix
+from stylokit.metrics import DistanceMatrix, Measure, compute_distance
 
 
 def _dist(values, ids=None) -> DistanceMatrix:
     values = np.asarray(values, dtype=float)
     ids = ids or tuple(f"d{i:02d}" for i in range(values.shape[0]))
-    return DistanceMatrix(tuple(ids), values, Measure.MANHATTAN)
+    return DistanceMatrix(tuple(ids), values, Measure.BURROWS_DELTA)
 
 
 def _random_dist(rng, n) -> DistanceMatrix:
@@ -67,15 +69,25 @@ def test_two_singletons_raw_variant_reports_input_distance():
 def test_three_equidistant_points_tie_break_and_growth():
     m = np.full((3, 3), 1.0)
     np.fill_diagonal(m, 0.0)
-    dend = ward_cluster(_dist(m, ids=("b", "a", "c")))
+    dend = ward_cluster(_dist(m, ids=("a", "b", "c")))
     first = dend.merges[0]
     merged = {dend.leaves[first.left], dend.leaves[first.right]}
-    assert merged == {"a", "b"}  # smallest (min, max) doc pair wins
+    assert merged == {"a", "b"}  # the pair of the two smallest doc ids wins
     # Equilateral input: absorbing the third point costs exactly as much
     # as the first pair, so the heights coincide rather than grow.
     assert dend.merges[1].height >= dend.merges[0].height
     assert dend.merges[0].height == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
     assert dend.merges[1].height == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+
+
+def test_tie_goes_to_the_smallest_first_docs_of_the_two_clusters():
+    # After (b, d) at 1, merging a with (b, d) and a with c both cost
+    # exactly 112.5. The pair whose clusters' first docs come first, (a, b)
+    # before (a, c), wins, even though {a, c} has the smaller largest doc.
+    m = np.array([[0, 13, 15, 13], [13, 0, 20, 1], [15, 20, 0, 20], [13, 1, 20, 0]])
+    dend = ward_cluster(_dist(m, ids=("a", "b", "c", "d")))
+    assert [leaf_members(dend, 4 + t) for t in range(3)] == [(1, 3), (0, 1, 3), (0, 1, 2, 3)]
+    assert dend.merges[1] == Merge(left=0, right=4, height=math.sqrt(112.5), size=3)
 
 
 def test_matches_naive_recompute_oracle():
@@ -134,20 +146,14 @@ def test_matches_scipy_topology_up_to_scale():
 
 def test_permutation_invariance():
     rng = np.random.default_rng(404)
-    dist = _random_dist(rng, 9)
-    dend = ward_cluster(dist)
-    perm = rng.permutation(9)
-    shuffled = DistanceMatrix(
-        tuple(dist.doc_ids[i] for i in perm),
-        dist.values[np.ix_(perm, perm)],
-        dist.measure,
-    )
-    dend2 = ward_cluster(shuffled)
-    for t in range(8):
-        ours = tuple(sorted(dend.leaves[i] for i in leaf_members(dend, 9 + t)))
-        theirs = tuple(sorted(dend2.leaves[i] for i in leaf_members(dend2, 9 + t)))
-        assert ours == theirs
-        assert dend.merges[t].height == pytest.approx(dend2.merges[t].height, abs=1e-12)
+    spec = FeatureSpec(kind=FeatureKind.LEMMA)
+    for _ in range(5):
+        corpus, shuffled = parsed_both_ways(rng, random_sources(rng, 9))
+        first, second = (
+            ward_cluster(compute_distance(build_matrix(c, spec), "delta"))
+            for c in (corpus, shuffled)
+        )
+        assert first == second
 
 
 def test_heights_non_decreasing_on_random_inputs():

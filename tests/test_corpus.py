@@ -51,6 +51,15 @@ def test_parse_malformed_line_names_its_number():
         _parse(["a\ta\tNOMcom\n", "gloire\n"])
 
 
+def test_parse_sorts_documents_by_id_but_reads_them_in_the_order_given():
+    word = [[("mot", "mot", "NOMcom")]]
+    corpus = make_corpus(make_doc("d10", word), make_doc("d02", word), make_doc("d1", word))
+    assert corpus.doc_ids == ("d02", "d1", "d10")
+    # Both documents are malformed: the first one read is the one named.
+    with pytest.raises(CorpusFormatError, match="^zz: line 1"):
+        parse_corpus([(DocumentMeta(id="zz"), ["x\n"]), (DocumentMeta(id="aa"), ["y\n"])])
+
+
 def test_parse_ignores_comment_lines():
     _, doc = _parse(["# header\n", "a\ta\tNOMcom\n", "# note\n", "b\tb\tNOMcom\n"])
     assert doc.token_count == 2
@@ -156,7 +165,7 @@ def test_filter_author_rule_applies_after_length_rule():
 )
 def test_filter_is_idempotent(spec, min_tokens, min_plays):
     docs = [
-        _sized_doc(f"d{i}", author, 10 * size)
+        _sized_doc(f"d{i:02d}", author, 10 * size)
         for i, (author, size) in enumerate(spec)
     ]
     corpus = make_corpus(*docs)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from _oracles import anova_by_sums, eta_per_feature, f_tail_quadrature
+from conftest import parsed_both_ways, random_sources
 from stylokit.errors import AnalysisError
 from stylokit.evaluate import (
     EtaRow,
@@ -20,7 +21,7 @@ from stylokit.evaluate import (
     write_eta_csv,
     write_sweep_csv,
 )
-from stylokit.features import FeatureKind, FeatureMatrix, FeatureSpec
+from stylokit.features import FeatureKind, FeatureMatrix, FeatureSpec, build_matrix
 from stylokit.pipeline import run_pipeline
 from stylokit.synth import function_word_forms
 
@@ -236,13 +237,13 @@ def test_eta_table_rows_equal_per_column_loop():
 
 def test_eta_table_bit_identical_under_row_permutation():
     rng = np.random.default_rng(43)
+    spec = FeatureSpec(kind=FeatureKind.WORD_FORM)
     for _ in range(10):
-        matrix, assignment = _clustered_matrix(rng, [9, 13, 18], 30)
-        perm = rng.permutation(matrix.n_docs)
-        shuffled = FeatureMatrix(
-            tuple(matrix.doc_ids[i] for i in perm), matrix.feature_names, matrix.values[perm]
-        )
-        assert eta_table(shuffled, assignment) == eta_table(matrix, assignment)
+        corpus, shuffled = parsed_both_ways(rng, random_sources(rng, 40))
+        labels = rng.permutation(np.repeat([1, 2, 3], [9, 13, 18])).tolist()
+        assignment = dict(zip(corpus.doc_ids, labels))
+        want = eta_table(build_matrix(corpus, spec), assignment)
+        assert eta_table(build_matrix(shuffled, spec), assignment) == want
 
 
 def test_eta_csv_stores_underflow_as_zero(tmp_path):

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from _oracles import delta_by_hand
+from conftest import parsed_both_ways, random_sources
+from stylokit.cluster import Dendrogram, Merge
 from stylokit.errors import AnalysisError
-from stylokit.features import FeatureMatrix
+from stylokit.features import FeatureKind, FeatureMatrix, FeatureSpec, build_matrix
 from stylokit.metrics import (
+    DistanceMatrix,
     Measure,
     _minmax_row,
     _tfsd,
@@ -23,7 +26,7 @@ from stylokit.metrics import (
 def _matrix(values) -> FeatureMatrix:
     values = np.asarray(values, dtype=float)
     return FeatureMatrix(
-        doc_ids=tuple(f"d{i}" for i in range(values.shape[0])),
+        doc_ids=tuple(f"d{i:02d}" for i in range(values.shape[0])),
         feature_names=tuple(f"f{j}" for j in range(values.shape[1])),
         values=values,
     )
@@ -76,9 +79,9 @@ def test_l2_unit_row_unchanged_and_scale_invariant():
 
 
 def test_l2_zero_row_is_an_error():
-    # Row d0 sits at the column means, so its z-scored vector is all zero.
+    # Row d00 sits at the column means, so its z-scored vector is all zero.
     m = _matrix([[0.3, 0.5], [0.1, 0.2], [0.5, 0.8]])
-    with pytest.raises(AnalysisError, match="no signal under selected features: d0"):
+    with pytest.raises(AnalysisError, match="no signal under selected features: d00"):
         compute_distance(m, "delta")
 
 
@@ -120,13 +123,23 @@ def test_delta_needs_two_documents():
 
 def test_distances_bit_identical_under_row_permutation():
     rng = np.random.default_rng(11)
+    spec = FeatureSpec(kind=FeatureKind.LEMMA)
     for _ in range(10):
-        m = _random_relfreq(rng, 12, 40)
-        perm = rng.permutation(m.n_docs)
-        shuffled = FeatureMatrix(tuple(m.doc_ids[i] for i in perm), m.feature_names, m.values[perm])
+        corpus, shuffled = parsed_both_ways(rng, random_sources(rng, 12))
+        m, m_shuffled = build_matrix(corpus, spec), build_matrix(shuffled, spec)
         for measure in Measure:
-            want = compute_distance(m, measure).values[np.ix_(perm, perm)]
-            assert np.array_equal(compute_distance(shuffled, measure).values, want)
+            want, got = compute_distance(m, measure), compute_distance(m_shuffled, measure)
+            assert got.doc_ids == want.doc_ids and np.array_equal(got.values, want.values)
+
+
+def test_rows_out_of_doc_id_order_are_rejected():
+    for ids in (("b", "a"), ("a", "a")):
+        with pytest.raises(ValueError, match="doc ids must be strictly increasing"):
+            FeatureMatrix(ids, ("f0",), np.ones((2, 1)))
+        with pytest.raises(ValueError, match="doc ids must be strictly increasing"):
+            DistanceMatrix(ids, np.zeros((2, 2)), Measure.BURROWS_DELTA)
+        with pytest.raises(ValueError, match="doc ids must be strictly increasing"):
+            Dendrogram(ids, (Merge(0, 1, 1.0, 2),), 0.0)
 
 
 @pytest.mark.parametrize("measure", ["delta", "minmax"])
@@ -192,22 +205,16 @@ def test_minmax_rejects_negative_values():
         compute_distance(_matrix([[-0.1, 0.6], [0.6, 0.4]]), "minmax")
 
 
-def test_baseline_distances():
-    m = _matrix([[0.0, 0.0], [3.0, 4.0]])
-    assert compute_distance(m, "manhattan").values[0, 1] == 7.0
-    assert compute_distance(m, "euclidean").values[0, 1] == 5.0
-
-
 def test_distance_csv_is_square_with_header(tmp_path):
     m = _matrix([[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]])
     d = compute_distance(m, "delta")
     path = tmp_path / "dist.csv"
     write_distance_csv(d, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "doc_id,d0,d1,d2"
+    assert lines[0] == "doc_id,d00,d01,d02"
     assert len(lines) == 4
     first = lines[1].split(",")
-    assert first[0] == "d0" and float(first[1]) == 0.0
+    assert first[0] == "d00" and float(first[1]) == 0.0
 
 
 @given(

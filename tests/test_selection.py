@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import parsed_both_ways, random_sources
 from stylokit.errors import AnalysisError
-from stylokit.features import FeatureMatrix
+from stylokit.features import FeatureKind, FeatureMatrix, FeatureSpec, build_matrix
 from stylokit.pipeline import apply_selection
 from stylokit.selection import (
     corrected_mean,
@@ -22,7 +23,7 @@ def _matrix(values, names=None) -> FeatureMatrix:
     values = np.asarray(values, dtype=float)
     names = names or tuple(f"f{j}" for j in range(values.shape[1]))
     return FeatureMatrix(
-        doc_ids=tuple(f"d{i}" for i in range(values.shape[0])),
+        doc_ids=tuple(f"d{i:02d}" for i in range(values.shape[0])),
         feature_names=tuple(names),
         values=values,
     )
@@ -174,14 +175,13 @@ def test_constant_column_does_not_survive_top_selection():
 
 def test_select_reliable_bit_identical_under_row_permutation():
     rng = np.random.default_rng(5)
+    spec = FeatureSpec(kind=FeatureKind.AFFIX)
     for _ in range(10):
-        m = _matrix(rng.uniform(size=(15, 30)) ** 3)
-        perm = rng.permutation(m.n_docs)
-        shuffled = FeatureMatrix(tuple(m.doc_ids[i] for i in perm), m.feature_names, m.values[perm])
+        corpus, shuffled = parsed_both_ways(rng, random_sources(rng, 15))
+        m = build_matrix(corpus, spec)
         report = select_reliable(m, 10**6)
-        assert select_reliable(shuffled, 10**6) == report
-        # Against one column at a time, over the rows in doc-id order.
-        ordered = m.values[sorted(range(m.n_docs), key=m.doc_ids.__getitem__)]
+        assert select_reliable(build_matrix(shuffled, spec), 10**6) == report
+        # Against one column at a time.
         for j, row in enumerate(report.per_feature):
-            col = ordered[:, j]
+            col = m.values[:, j]
             assert (row.p_bar, row.sigma) == ((col.max() + col.min()) / 2, col.std(ddof=1))
