@@ -176,6 +176,18 @@ def _config_record(args: argparse.Namespace) -> dict:
     return {"command": args.command, "config": config, "tool": "stylokit", "version": __version__}
 
 
+def _output_dir(args: argparse.Namespace) -> Path:
+    """--out, made if missing, less an earlier run.json: run.json marks a completed run."""
+    out = make_output_dir(args.out)
+    record = out / "run.json"
+    try:
+        record.unlink(missing_ok=True)
+    except OSError as exc:
+        if not record.is_dir():  # a directory is left for the command's last write to report
+            raise CorpusFormatError(f"{record}: cannot remove: {exc.strerror or exc}") from None
+    return out
+
+
 def _write_run_record(args: argparse.Namespace, out_dir: Path) -> None:
     record = json.dumps(_config_record(args), sort_keys=True, indent=2) + "\n"
     write_text(record, out_dir / "run.json")
@@ -205,7 +217,7 @@ def _run(
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    out = make_output_dir(args.out)
+    out = _output_dir(args)
     corpus = _load_corpus(args)
     matrix = build_matrix(corpus, _feature_spec(args))
     write_matrix_csv(matrix, out / "matrix.csv")
@@ -215,7 +227,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
-    out = make_output_dir(args.out)
+    out = _output_dir(args)
     corpus = _load_corpus(args)
     matrix = build_matrix(corpus, _feature_spec(args))
     _, report = apply_selection(matrix, RELIABLE, shortest_document_length(corpus))
@@ -234,7 +246,7 @@ def _write_assignment_csv(assignment: dict[str, int], truth: dict[str, str], pat
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    out = make_output_dir(args.out)
+    out = _output_dir(args)
     corpus, result = _run(args, args.select)
     truth = corpus.alleged_authors()
     purity = cluster_purity(result.assignment, truth).purity
@@ -267,7 +279,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_eta(args: argparse.Namespace) -> int:
-    out = make_output_dir(args.out)
+    out = _output_dir(args)
     _, result = _run(args, args.select)
     rows = eta_table(result.selected, result.assignment)
     write_eta_csv(rows, out / "eta.csv")
@@ -278,7 +290,7 @@ def _cmd_eta(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    out = make_output_dir(args.out)
+    out = _output_dir(args)
     corpus, reference = _run(args, RELIABLE)
     truth = corpus.alleged_authors()
     reference_purity = cluster_purity(reference.assignment, truth).purity
@@ -299,7 +311,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    out = make_output_dir(args.out)
+    out = _output_dir(args)
     config = SynthConfig(
         seed=args.seed,
         n_authors=args.authors,

@@ -8,13 +8,18 @@ in; tokens that vanish under that normalization are dropped entirely.
 A corpus is parsed as a whole over one vocabulary: ``Corpus.types``
 holds each distinct normalized token once, and a ``Document`` is an
 int32 array of ids into it, in reading order, plus the exclusive end
-offset of each verse. One table local to the parse maps every distinct
-raw line to its type id, so ``normalize_token`` runs once per distinct
-line. Proper-name tokens (POS prefix ``NOMpro``) keep their types --
-POS n-grams need them -- and the lexical families skip those types. The
-documents are sorted by doc id, the one row order of everything after.
+offset of each verse. One line table local to the parse maps every
+distinct raw line to its type id: a dict whose ``__missing__`` normalizes
+and registers a line on first sight, so ``normalize_token`` runs once per
+distinct line and a document is read in one C-level pass,
+``np.fromiter(map(table.__getitem__, lines))``. Proper-name tokens (POS
+prefix ``NOMpro``) keep their types -- POS n-grams need them -- and the
+lexical families skip those types. The documents are sorted by doc id,
+the one row order of everything after.
 
-Every file stylokit reads or writes goes through ``read_utf8`` or
+Token files are streamed, never held whole; on a read error,
+``read_utf8`` reads the file again to name it and the bad byte's line.
+Every other file stylokit reads or writes goes through ``read_utf8`` or
 ``open_output``, which turn an unusable path into a CorpusFormatError
 naming it.
 """
@@ -134,55 +139,72 @@ def normalize_token(raw_form: str, lemma: str, pos: str) -> AnnotatedToken | Non
 _SKIPPED, _VERSE_BREAK = -1, -2
 
 
-def _line_id(raw: str, vocabulary: dict[AnnotatedToken, int], where: str) -> int:
-    """The type id of one raw line, adding its token to the vocabulary if new."""
-    line = raw.rstrip("\r\n")
-    if line.startswith("#"):
-        return _SKIPPED
-    if not line.strip():
-        return _VERSE_BREAK
-    fields = line.split("\t")
-    if len(fields) != 3:
-        raise CorpusFormatError(
-            f"{where}: expected FORM<TAB>LEMMA<TAB>POS, got {len(fields)} field(s)"
-        )
-    token = normalize_token(*fields)
-    return _SKIPPED if token is None else vocabulary.setdefault(token, len(vocabulary))
+class _MalformedLine(Exception):
+    """args: a raw token line without three fields, and its field count."""
+
+
+class _LineTable(dict):
+    """Raw line -> type id in ``vocabulary``, or a line id below 0; filled on first lookup."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.vocabulary: dict[AnnotatedToken, int] = {}
+
+    def __missing__(self, raw: str) -> int:
+        line = raw.rstrip("\r\n")
+        if line.startswith("#"):
+            line_id = _SKIPPED
+        elif not line.strip():
+            line_id = _VERSE_BREAK
+        else:
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise _MalformedLine(raw, len(fields))
+            token = normalize_token(*fields)
+            vocabulary = self.vocabulary
+            line_id = _SKIPPED if token is None else vocabulary.setdefault(token, len(vocabulary))
+        self[raw] = line_id
+        return line_id
 
 
 def parse_corpus(sources: Iterable[tuple]) -> Corpus:
     """Parse each (meta, FORM/LEMMA/POS lines[, label]) source over one shared vocabulary.
 
-    Identical lines, within and across documents, get one type id. A
-    trailing verse without a closing blank line is accepted. Sources are
-    read in the order given, but the corpus holds its documents sorted by
-    doc id: that is the one row order of every matrix and output. Raises
-    CorpusFormatError on a malformed line (naming the source's label and
-    the line number) or when no token of a document survives (naming the
-    label). The label defaults to the document id.
+    The lines are a list of strings or an open text file. Identical lines,
+    within and across documents, get one type id. A trailing verse without
+    a closing blank line is accepted. Sources are read in the order given,
+    but the corpus holds its documents sorted by doc id: that is the one
+    row order of every matrix and output. Raises CorpusFormatError on a
+    malformed line (naming the source's label and the line number) or when
+    no token of a document survives (naming the label). The label defaults
+    to the document id.
     """
-    line_ids: dict[str, int] = {}
-    vocabulary: dict[AnnotatedToken, int] = {}
+    table = _LineTable()
     documents = []
     for meta, lines, *label in sources:
         where = label[0] if label else meta.id
-        ids: list[int] = []
-        ends: list[int] = []
-        for lineno, raw in enumerate(lines, start=1):
-            tid = line_ids.get(raw)
-            if tid is None:
-                tid = line_ids[raw] = _line_id(raw, vocabulary, f"{where}: line {lineno}")
-            if tid >= 0:
-                ids.append(tid)
-            elif tid == _VERSE_BREAK and len(ids) > (ends[-1] if ends else 0):
-                ends.append(len(ids))
-        if not ids:
+        try:
+            codes = np.fromiter(map(table.__getitem__, lines), np.int32)
+        except _MalformedLine as bad:
+            raw, n_fields = bad.args
+            if hasattr(lines, "seek"):  # the line's number comes from a second read
+                lines.seek(0)
+            lineno = next((n for n, line in enumerate(lines, start=1) if line == raw), "?")
+            raise CorpusFormatError(
+                f"{where}: line {lineno}: expected FORM<TAB>LEMMA<TAB>POS, got {n_fields} field(s)"
+            ) from None
+        others = np.flatnonzero(codes < 0)
+        type_ids = np.delete(codes, others)
+        if not len(type_ids):
             raise CorpusFormatError(f"{where}: empty document")
-        if len(ids) > (ends[-1] if ends else 0):
-            ends.append(len(ids))
-        documents.append(Document(meta, np.array(ids, np.int32), np.array(ends, np.int32)))
+        # The i-th non-token line, at index p, has p - i tokens before it. A
+        # verse ends at each blank line after a token, and after the last token.
+        ends = (others - np.arange(len(others)))[codes[others] == _VERSE_BREAK]
+        ends = np.append(ends, len(type_ids))
+        verse_ends = ends[np.diff(ends, prepend=0) > 0].astype(np.int32)
+        documents.append(Document(meta, type_ids, verse_ends))
     documents.sort(key=lambda doc: doc.meta.id)
-    return Corpus(documents=tuple(documents), types=tuple(vocabulary))
+    return Corpus(documents=tuple(documents), types=tuple(table.vocabulary))
 
 
 def read_utf8(path: str | Path) -> str:
@@ -275,9 +297,18 @@ def load_manifest(manifest_path: str | Path) -> Corpus:
     rows = [_parse_manifest_row(row, manifest_path, reader.line_num) for row in reader]
     if not rows:
         raise CorpusFormatError(f"manifest is empty: {manifest_path}")
-    return parse_corpus(
-        (meta, io.StringIO(read_utf8(path), newline=None), path) for meta, path in rows
-    )
+    try:
+        return parse_corpus(_token_files(rows))
+    except (OSError, UnicodeDecodeError):
+        for _, path in rows:  # the first file that cannot be read whole raises naming it
+            read_utf8(path)
+        raise
+
+
+def _token_files(rows: list[tuple[DocumentMeta, Path]]) -> Iterator[tuple]:
+    for meta, path in rows:
+        with open(path, encoding="utf-8", newline=None) as fh:
+            yield meta, fh, path
 
 
 def filter_corpus(corpus: Corpus, min_tokens: int, min_plays_per_author: int) -> Corpus:

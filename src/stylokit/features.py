@@ -13,6 +13,11 @@ itself (tokens, rhyme positions, affix occurrences, n-gram windows),
 except for function words, whose counts are divided by the document's
 lexical token total so that rarely-used list words keep their
 corpus-level scale.
+
+Feature and distance matrices go to disk through one row writer,
+``write_float_rows``: each line is a single %-format of the row over
+``FLOAT_FORMAT``, the one float spec, and only the doc id goes through
+the csv module's quoting.
 """
 
 from __future__ import annotations
@@ -235,9 +240,13 @@ def build_matrix(corpus: Corpus, spec: FeatureSpec) -> FeatureMatrix:
     return FeatureMatrix(corpus.doc_ids, names, counts.astype(float) / safe[:, None])
 
 
+# The one on-disk float format: a decimal with 12 significant digits.
+FLOAT_FORMAT = "%.12g"
+
+
 def format_value(v: float) -> str:
-    """Decimal with 12 significant digits, the fixed on-disk float format."""
-    return format(float(v), ".12g")
+    """One value in FLOAT_FORMAT, for the tables written cell by cell."""
+    return FLOAT_FORMAT % v
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -248,9 +257,35 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
         writer.writerows(rows)
 
 
+def _csv_head(text: str, alone: bool) -> str:
+    """text as the csv module writes it first in a row: quoted only if it must be.
+
+    The module quotes an empty field alone in its row, so a doc id with no
+    values after it is quoted as a row of its own.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text,) if alone else (text, ""))
+    return buf.getvalue()[: -1 if alone else -2]
+
+
+def write_float_rows(
+    path: str | Path, header: Sequence[str], doc_ids: Sequence[str], values: np.ndarray
+) -> None:
+    """The ``write_csv`` layout for one doc id and one row of floats per line.
+
+    Each line is one %-format of the row, built once per table from
+    FLOAT_FORMAT; only the doc id goes through the csv module's quoting.
+    Rows are converted one at a time, so no second copy of the table is held.
+    """
+    line = "%s" + ("," + FLOAT_FORMAT) * values.shape[1] + "\n"
+    with open_output(path) as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for doc, row in zip(doc_ids, values):
+            fh.write(line % (_csv_head(doc, not values.shape[1]), *row.tolist()))
+
+
 def write_matrix_csv(matrix: FeatureMatrix, path: str | Path) -> None:
-    rows = ([doc, *map(format_value, row)] for doc, row in zip(matrix.doc_ids, matrix.values))
-    write_csv(path, ("doc_id", *matrix.feature_names), rows)
+    write_float_rows(path, ("doc_id", *matrix.feature_names), matrix.doc_ids, matrix.values)
 
 
 def load_word_list(path: str | Path) -> tuple[str, ...]:

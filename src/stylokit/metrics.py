@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AnalysisError
-from .features import FeatureMatrix, check_row_order, degenerate, format_value, write_csv
+from .features import FeatureMatrix, check_row_order, degenerate, write_float_rows
 
 __all__ = ["Measure", "DistanceMatrix", "compute_distance", "write_distance_csv"]
 
@@ -120,5 +120,4 @@ def compute_distance(matrix: FeatureMatrix, measure: Measure | str) -> DistanceM
 
 
 def write_distance_csv(dist: DistanceMatrix, path: str | Path) -> None:
-    rows = ([doc, *map(format_value, row)] for doc, row in zip(dist.doc_ids, dist.values))
-    write_csv(path, ("doc_id", *dist.doc_ids), rows)
+    write_float_rows(path, ("doc_id", *dist.doc_ids), dist.doc_ids, dist.values)

@@ -7,10 +7,14 @@ functions. Keep it that way.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
 from scipy.integrate import quad
+
+from stylokit.corpus import Corpus, Document, normalize_token
+from stylokit.errors import CorpusFormatError
 
 
 def naive_ward(values: np.ndarray, ids: tuple[str, ...], variant: str = "ward2"):
@@ -243,3 +247,57 @@ def naive_family_matrix(docs, kind: str, function_words=()) -> tuple[tuple[str, 
         for counts, denominator in per_doc
     ]
     return tuple(names), np.array(rows, dtype=float).reshape(len(docs), len(names))
+
+
+def naive_parse_corpus(sources):
+    """parse_corpus as a per-line loop: look up each raw line, normalize it on first sight.
+
+    Returns the Corpus, or raises CorpusFormatError with the same message.
+    """
+    skipped, verse_break = -1, -2
+    line_ids: dict = {}
+    vocabulary: dict = {}
+    documents = []
+    for meta, lines, *label in sources:
+        where = label[0] if label else meta.id
+        ids: list[int] = []
+        ends: list[int] = []
+        for lineno, raw in enumerate(lines, start=1):
+            if raw not in line_ids:
+                line = raw.rstrip("\r\n")
+                if line.startswith("#"):
+                    line_ids[raw] = skipped
+                elif not line.strip():
+                    line_ids[raw] = verse_break
+                else:
+                    fields = line.split("\t")
+                    if len(fields) != 3:
+                        raise CorpusFormatError(
+                            f"{where}: line {lineno}: expected FORM<TAB>LEMMA<TAB>POS, "
+                            f"got {len(fields)} field(s)"
+                        )
+                    token = normalize_token(*fields)
+                    line_ids[raw] = (
+                        skipped if token is None else vocabulary.setdefault(token, len(vocabulary))
+                    )
+            tid = line_ids[raw]
+            if tid >= 0:
+                ids.append(tid)
+            elif tid == verse_break and len(ids) > (ends[-1] if ends else 0):
+                ends.append(len(ids))
+        if not ids:
+            raise CorpusFormatError(f"{where}: empty document")
+        if len(ids) > (ends[-1] if ends else 0):
+            ends.append(len(ids))
+        documents.append(Document(meta, np.array(ids, np.int32), np.array(ends, np.int32)))
+    documents.sort(key=lambda doc: doc.meta.id)
+    return Corpus(documents=tuple(documents), types=tuple(vocabulary))
+
+
+def naive_write_float_rows(path, header, doc_ids, values) -> None:
+    """A doc id and a row of floats per line, each cell through format() and csv.writer."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for doc, row in zip(doc_ids, values):
+            writer.writerow([doc, *(format(float(v), ".12g") for v in row)])

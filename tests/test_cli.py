@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, example, given, settings, strategies as st
 
 from stylokit import features
 from stylokit.cli import main
@@ -230,6 +230,21 @@ def test_cluster_outputs(corpus_dir, tmp_path, capsys):
     assert svg.startswith("<svg") and "auth00_doc00" in svg
 
 
+def test_failed_rerun_leaves_no_run_json(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [
+        "cluster", "--manifest", str(corpus_dir / "manifest.csv"),
+        "--fw-list", str(corpus_dir / "function_words.txt"), "--out", str(out),
+    ]
+    assert main([*argv, "--k", "5"]) == 0
+    assert (out / "run.json").exists()
+    (out / "dendrogram.svg").unlink()
+    (out / "dendrogram.svg").mkdir()
+    assert main([*argv, "--k", "2"]) == 2
+    assert f"{out / 'dendrogram.svg'}: cannot write" in capsys.readouterr().err
+    assert not (out / "run.json").exists()
+
+
 def test_cluster_rerun_byte_identical(corpus_dir, tmp_path):
     out = tmp_path / "run"
     argv = [
@@ -420,16 +435,26 @@ def row_order_reference(corpus_dir, tmp_path_factory):
     return _row_order_outputs(corpus_dir, corpus_dir / "manifest.csv", out)
 
 
+N_MANIFEST_ROWS = 30  # the 5 x 6 plays of corpus_dir
+
+
+# Every example runs a dozen commands, so a failure is reported as found:
+# shrinking a permutation would rerun them for minutes.
 @settings(
-    max_examples=3, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    max_examples=3,
+    deadline=None,
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(st.randoms(use_true_random=False))
+@given(st.permutations(range(N_MANIFEST_ROWS)))
+@example(list(reversed(range(N_MANIFEST_ROWS))))
 def test_cluster_invariant_under_manifest_row_order(
-    corpus_dir, row_order_reference, tmp_path_factory, rnd
+    corpus_dir, row_order_reference, tmp_path_factory, order
 ):
     with open(corpus_dir / "manifest.csv", encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    rnd.shuffle(rows)
+    assert len(rows) == N_MANIFEST_ROWS
+    rows = [rows[i] for i in order]
     work = tmp_path_factory.mktemp("shuffled")
     shuffled = work / "manifest.csv"
     with open(shuffled, "w", encoding="utf-8", newline="") as fh:

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import io
+from contextlib import ExitStack
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from _oracles import naive_parse_corpus
 from conftest import make_corpus, make_doc, verses_of, write_token_file
 from stylokit import corpus as corpus_module
 from stylokit.corpus import (
@@ -260,3 +264,126 @@ def test_load_manifest_round_trip(tmp_path, synth_dir):
     assert len(corpus) == 30
     assert corpus.documents[0].meta.alleged_author == "author00"
     assert all(doc.token_count >= 5000 for doc in corpus)
+
+
+def _write_manifest(directory, token_files: dict[str, bytes]):
+    """A manifest of one play per token file, in the order given, named play0, play1, ..."""
+    rows = ["id,title,author,genre,form,acts,year,path\n"]
+    for i, (name, data) in enumerate(token_files.items()):
+        (directory / name).write_bytes(data)
+        rows.append(f"play{i},t,a,g,verse,5,1660,{name}\n")
+    manifest = directory / "manifest.csv"
+    manifest.write_text("".join(rows), encoding="utf-8")
+    return manifest
+
+
+def _snapshot(corpus: Corpus):
+    """Everything a corpus holds, in a form that compares by value."""
+    return corpus.types, [
+        (d.meta, d.type_ids.dtype, d.type_ids.tolist(), d.verse_ends.dtype, d.verse_ends.tolist())
+        for d in corpus
+    ]
+
+
+# Long enough that line ends fall on both sides of the reader's 8 KiB chunks.
+LF_TEXT = "".join(
+    f"# verse {i}\nLe\tle\tDETdef\nRoi{i % 7},\troi\tNOMcom\nAlcandre\talcandre\tNOMpro\n\n\n"
+    for i in range(400)
+) + "dort\tdormir\tVERcjg\n"
+
+
+@pytest.mark.parametrize("line_end", ["\r\n", "\r", "mixed", "no-final"])
+def test_line_ends_do_not_change_the_corpus(tmp_path, line_end):
+    if line_end == "mixed":
+        lines = LF_TEXT.splitlines()
+        text = "".join(line + ("\n", "\r\n", "\r")[i % 3] for i, line in enumerate(lines))
+    elif line_end == "no-final":
+        text = LF_TEXT[:-1]
+    else:
+        text = LF_TEXT.replace("\n", line_end)
+    lf, other = tmp_path / "lf", tmp_path / "other"
+    lf.mkdir()
+    other.mkdir()
+    expected = load_manifest(_write_manifest(lf, {"x.tsv": LF_TEXT.encode()}))
+    again = load_manifest(_write_manifest(other, {"x.tsv": text.encode()}))
+    assert _snapshot(again) == _snapshot(expected)
+
+
+def test_malformed_line_first_seen_in_the_second_document_names_that_file(tmp_path):
+    manifest = _write_manifest(tmp_path, {
+        "one.tsv": b"a\ta\tNOMcom\nb\tb\tNOMcom\n\n",
+        # Lines 1-3 repeat lines of one.tsv, so the table already holds them.
+        "two.tsv": b"a\ta\tNOMcom\n\nb\tb\tNOMcom\ngloire\tNOMcom\na\ta\tNOMcom\n",
+    })
+    with pytest.raises(CorpusFormatError) as excinfo:
+        load_manifest(manifest)
+    assert str(excinfo.value) == (
+        f"{tmp_path / 'two.tsv'}: line 4: expected FORM<TAB>LEMMA<TAB>POS, got 2 field(s)"
+    )
+
+
+def test_bad_utf8_byte_past_the_first_8_kib_names_its_line(tmp_path):
+    data = b"gloire\tgloire\tNOMcom\n" * 600 + b"gl\xf4ire\tgloire\tNOMcom\n"
+    assert data.index(b"\xf4") > 8192
+    manifest = _write_manifest(tmp_path, {"ok.tsv": b"a\ta\tNOMcom\n", "latin1.tsv": data})
+    with pytest.raises(CorpusFormatError) as excinfo:
+        load_manifest(manifest)
+    assert str(excinfo.value).startswith(f"{tmp_path / 'latin1.tsv'}: line 601: not valid UTF-8")
+
+
+def test_token_file_that_is_a_directory_names_it(tmp_path):
+    manifest = _write_manifest(tmp_path, {"ok.tsv": b"a\ta\tNOMcom\n"})
+    (tmp_path / "dir.tsv").mkdir()
+    with open(manifest, "a", encoding="utf-8") as fh:
+        fh.write("play9,t,a,g,verse,5,1660,dir.tsv\n")
+    with pytest.raises(CorpusFormatError) as excinfo:
+        load_manifest(manifest)
+    assert str(excinfo.value).startswith(f"{tmp_path / 'dir.tsv'}: cannot read")
+
+
+FIELD = st.text(alphabet="aBé,.'’ -", max_size=4)
+TOKEN_LINE = st.builds(
+    "\t".join, st.tuples(FIELD, FIELD, st.sampled_from(["NOMcom", "NOMpro", "VERcjg"]))
+)
+# Blank, blank-looking and comment lines, and two malformed ones.
+OTHER_LINE = st.sampled_from(["", " ", "\t\t", "# note", "#a\tb", "a\tb", "a\tb\tc\td"])
+DOC_LINES = st.lists(
+    st.tuples(st.one_of(TOKEN_LINE, TOKEN_LINE, TOKEN_LINE, OTHER_LINE),
+              st.sampled_from(["\n", "\r\n", "\r"])),
+    max_size=12,
+)
+
+
+def _outcome(parse, sources):
+    """A parse's corpus snapshot, or the message of the CorpusFormatError it raised."""
+    try:
+        return _snapshot(parse(sources))
+    except CorpusFormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(DOC_LINES, min_size=1, max_size=3), st.booleans())
+def test_parse_agrees_over_files_lists_and_the_per_line_oracle(tmp_path_factory, docs, final_end):
+    """Lines end in LF, CRLF or CR, the last one maybe in nothing; ids come in reverse order.
+
+    The lists keep each line's own end, split as a file reader splits them
+    (a CR then an empty line's LF is one CRLF).
+    """
+    directory = tmp_path_factory.mktemp("parse")
+    metas = [DocumentMeta(id=f"d{len(docs) - i}") for i in range(len(docs))]
+    from_lists = []
+    for i, (meta, lines) in enumerate(zip(metas, docs)):
+        text = "".join(line + end for line, end in lines)
+        if lines and not final_end:
+            text = text[: -len(lines[-1][1])]
+        (directory / f"{i}.tsv").write_text(text, encoding="utf-8", newline="")
+        from_lists.append((meta, list(io.StringIO(text, newline="")), f"doc {i}"))
+    expected = _outcome(naive_parse_corpus, from_lists)
+    assert _outcome(parse_corpus, from_lists) == expected
+    with ExitStack() as stack:
+        from_files = [
+            (meta, stack.enter_context(open(directory / f"{i}.tsv", encoding="utf-8")), f"doc {i}")
+            for i, meta in enumerate(metas)
+        ]
+        assert _outcome(parse_corpus, from_files) == expected

@@ -4,14 +4,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from _oracles import naive_family_counts, naive_family_matrix
+from _oracles import naive_family_counts, naive_family_matrix, naive_write_float_rows
 from conftest import make_corpus, make_doc
 from stylokit.corpus import filter_corpus
 from stylokit.errors import AnalysisError
 from stylokit.features import (
     FeatureKind,
+    FeatureMatrix,
     FeatureSpec,
     Scale,
     affixes_of,
@@ -19,6 +20,7 @@ from stylokit.features import (
     candidate_function_words,
     write_matrix_csv,
 )
+from stylokit.metrics import DistanceMatrix, Measure, write_distance_csv
 
 WORDS = st.text(alphabet="abcdefgh'", min_size=1, max_size=10)
 
@@ -240,6 +242,53 @@ def test_matrix_csv_is_byte_deterministic(tmp_path, synth_corpus):
     write_matrix_csv(matrix, p1)
     write_matrix_csv(matrix, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+EXTREMES = [-0.0, 5e-324, -5e-324, 1e300, -1e300, -0.25, 0.1]
+CELLS = st.sampled_from(EXTREMES) | st.floats(allow_nan=False, allow_infinity=False)
+# Doc ids the csv module must quote: commas, quotes, line ends, the empty id.
+DOC_IDS = st.lists(st.text(alphabet='ab,"q \n\r', max_size=4), min_size=1, max_size=5, unique=True)
+
+
+@st.composite
+def float_tables(draw, square: bool = False):
+    """Strictly increasing doc ids and a finite float row for each."""
+    ids = tuple(sorted(draw(DOC_IDS)))
+    n_cols = len(ids) if square else draw(st.integers(0, 6))
+    cells = draw(st.lists(CELLS, min_size=len(ids) * n_cols, max_size=len(ids) * n_cols))
+    return ids, np.array(cells, dtype=float).reshape(len(ids), n_cols)
+
+
+QUOTED = (("", "a,b", 'q"x'), np.array([EXTREMES[:3], EXTREMES[3:6], [0.0, -1.5, 1e-5]]))
+
+
+def _oracle_bytes(directory, header, ids, values) -> bytes:
+    naive_write_float_rows(directory / "oracle.csv", header, ids, values)
+    return (directory / "oracle.csv").read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(float_tables())
+@example(QUOTED)
+@example((("",), np.zeros((1, 0))))
+def test_matrix_csv_matches_the_per_cell_oracle(tmp_path_factory, table):
+    ids, values = table
+    names = tuple(f"f,{j}" for j in range(values.shape[1]))
+    directory = tmp_path_factory.mktemp("matrix_csv")
+    write_matrix_csv(FeatureMatrix(ids, names, values), directory / "matrix.csv")
+    expected = _oracle_bytes(directory, ("doc_id", *names), ids, values)
+    assert (directory / "matrix.csv").read_bytes() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(float_tables(square=True))
+@example(QUOTED)
+def test_distance_csv_matches_the_per_cell_oracle(tmp_path_factory, table):
+    ids, values = table
+    directory = tmp_path_factory.mktemp("distance_csv")
+    write_distance_csv(DistanceMatrix(ids, values, Measure.BURROWS_DELTA), directory / "distance.csv")
+    expected = _oracle_bytes(directory, ("doc_id", *ids), ids, values)
+    assert (directory / "distance.csv").read_bytes() == expected
 
 
 def test_feature_spec_validation():
