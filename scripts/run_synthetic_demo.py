@@ -16,6 +16,7 @@ import argparse
 import tempfile
 from pathlib import Path
 
+from stylokit.cli import SWEEP_CUTOFFS
 from stylokit.corpus import filter_corpus, load_manifest
 from stylokit.evaluate import cluster_purity, eta_table, robustness_sweep
 from stylokit.features import FeatureKind, FeatureSpec, load_word_list
@@ -29,8 +30,6 @@ FAMILIES = {
     "affixes": FeatureSpec(kind=FeatureKind.AFFIX),
     "POS 3-grams": FeatureSpec(kind=FeatureKind.POS_NGRAM),
 }
-
-SWEEP_CUTOFFS = [0.01, 0.10, 0.25, 0.50, 0.75, 1.00]
 
 
 def main() -> None:

@@ -1,9 +1,12 @@
 """Command-line surface for the attribution pipeline.
 
 Subcommands: extract, select, cluster, eta, sweep, synth. Every command
-writes a ``run.json`` reproducibility record beside its outputs and is
-deterministic: identical inputs and flags give byte-identical files.
-Exit codes: 0 success, 1 analysis error, 2 input/format error.
+runs one flow in ``main``: make ``--out``, remove a ``run.json`` left by
+an earlier run, run the command, and write the ``run.json``
+reproducibility record last, so it exists only beside a completed run.
+Commands are deterministic: identical inputs and flags give
+byte-identical files. Exit codes: 0 success, 1 analysis error, 2
+input/format error.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from .cluster import to_dot, to_newick, write_text
 from .corpus import Corpus, filter_corpus, load_manifest, make_output_dir
 from .errors import AnalysisError, CorpusFormatError
 from .evaluate import (
-    SweepRow,
     cluster_purity,
     eta_table,
     format_p_value,
@@ -97,82 +99,47 @@ def _parse_cutoffs(value: str) -> tuple[float, ...]:
     return cutoffs
 
 
-def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--manifest", required=True, help="corpus manifest CSV")
-    parser.add_argument("--min-tokens", type=_at_least(int, 0), default=5000,
-                        help="shortest play kept")
-    parser.add_argument("--min-plays", type=_at_least(int, 1), default=3,
-                        help="fewest plays per author kept")
-
-
-def _add_feature_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--features", choices=sorted(_FEATURE_FLAGS), default="fw")
-    parser.add_argument("--fw-list", default=None, help="function-word list file (one per line)")
-
-
-def _add_analysis_flags(parser: argparse.ArgumentParser, select: bool = True) -> None:
-    if select:
-        parser.add_argument("--select", type=_parse_select, default=RELIABLE,
-                            help="'reliable' or 'top:<pct>'")
-    parser.add_argument("--distance", choices=[m.value for m in Measure], default="delta")
-    parser.add_argument("--linkage", choices=["ward2", "ward1"], default="ward2")
-    parser.add_argument("--k", type=_at_least(int, 1), default=None,
-                        help="number of clusters (default: number of authors)")
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    # The flag groups commands share, each an argparse parent parser.
+    corpus, select, analysis = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    corpus.add_argument("--manifest", required=True, help="corpus manifest CSV")
+    corpus.add_argument("--min-tokens", type=_at_least(int, 0), default=5000,
+                        help="shortest play kept")
+    corpus.add_argument("--min-plays", type=_at_least(int, 1), default=3,
+                        help="fewest plays per author kept")
+    corpus.add_argument("--features", choices=sorted(_FEATURE_FLAGS), default="fw")
+    corpus.add_argument("--fw-list", default=None, help="function-word list file (one per line)")
+    select.add_argument("--select", type=_parse_select, default=RELIABLE,
+                        help="'reliable' or 'top:<pct>'")
+    analysis.add_argument("--distance", choices=[m.value for m in Measure], default="delta")
+    analysis.add_argument("--linkage", choices=["ward2", "ward1"], default="ward2")
+    analysis.add_argument("--k", type=_at_least(int, 1), default=None,
+                          help="number of clusters (default: number of authors)")
+    groups = {"corpus": corpus, "select": select, "analysis": analysis}
+
     parser = argparse.ArgumentParser(prog="stylokit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"stylokit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("extract", help="write the feature matrix CSV")
-    _add_corpus_flags(p)
-    _add_feature_flags(p)
-    p.add_argument("--out", default="out", help="output directory")
-
-    p = sub.add_parser("select", help="write per-feature reliability diagnostics")
-    _add_corpus_flags(p)
-    _add_feature_flags(p)
-    p.add_argument("--out", default="out")
-
-    p = sub.add_parser("cluster", help="full pipeline: dendrogram, assignment, summary")
-    _add_corpus_flags(p)
-    _add_feature_flags(p)
-    _add_analysis_flags(p)
-    p.add_argument("--out", default="out")
-
-    p = sub.add_parser("eta", help="rank features by correlation with the clusters")
-    _add_corpus_flags(p)
-    _add_feature_flags(p)
-    _add_analysis_flags(p)
-    p.add_argument("--out", default="out")
-
-    p = sub.add_parser("sweep", help="frequency-cutoff robustness table")
-    _add_corpus_flags(p)
-    _add_feature_flags(p)
-    _add_analysis_flags(p, select=False)
-    p.add_argument("--cutoffs", type=_parse_cutoffs,
-                   default=",".join(str(c) for c in SWEEP_CUTOFFS),
-                   help="comma-separated fractions in (0,1]")
-    p.add_argument("--out", default="out")
-
-    p = sub.add_parser("synth", help="generate a seeded synthetic corpus")
-    p.add_argument("--seed", type=_at_least(int, 0), required=True)
-    p.add_argument("--authors", type=_at_least(int, 2), default=5)
-    p.add_argument("--docs-per-author", type=_at_least(int, 2), default=6)
-    p.add_argument("--separation", type=_at_least(float, 0.0), default=1.0)
-    p.add_argument("--out", default="out")
+    commands = {}
+    for name, (_, help_text, group_names) in _COMMANDS.items():
+        commands[name] = sub.add_parser(name, help=help_text,
+                                        parents=[groups[g] for g in group_names])
+        commands[name].add_argument("--out", default="out", help="output directory")
+    commands["sweep"].add_argument(
+        "--cutoffs", type=_parse_cutoffs, default=",".join(str(c) for c in SWEEP_CUTOFFS),
+        help="comma-separated fractions in (0,1]",
+    )
+    synth = commands["synth"]
+    synth.add_argument("--seed", type=_at_least(int, 0), required=True)
+    synth.add_argument("--authors", type=_at_least(int, 2), default=5)
+    synth.add_argument("--docs-per-author", type=_at_least(int, 2), default=6)
+    synth.add_argument("--separation", type=_at_least(float, 0.0), default=1.0)
     return parser
 
 
 def _config_record(args: argparse.Namespace) -> dict:
-    config = {}
-    for key, value in sorted(vars(args).items()):
-        if key == "command":
-            continue
-        if isinstance(value, tuple):
-            value = list(value)
-        config[key] = value
+    config = {key: list(value) if isinstance(value, tuple) else value
+              for key, value in vars(args).items() if key != "command"}
     return {"command": args.command, "config": config, "tool": "stylokit", "version": __version__}
 
 
@@ -216,25 +183,18 @@ def _run(
     return corpus, result
 
 
-def _cmd_extract(args: argparse.Namespace) -> int:
-    out = _output_dir(args)
-    corpus = _load_corpus(args)
-    matrix = build_matrix(corpus, _feature_spec(args))
+def _cmd_extract(args: argparse.Namespace, out: Path) -> None:
+    matrix = build_matrix(_load_corpus(args), _feature_spec(args))
     write_matrix_csv(matrix, out / "matrix.csv")
-    _write_run_record(args, out)
     print(f"{matrix.n_docs} docs, {matrix.n_features} features")
-    return 0
 
 
-def _cmd_select(args: argparse.Namespace) -> int:
-    out = _output_dir(args)
+def _cmd_select(args: argparse.Namespace, out: Path) -> None:
     corpus = _load_corpus(args)
     matrix = build_matrix(corpus, _feature_spec(args))
     _, report = apply_selection(matrix, RELIABLE, shortest_document_length(corpus))
     write_selection_csv(report, out / "selection.csv")
-    _write_run_record(args, out)
     print(f"{len(report.retained)} of {matrix.n_features} features retained")
-    return 0
 
 
 def _write_assignment_csv(assignment: dict[str, int], truth: dict[str, str], path: Path) -> None:
@@ -245,8 +205,7 @@ def _write_assignment_csv(assignment: dict[str, int], truth: dict[str, str], pat
     )
 
 
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    out = _output_dir(args)
+def _cmd_cluster(args: argparse.Namespace, out: Path) -> None:
     corpus, result = _run(args, args.select)
     truth = corpus.alleged_authors()
     purity = cluster_purity(result.assignment, truth).purity
@@ -270,80 +229,69 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         "purity": purity,
     }
     write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n", out / "summary.json")
-    _write_run_record(args, out)
     print(
         f"{result.matrix.n_docs} docs, {result.selected.n_features} features, "
         f"k={result.k}, AC={result.dendrogram.ac:.3f}, purity={purity:.3f}"
     )
-    return 0
 
 
-def _cmd_eta(args: argparse.Namespace) -> int:
-    out = _output_dir(args)
+def _cmd_eta(args: argparse.Namespace, out: Path) -> None:
     _, result = _run(args, args.select)
     rows = eta_table(result.selected, result.assignment)
     write_eta_csv(rows, out / "eta.csv")
-    _write_run_record(args, out)
     for row in rows[:10]:
         print(f"{row.feature}\t{row.eta_squared:.3f}\t{format_p_value(row.p_value)}")
-    return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    out = _output_dir(args)
+def _cmd_sweep(args: argparse.Namespace, out: Path) -> None:
     corpus, reference = _run(args, RELIABLE)
     truth = corpus.alleged_authors()
     reference_purity = cluster_purity(reference.assignment, truth).purity
     rows = robustness_sweep(reference, truth, args.cutoffs)
-    reference_row = SweepRow(
-        cutoff=float("nan"),
-        n_features=reference.selected.n_features,
-        purity_authors=reference_purity,
-        purity_reference=None,
-    )
-    write_sweep_csv(rows, out / "sweep.csv", reference_row=reference_row)
-    _write_run_record(args, out)
+    write_sweep_csv(rows, out / "sweep.csv", reference.selected.n_features, reference_purity)
     for row in rows:
         pa = "-" if row.purity_authors is None else f"{row.purity_authors:.3f}"
         print(f"{row.cutoff:g}\t{row.n_features}\t{pa}\t{row.note}")
     print(f"RS\t{reference.selected.n_features}\t{reference_purity:.3f}")
-    return 0
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
-    out = _output_dir(args)
+def _cmd_synth(args: argparse.Namespace, out: Path) -> None:
     config = SynthConfig(
         seed=args.seed,
         n_authors=args.authors,
         docs_per_author=args.docs_per_author,
         separation=args.separation,
     )
-    manifest = generate_corpus(config, out)
-    _write_run_record(args, out)
-    print(f"wrote {manifest}")
-    return 0
+    print(f"wrote {generate_corpus(config, out)}")
 
 
+# Each command: the function that runs it, its help text and the flag groups it takes.
 _COMMANDS = {
-    "extract": _cmd_extract,
-    "select": _cmd_select,
-    "cluster": _cmd_cluster,
-    "eta": _cmd_eta,
-    "sweep": _cmd_sweep,
-    "synth": _cmd_synth,
+    "extract": (_cmd_extract, "write the feature matrix CSV", ["corpus"]),
+    "select": (_cmd_select, "write per-feature reliability diagnostics", ["corpus"]),
+    "cluster": (_cmd_cluster, "full pipeline: dendrogram, assignment, summary",
+                ["corpus", "select", "analysis"]),
+    "eta": (_cmd_eta, "rank features by correlation with the clusters",
+            ["corpus", "select", "analysis"]),
+    "sweep": (_cmd_sweep, "frequency-cutoff robustness table", ["corpus", "analysis"]),
+    "synth": (_cmd_synth, "generate a seeded synthetic corpus", []),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    command = _COMMANDS[args.command][0]
     try:
-        return _COMMANDS[args.command](args)
+        out = _output_dir(args)
+        command(args, out)
+        _write_run_record(args, out)
     except CorpusFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -166,32 +166,30 @@ def _newick_label(name: str) -> str:
 
 
 def to_newick(dend: Dendrogram) -> str:
-    """Newick string with branch lengths equal to height differences."""
+    """Newick string with branch lengths equal to height differences.
+
+    One pass over the merges, which come after both their children, so
+    the tree's depth costs no recursion.
+    """
     n = dend.n_leaves
+    text = {i: _newick_label(leaf) for i, leaf in enumerate(dend.leaves)}
+    height = [0.0] * n + [merge.height for merge in dend.merges]
 
-    def height_of(node: int) -> float:
-        return 0.0 if node < n else dend.merges[node - n].height
+    def branch(child: int, parent: int) -> str:
+        return f"{text.pop(child)}:{format(height[parent] - height[child], '.12g')}"
 
-    def render(node: int, parent_height: float) -> str:
-        branch = format(parent_height - height_of(node), ".12g")
-        if node < n:
-            return f"{_newick_label(dend.leaves[node])}:{branch}"
-        merge = dend.merges[node - n]
-        inner = f"({render(merge.left, merge.height)},{render(merge.right, merge.height)})"
-        return f"{inner}:{branch}"
-
-    merge = dend.merges[-1]
-    left = render(merge.left, merge.height)
-    right = render(merge.right, merge.height)
-    return f"({left},{right});\n"
+    for t, merge in enumerate(dend.merges):
+        text[n + t] = f"({branch(merge.left, n + t)},{branch(merge.right, n + t)})"
+    return text[2 * n - 2] + ";\n"
 
 
 def to_dot(dend: Dendrogram) -> str:
-    """Graphviz rendering of the merge tree, top node last."""
+    """Graphviz rendering of the merge tree, top node last; labels escape backslash and quote."""
     n = dend.n_leaves
     lines = ["graph dendrogram {", "  node [shape=box, fontsize=10];"]
     for i, doc in enumerate(dend.leaves):
-        lines.append(f'  n{i} [label="{doc}"];')
+        label = doc.replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  n{i} [label="{label}"];')
     for t, merge in enumerate(dend.merges):
         node = n + t
         height = format(merge.height, ".6g")
@@ -205,19 +203,12 @@ def to_dot(dend: Dendrogram) -> str:
 
 
 def leaf_order(dend: Dendrogram) -> list[int]:
-    """Display order of leaves: depth-first, left child before right."""
-    order: list[int] = []
-
-    def walk(node: int) -> None:
-        if node < dend.n_leaves:
-            order.append(node)
-            return
-        merge = dend.merges[node - dend.n_leaves]
-        walk(merge.left)
-        walk(merge.right)
-
-    walk(dend.n_leaves + len(dend.merges) - 1)
-    return order
+    """Display order of leaves: depth-first, left child before right, built merge by merge."""
+    n = dend.n_leaves
+    order = {i: [i] for i in range(n)}
+    for t, merge in enumerate(dend.merges):
+        order[n + t] = order.pop(merge.left) + order.pop(merge.right)
+    return order[2 * n - 2]
 
 
 def write_text(content: str, path: str | Path) -> None:

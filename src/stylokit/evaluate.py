@@ -261,9 +261,9 @@ def robustness_sweep(
 
 
 def write_sweep_csv(
-    rows: Sequence[SweepRow], path: str | Path, reference_row: SweepRow | None = None
+    rows: Sequence[SweepRow], path: str | Path, reference_features: int, reference_purity: float
 ) -> None:
-    """Sweep table; the reference-selection row, when given, closes the file."""
+    """Sweep table, closed by the reference-selection ("RS") row: its feature count and purity."""
 
     def fmt(p: float | None) -> str:
         return "" if p is None else format_value(p)
@@ -272,6 +272,5 @@ def write_sweep_csv(
         [format_value(row.cutoff), row.n_features, fmt(row.purity_authors), fmt(row.purity_reference)]
         for row in rows
     ]
-    if reference_row is not None:
-        table.append(["RS", reference_row.n_features, fmt(reference_row.purity_authors), ""])
+    table.append(["RS", reference_features, format_value(reference_purity), ""])
     write_csv(path, ["cutoff", "n_features", "purity_authors", "purity_reference"], table)

@@ -62,15 +62,15 @@ class FeatureSpec:
             raise ValueError("function-word extraction needs a non-empty word list")
 
 
-def affixes_of(form: str, min_word_len: int = AFFIX_MIN_WORD_LEN) -> list[str]:
+def affixes_of(form: str) -> list[str]:
     """Edge-anchored character 3-grams plus interword-space 2-grams.
 
-    Words of at least ``min_word_len`` characters yield ``^xxx`` and
+    Words of at least ``AFFIX_MIN_WORD_LEN`` characters yield ``^xxx`` and
     ``xxx$``; every word yields ``_xx`` and ``xx_`` from whatever
     characters it has (a one-letter word degenerates to ``_x`` / ``x_``).
     """
     out = []
-    if len(form) >= min_word_len:
+    if len(form) >= AFFIX_MIN_WORD_LEN:
         out.append("^" + form[:3])
         out.append(form[-3:] + "$")
     out.append("_" + form[:2])
@@ -160,8 +160,8 @@ def _type_counts(corpus: Corpus, verse_ends_only: bool = False) -> np.ndarray:
     return counts
 
 
-def _pos_ngram_counts(corpus: Corpus, n: int = POS_NGRAM_N) -> tuple[np.ndarray, list[list[str]]]:
-    """docs x distinct POS n-gram counts, and each column's name.
+def _pos_ngram_counts(corpus: Corpus) -> tuple[np.ndarray, list[list[str]]]:
+    """docs x distinct POS n-gram counts (n = ``POS_NGRAM_N``), and each column's name.
 
     Verse boundaries do not break the window, and proper-name tokens stay
     in: their tag is part of the sequence signal. Each window is coded as
@@ -174,8 +174,8 @@ def _pos_ngram_counts(corpus: Corpus, n: int = POS_NGRAM_N) -> tuple[np.ndarray,
     per_doc = []
     for doc in corpus:
         tags = type_tags[doc.type_ids]
-        codes = np.zeros(max(len(tags) - n + 1, 0), dtype=np.int64)
-        for k in range(n):
+        codes = np.zeros(max(len(tags) - POS_NGRAM_N + 1, 0), dtype=np.int64)
+        for k in range(POS_NGRAM_N):
             codes = codes * len(tag_ids) + tags[k : k + len(codes)]
         per_doc.append(np.unique(codes, return_counts=True))
     all_codes = np.unique(np.concatenate([codes for codes, _ in per_doc]))
@@ -183,7 +183,7 @@ def _pos_ngram_counts(corpus: Corpus, n: int = POS_NGRAM_N) -> tuple[np.ndarray,
     for row, (codes, n_codes) in zip(counts, per_doc):
         row[np.searchsorted(all_codes, codes)] = n_codes
     tags = list(tag_ids)
-    places = [len(tags) ** (n - 1 - k) for k in range(n)]
+    places = [len(tags) ** (POS_NGRAM_N - 1 - k) for k in range(POS_NGRAM_N)]
     names = [[".".join(tags[code // p % len(tags)] for p in places)] for code in all_codes.tolist()]
     return counts, names
 

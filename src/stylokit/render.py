@@ -24,12 +24,20 @@ def _fmt(v: float) -> str:
     return format(v, ".6g")
 
 
+def _escape(text: str) -> str:
+    # xml.sax.saxutils.escape would import urllib and http into every command.
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def dendrogram_svg(
     dend: Dendrogram,
     truth: Mapping[str, str] | None = None,
     caption: str = "",
 ) -> str:
-    """Horizontal dendrogram; leaf labels colored by truth label when given."""
+    """Horizontal dendrogram; leaf labels colored by truth label when given.
+
+    Leaf labels and the caption are XML-escaped, so any doc id gives a well-formed file.
+    """
     n = dend.n_leaves
     order = leaf_order(dend)
     row_of = {leaf: i for i, leaf in enumerate(order)}
@@ -62,7 +70,7 @@ def dendrogram_svg(
     if caption:
         lines.append(
             f'<text x="{MARGIN}" y="{CAPTION_HEIGHT - 8}" font-family="monospace" '
-            f'font-size="12">{caption}</text>'
+            f'font-size="12">{_escape(caption)}</text>'
         )
     for leaf in range(n):
         doc = dend.leaves[leaf]
@@ -70,7 +78,7 @@ def dendrogram_svg(
         _, y = pos[leaf]
         lines.append(
             f'<text x="{MARGIN + LABEL_ZONE - 6}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="monospace" font-size="11" fill="{color}">{doc}</text>'
+            f'font-family="monospace" font-size="11" fill="{color}">{_escape(doc)}</text>'
         )
 
     path_bits = []

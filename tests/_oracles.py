@@ -13,6 +13,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from stylokit.cluster import _newick_label
 from stylokit.corpus import Corpus, Document, normalize_token
 from stylokit.errors import CorpusFormatError
 
@@ -189,6 +190,37 @@ def leaf_members(dend, node: int) -> tuple[int, ...]:
         return (node,)
     merge = dend.merges[node - dend.n_leaves]
     return tuple(sorted(leaf_members(dend, merge.left) + leaf_members(dend, merge.right)))
+
+
+def naive_to_newick(dend) -> str:
+    """Newick string by recursion from the top merge, one call per tree level."""
+    n = dend.n_leaves
+
+    def height_of(node: int) -> float:
+        return 0.0 if node < n else dend.merges[node - n].height
+
+    def render(node: int, parent_height: float) -> str:
+        branch = format(parent_height - height_of(node), ".12g")
+        if node < n:
+            return f"{_newick_label(dend.leaves[node])}:{branch}"
+        merge = dend.merges[node - n]
+        inner = f"({render(merge.left, merge.height)},{render(merge.right, merge.height)})"
+        return f"{inner}:{branch}"
+
+    merge = dend.merges[-1]
+    return f"({render(merge.left, merge.height)},{render(merge.right, merge.height)});\n"
+
+
+def naive_leaf_order(dend) -> list[int]:
+    """Leaves depth-first, left child before right, by recursion from the top merge."""
+
+    def walk(node: int) -> list[int]:
+        if node < dend.n_leaves:
+            return [node]
+        merge = dend.merges[node - dend.n_leaves]
+        return walk(merge.left) + walk(merge.right)
+
+    return walk(dend.n_leaves + len(dend.merges) - 1)
 
 
 def naive_family_counts(verses, kind: str, function_words=()) -> tuple[dict[str, int], int]:

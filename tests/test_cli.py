@@ -4,8 +4,10 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -110,6 +112,32 @@ def test_out_blocked_by_a_file_exits_2_naming_it(
     )
     assert main([command, *required, "--out", str(tmp_path / out)]) == 2
     assert f"error: {tmp_path / named}: {message}:" in capsys.readouterr().err
+    assert not (tmp_path / out / "run.json").is_file()
+
+
+CORPUS_KEYS = {"manifest", "min_tokens", "min_plays", "features", "fw_list", "out"}
+ANALYSIS_KEYS = {"distance", "linkage", "k"}
+
+
+@pytest.mark.parametrize(
+    "command, keys",
+    [
+        ("extract", CORPUS_KEYS),
+        ("select", CORPUS_KEYS),
+        ("cluster", CORPUS_KEYS | ANALYSIS_KEYS | {"select"}),
+        ("eta", CORPUS_KEYS | ANALYSIS_KEYS | {"select"}),
+        ("sweep", CORPUS_KEYS | ANALYSIS_KEYS | {"cutoffs"}),
+        ("synth", {"seed", "authors", "docs_per_author", "separation", "out"}),
+    ],
+)
+def test_run_json_records_the_flags_of_its_command(corpus_dir, tmp_path, capsys, command, keys):
+    required = {"synth": ["--seed", "1"]}.get(
+        command, ["--manifest", str(corpus_dir / "manifest.csv"), "--features", "lemma"]
+    )
+    assert main([command, *required, "--out", str(tmp_path / "out")]) == 0
+    record = json.loads((tmp_path / "out" / "run.json").read_text(encoding="utf-8"))
+    assert record["command"] == command
+    assert set(record["config"]) == keys
 
 
 @pytest.mark.parametrize(
@@ -228,6 +256,31 @@ def test_cluster_outputs(corpus_dir, tmp_path, capsys):
     assert len(assignment_lines) == 31
     svg = (out / "dendrogram.svg").read_text()
     assert svg.startswith("<svg") and "auth00_doc00" in svg
+
+
+def test_svg_and_dot_escape_awkward_doc_ids(corpus_dir, tmp_path, capsys):
+    with open(corpus_dir / "manifest.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        row["id"] += ' a&b<c"d,e\\f'
+        row["path"] = str(corpus_dir / row["path"])
+    manifest = tmp_path / "manifest.csv"
+    with open(manifest, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    out = tmp_path / "out"
+    assert main(["cluster", "--manifest", str(manifest),
+                 "--fw-list", str(corpus_dir / "function_words.txt"), "--out", str(out)]) == 0
+    ids = sorted(row["id"] for row in rows)
+
+    svg = ET.parse(out / "dendrogram.svg").getroot()
+    caption, *labels = svg.iter("{http://www.w3.org/2000/svg}text")
+    assert caption.text.startswith("features: ")
+    assert sorted(label.text for label in labels) == ids
+    dot = (out / "dendrogram.dot").read_text(encoding="utf-8")
+    quoted = re.findall(r'^  n\d+ \[label="((?:[^"\\]|\\.)*)"\];$', dot, re.MULTILINE)
+    assert [re.sub(r"\\(.)", r"\1", label) for label in quoted] == ids
 
 
 def test_failed_rerun_leaves_no_run_json(corpus_dir, tmp_path, capsys):

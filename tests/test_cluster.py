@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from _oracles import ess_ward, leaf_members, naive_ward
+from _oracles import ess_ward, leaf_members, naive_leaf_order, naive_to_newick, naive_ward
 from conftest import parsed_both_ways, random_sources
 from stylokit.cluster import (
     Dendrogram,
@@ -20,6 +22,7 @@ from stylokit.cluster import (
 from stylokit.errors import AnalysisError
 from stylokit.features import FeatureKind, FeatureSpec, build_matrix
 from stylokit.metrics import DistanceMatrix, Measure, compute_distance
+from stylokit.render import dendrogram_svg
 
 
 def _dist(values, ids=None) -> DistanceMatrix:
@@ -295,3 +298,34 @@ def test_leaf_order_covers_all_leaves():
     dend = ward_cluster(_random_dist(rng, 7))
     order = leaf_order(dend)
     assert sorted(order) == list(range(7))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=2**32 - 1),
+       st.booleans())
+def test_newick_and_leaf_order_match_the_recursive_oracle(n, seed, grid):
+    # Grid points give many tied distances, so the trees take every shape.
+    rng = np.random.default_rng(seed)
+    dend = ward_cluster(_grid_dist(rng, n) if grid else _random_dist(rng, n))
+    assert to_newick(dend) == naive_to_newick(dend)
+    assert leaf_order(dend) == naive_leaf_order(dend)
+
+
+@pytest.mark.parametrize("leaf_first", [False, True], ids=["left-deep", "right-deep"])
+def test_deep_caterpillar_tree_renders_without_recursion(leaf_first):
+    # Each merge joins the last cluster and the next leaf: 1999 levels deep.
+    n = 2000
+    merges = []
+    for t in range(n - 1):
+        pair = (0, 1) if t == 0 else (n + t - 1, t + 1)
+        left, right = pair[::-1] if leaf_first else pair
+        merges.append(Merge(left=left, right=right, height=float(t + 1), size=t + 2))
+    dend = Dendrogram(leaves=tuple(f"d{i:04d}" for i in range(n)), merges=tuple(merges), ac=0.0)
+
+    newick = to_newick(dend)
+    assert newick.count("(") == n - 1 and newick.endswith(";\n")
+    assert f"d{n - 1:04d}:{n - 1}" in newick  # the last leaf joins at the root's height
+    order = leaf_order(dend)
+    assert order == (list(range(n))[::-1] if leaf_first else list(range(n)))
+    rows = ET.fromstring(dendrogram_svg(dend)).findall("{http://www.w3.org/2000/svg}text")
+    assert [row.text for row in rows] == list(dend.leaves)

@@ -292,10 +292,8 @@ def test_sweep_csv_layout(tmp_path):
         SweepRow(cutoff=0.10, n_features=11, purity_authors=None, purity_reference=None,
                  note="insufficient features"),
     ]
-    reference = SweepRow(cutoff=float("nan"), n_features=104, purity_authors=1.0,
-                         purity_reference=None)
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(rows, path, reference_row=reference)
+    write_sweep_csv(rows, path, 104, 1.0)
     lines = path.read_text().splitlines()
     assert lines[0] == "cutoff,n_features,purity_authors,purity_reference"
     assert lines[1] == "0.01,2,0.5,0.6"
