@@ -251,7 +251,8 @@ def _cmd_sweep(args: argparse.Namespace, out: Path) -> None:
     write_sweep_csv(rows, out / "sweep.csv", reference.selected.n_features, reference_purity)
     for row in rows:
         pa = "-" if row.purity_authors is None else f"{row.purity_authors:.3f}"
-        print(f"{row.cutoff:g}\t{row.n_features}\t{pa}\t{row.note}")
+        note = "insufficient features" if row.purity_authors is None else ""
+        print(f"{row.cutoff:g}\t{row.n_features}\t{pa}\t{note}")
     print(f"RS\t{reference.selected.n_features}\t{reference_purity:.3f}")
 
 

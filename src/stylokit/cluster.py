@@ -45,7 +45,6 @@ class Merge:
     left: int
     right: int
     height: float
-    size: int
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ def ward_cluster(dist: DistanceMatrix, variant: str = WARD_SQUARED) -> Dendrogra
         state[a] = state[:, a] = row
         state[b] = state[:, b] = np.inf
         size[a] += size[b]
-        merges.append(Merge(left=node[a], right=node[b], height=height, size=int(size[a])))
+        merges.append(Merge(left=node[a], right=node[b], height=height))
         node[a] = n + step
 
     dend = Dendrogram(leaves=ids, merges=tuple(merges), ac=0.0)

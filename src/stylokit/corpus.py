@@ -67,17 +67,6 @@ class AnnotatedToken:
         return self.pos.startswith(PROPER_NOUN_PREFIX)
 
 
-@dataclass(frozen=True)
-class DocumentMeta:
-    id: str
-    title: str = ""
-    alleged_author: str = ""
-    genre: str = ""
-    form: str = "verse"
-    act_count: int = 0
-    year: int | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class Document:
     """One play as ids into its corpus's ``types``, with verse end offsets.
@@ -86,7 +75,8 @@ class Document:
     the vocabulary of the corpus that parsed them.
     """
 
-    meta: DocumentMeta
+    id: str
+    alleged_author: str
     type_ids: np.ndarray
     verse_ends: np.ndarray
 
@@ -101,7 +91,7 @@ class Corpus:
     types: tuple[AnnotatedToken, ...] = ()
 
     def __post_init__(self) -> None:
-        ids = [d.meta.id for d in self.documents]
+        ids = [d.id for d in self.documents]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise CorpusFormatError(f"duplicate document ids: {dupes}")
@@ -114,10 +104,10 @@ class Corpus:
 
     @property
     def doc_ids(self) -> tuple[str, ...]:
-        return tuple(d.meta.id for d in self.documents)
+        return tuple(d.id for d in self.documents)
 
     def alleged_authors(self) -> dict[str, str]:
-        return {d.meta.id: d.meta.alleged_author for d in self.documents}
+        return {d.id: d.alleged_author for d in self.documents}
 
 
 def normalize_token(raw_form: str, lemma: str, pos: str) -> AnnotatedToken | None:
@@ -168,7 +158,7 @@ class _LineTable(dict):
 
 
 def parse_corpus(sources: Iterable[tuple]) -> Corpus:
-    """Parse each (meta, FORM/LEMMA/POS lines[, label]) source over one shared vocabulary.
+    """Parse each (doc id, author, FORM/LEMMA/POS lines[, label]) source over one vocabulary.
 
     The lines are a list of strings or an open text file. Identical lines,
     within and across documents, get one type id. A trailing verse without
@@ -181,8 +171,8 @@ def parse_corpus(sources: Iterable[tuple]) -> Corpus:
     """
     table = _LineTable()
     documents = []
-    for meta, lines, *label in sources:
-        where = label[0] if label else meta.id
+    for doc_id, author, lines, *label in sources:
+        where = label[0] if label else doc_id
         try:
             codes = np.fromiter(map(table.__getitem__, lines), np.int32)
         except _MalformedLine as bad:
@@ -202,8 +192,8 @@ def parse_corpus(sources: Iterable[tuple]) -> Corpus:
         ends = (others - np.arange(len(others)))[codes[others] == _VERSE_BREAK]
         ends = np.append(ends, len(type_ids))
         verse_ends = ends[np.diff(ends, prepend=0) > 0].astype(np.int32)
-        documents.append(Document(meta, type_ids, verse_ends))
-    documents.sort(key=lambda doc: doc.meta.id)
+        documents.append(Document(doc_id, author, type_ids, verse_ends))
+    documents.sort(key=lambda doc: doc.id)
     return Corpus(documents=tuple(documents), types=tuple(table.vocabulary))
 
 
@@ -254,30 +244,20 @@ MANIFEST_FIELDS = ("id", "title", "author", "genre", "form", "acts", "year", "pa
 
 def _parse_manifest_row(
     row: dict[str, str], manifest_path: Path, line: int
-) -> tuple[DocumentMeta, Path]:
+) -> tuple[str, str, Path]:
+    """(doc id, alleged author, token file path) of a row; the other columns are only checked."""
     where = f"{manifest_path}: line {line}"
     if None in row or None in row.values():
         raise CorpusFormatError(f"{where}: expected {len(MANIFEST_FIELDS)} fields")
     try:
-        act_count = int(row["acts"]) if row["acts"] else 0
-        year = int(row["year"]) if row["year"] else None
+        for field in ("acts", "year"):
+            if row[field]:
+                int(row[field])
     except ValueError:
         raise CorpusFormatError(
             f"{where}: acts and year must be integers, got {row['acts']!r} and {row['year']!r}"
         ) from None
-    meta = DocumentMeta(
-        id=row["id"],
-        title=row["title"],
-        alleged_author=row["author"],
-        genre=row["genre"],
-        form=row["form"],
-        act_count=act_count,
-        year=year,
-    )
-    path = Path(row["path"])
-    if not path.is_absolute():
-        path = manifest_path.parent / path
-    return meta, path
+    return row["id"], row["author"], manifest_path.parent / row["path"]
 
 
 def load_manifest(manifest_path: str | Path) -> Corpus:
@@ -300,15 +280,15 @@ def load_manifest(manifest_path: str | Path) -> Corpus:
     try:
         return parse_corpus(_token_files(rows))
     except (OSError, UnicodeDecodeError):
-        for _, path in rows:  # the first file that cannot be read whole raises naming it
+        for *_, path in rows:  # the first file that cannot be read whole raises naming it
             read_utf8(path)
         raise
 
 
-def _token_files(rows: list[tuple[DocumentMeta, Path]]) -> Iterator[tuple]:
-    for meta, path in rows:
+def _token_files(rows: list[tuple[str, str, Path]]) -> Iterator[tuple]:
+    for doc_id, author, path in rows:
         with open(path, encoding="utf-8", newline=None) as fh:
-            yield meta, fh, path
+            yield doc_id, author, fh, path
 
 
 def filter_corpus(corpus: Corpus, min_tokens: int, min_plays_per_author: int) -> Corpus:
@@ -327,8 +307,8 @@ def filter_corpus(corpus: Corpus, min_tokens: int, min_plays_per_author: int) ->
     while True:
         counts: dict[str, int] = {}
         for d in docs:
-            counts[d.meta.alleged_author] = counts.get(d.meta.alleged_author, 0) + 1
-        kept = [d for d in docs if counts[d.meta.alleged_author] >= min_plays_per_author]
+            counts[d.alleged_author] = counts.get(d.alleged_author, 0) + 1
+        kept = [d for d in docs if counts[d.alleged_author] >= min_plays_per_author]
         if len(kept) == len(docs):
             break
         docs = kept

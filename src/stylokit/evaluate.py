@@ -13,6 +13,7 @@ feature whose values are all equal scores (0, 1).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -30,18 +31,8 @@ P_VALUE_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
-class ClusterSummary:
-    label: int
-    majority_truth: str
-    members: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class EvaluationReport:
     purity: float
-    per_cluster: tuple[ClusterSummary, ...]
-    k: int
-    n_docs: int
 
 
 @dataclass(frozen=True)
@@ -49,7 +40,6 @@ class EtaRow:
     feature: str
     eta_squared: float
     p_value: float
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -58,7 +48,6 @@ class SweepRow:
     n_features: int
     purity_authors: float | None
     purity_reference: float | None
-    note: str = ""
 
 
 def cluster_purity(assignment: ClusterAssignment, truth: Mapping[str, str]) -> EvaluationReport:
@@ -70,27 +59,11 @@ def cluster_purity(assignment: ClusterAssignment, truth: Mapping[str, str]) -> E
         )
     if not assignment:
         raise AnalysisError("cannot score an empty assignment")
-    clusters: dict[int, list[str]] = {}
+    classes: dict[int, Counter] = {}
     for doc, label in assignment.items():
-        clusters.setdefault(label, []).append(doc)
-    summaries = []
-    correct = 0
-    for label in sorted(clusters):
-        docs = sorted(clusters[label])
-        counts: dict[str, int] = {}
-        for doc in docs:
-            counts[truth[doc]] = counts.get(truth[doc], 0) + 1
-        majority = min(counts, key=lambda t: (-counts[t], t))
-        correct += counts[majority]
-        summaries.append(
-            ClusterSummary(label=label, majority_truth=majority, members=tuple(docs))
-        )
-    return EvaluationReport(
-        purity=correct / len(assignment),
-        per_cluster=tuple(summaries),
-        k=len(clusters),
-        n_docs=len(assignment),
-    )
+        classes.setdefault(label, Counter())[truth[doc]] += 1
+    correct = sum(max(counts.values()) for counts in classes.values())
+    return EvaluationReport(purity=correct / len(assignment))
 
 
 def _off_zero(v: float) -> float:
@@ -208,7 +181,7 @@ def eta_table(matrix: FeatureMatrix, assignment: ClusterAssignment) -> list[EtaR
         raise AnalysisError(f"assignment does not cover the matrix documents: {sorted(missing)}")
     labels = np.array([assignment[doc] for doc in matrix.doc_ids])
     stats = _eta_rows(matrix.by_feature(), labels)
-    rows = [EtaRow(name, *row) for name, row in zip(matrix.feature_names, stats)]
+    rows = [EtaRow(name, eta2, p) for name, (eta2, p, _) in zip(matrix.feature_names, stats)]
     rows.sort(key=lambda r: (-r.eta_squared, r.feature))
     return rows
 
@@ -238,8 +211,8 @@ def robustness_sweep(
     Every row reuses the reference's feature matrix, distance measure,
     linkage variant and k, so only the selection differs. Each row carries
     purity against the alleged authors (P-A) and against the reference
-    clustering (P-R). A cutoff leaving fewer than 2 usable features is
-    flagged, not fatal.
+    clustering (P-R). A cutoff leaving fewer than 2 usable features is not
+    fatal: its row has no purities (None).
     """
     if not cutoffs:
         raise AnalysisError("sweep needs at least one cutoff")
@@ -250,7 +223,7 @@ def robustness_sweep(
         names = select_top_frequency(matrix, cutoff)
         usable = nonconstant_features(matrix, names)
         if len(usable) < 2:
-            rows.append(SweepRow(cutoff, len(names), None, None, note="insufficient features"))
+            rows.append(SweepRow(cutoff, len(names), None, None))
             continue
         dist = compute_distance(matrix.subset(usable), reference.distance.measure)
         assignment = cut(ward_cluster(dist, reference.linkage_variant), reference.k)

@@ -290,8 +290,8 @@ def naive_parse_corpus(sources):
     line_ids: dict = {}
     vocabulary: dict = {}
     documents = []
-    for meta, lines, *label in sources:
-        where = label[0] if label else meta.id
+    for doc_id, author, lines, *label in sources:
+        where = label[0] if label else doc_id
         ids: list[int] = []
         ends: list[int] = []
         for lineno, raw in enumerate(lines, start=1):
@@ -321,8 +321,10 @@ def naive_parse_corpus(sources):
             raise CorpusFormatError(f"{where}: empty document")
         if len(ids) > (ends[-1] if ends else 0):
             ends.append(len(ids))
-        documents.append(Document(meta, np.array(ids, np.int32), np.array(ends, np.int32)))
-    documents.sort(key=lambda doc: doc.meta.id)
+        documents.append(
+            Document(doc_id, author, np.array(ids, np.int32), np.array(ends, np.int32))
+        )
+    documents.sort(key=lambda doc: doc.id)
     return Corpus(documents=tuple(documents), types=tuple(vocabulary))
 
 

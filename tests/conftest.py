@@ -7,7 +7,6 @@ from stylokit.corpus import (
     AnnotatedToken,
     Corpus,
     Document,
-    DocumentMeta,
     filter_corpus,
     load_manifest,
     parse_corpus,
@@ -20,22 +19,22 @@ SYNTH_SEPARATION = 1.5
 
 def make_doc(
     doc_id: str, verses: list[list[tuple[str, str, str]]], author: str = ""
-) -> tuple[DocumentMeta, list[str]]:
+) -> tuple[str, str, list[str]]:
     """A parse source: token lines from (form, lemma, pos) triples, one list per verse."""
     lines = []
     for verse in verses:
         lines += [f"{form}\t{lemma}\t{pos}\n" for form, lemma, pos in verse]
         lines.append("\n")
-    return DocumentMeta(id=doc_id, alleged_author=author), lines
+    return doc_id, author, lines
 
 
-def make_corpus(*docs: tuple[DocumentMeta, list[str]]) -> Corpus:
+def make_corpus(*docs: tuple[str, str, list[str]]) -> Corpus:
     return parse_corpus(docs)
 
 
 def random_sources(
     rng: np.random.Generator, n_docs: int, n_words: int = 30, n_tokens: int = 240
-) -> list[tuple[DocumentMeta, list[str]]]:
+) -> list[tuple[str, str, list[str]]]:
     """Parse sources d000, d001, ...: each draws its tokens from its own mix of one word list."""
     tags = ("NOMcom", "VERcjg", "ADJqua")
     words = [(f"w{j:02d}", f"w{j:02d}", tags[j % 3]) for j in range(n_words)]

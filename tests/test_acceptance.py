@@ -205,7 +205,7 @@ def test_criterion_10_agglomerative_coefficient():
         assert 0.0 <= dend.ac <= 1.0
     hand = Dendrogram(
         leaves=("a", "b", "c", "d"),
-        merges=(Merge(0, 1, 1.0, 2), Merge(2, 3, 1.0, 2), Merge(4, 5, 4.0, 4)),
+        merges=(Merge(0, 1, 1.0), Merge(2, 3, 1.0), Merge(4, 5, 4.0)),
         ac=0.0,
     )
     assert agglomerative_coefficient(hand) == pytest.approx(0.75, abs=1e-12)

@@ -48,9 +48,9 @@ def _hand_dendrogram() -> Dendrogram:
     return Dendrogram(
         leaves=("a", "b", "c", "d"),
         merges=(
-            Merge(left=0, right=1, height=1.0, size=2),
-            Merge(left=2, right=3, height=1.0, size=2),
-            Merge(left=4, right=5, height=4.0, size=4),
+            Merge(left=0, right=1, height=1.0),
+            Merge(left=2, right=3, height=1.0),
+            Merge(left=4, right=5, height=4.0),
         ),
         ac=0.75,
     )
@@ -90,7 +90,7 @@ def test_tie_goes_to_the_smallest_first_docs_of_the_two_clusters():
     m = np.array([[0, 13, 15, 13], [13, 0, 20, 1], [15, 20, 0, 20], [13, 1, 20, 0]])
     dend = ward_cluster(_dist(m, ids=("a", "b", "c", "d")))
     assert [leaf_members(dend, 4 + t) for t in range(3)] == [(1, 3), (0, 1, 3), (0, 1, 2, 3)]
-    assert dend.merges[1] == Merge(left=0, right=4, height=math.sqrt(112.5), size=3)
+    assert dend.merges[1] == Merge(left=0, right=4, height=math.sqrt(112.5))
 
 
 def test_matches_naive_recompute_oracle():
@@ -192,9 +192,9 @@ def test_ac_tight_pairs_approach_one():
     dend = Dendrogram(
         leaves=("a", "b", "c", "d"),
         merges=(
-            Merge(0, 1, eps, 2),
-            Merge(2, 3, eps, 2),
-            Merge(4, 5, big, 4),
+            Merge(0, 1, eps),
+            Merge(2, 3, eps),
+            Merge(4, 5, big),
         ),
         ac=0.0,
     )
@@ -231,7 +231,7 @@ def test_cut_extremes():
 def test_cut_removes_highest_merge():
     dend = Dendrogram(
         leaves=("a", "b", "c", "d"),
-        merges=(Merge(0, 1, 1.0, 2), Merge(2, 3, 2.0, 2), Merge(4, 5, 5.0, 4)),
+        merges=(Merge(0, 1, 1.0), Merge(2, 3, 2.0), Merge(4, 5, 5.0)),
         ac=0.0,
     )
     assert cut(dend, 2) == {"a": 1, "b": 1, "c": 2, "d": 2}
@@ -278,7 +278,7 @@ def test_newick_branch_lengths_sum_to_root_height():
 def test_newick_quotes_awkward_labels():
     dend = Dendrogram(
         leaves=("a b", "c,d"),
-        merges=(Merge(0, 1, 1.0, 2),),
+        merges=(Merge(0, 1, 1.0),),
         ac=0.0,
     )
     newick = to_newick(dend)
@@ -319,7 +319,7 @@ def test_deep_caterpillar_tree_renders_without_recursion(leaf_first):
     for t in range(n - 1):
         pair = (0, 1) if t == 0 else (n + t - 1, t + 1)
         left, right = pair[::-1] if leaf_first else pair
-        merges.append(Merge(left=left, right=right, height=float(t + 1), size=t + 2))
+        merges.append(Merge(left=left, right=right, height=float(t + 1)))
     dend = Dendrogram(leaves=tuple(f"d{i:04d}" for i in range(n)), merges=tuple(merges), ac=0.0)
 
     newick = to_newick(dend)

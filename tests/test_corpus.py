@@ -12,7 +12,6 @@ from conftest import make_corpus, make_doc, verses_of, write_token_file
 from stylokit import corpus as corpus_module
 from stylokit.corpus import (
     Corpus,
-    DocumentMeta,
     filter_corpus,
     load_manifest,
     normalize_token,
@@ -21,12 +20,9 @@ from stylokit.corpus import (
 from stylokit.errors import AnalysisError, CorpusFormatError
 from stylokit.features import FeatureKind, FeatureSpec, build_matrix
 
-META = DocumentMeta(id="doc1")
-
-
-def _parse(lines, meta=META):
-    """A one-document corpus and its document."""
-    corpus = parse_corpus([(meta, lines)])
+def _parse(lines):
+    """A one-document corpus, doc1, and its document."""
+    corpus = parse_corpus([("doc1", "", lines)])
     return corpus, corpus.documents[0]
 
 
@@ -61,7 +57,7 @@ def test_parse_sorts_documents_by_id_but_reads_them_in_the_order_given():
     assert corpus.doc_ids == ("d02", "d1", "d10")
     # Both documents are malformed: the first one read is the one named.
     with pytest.raises(CorpusFormatError, match="^zz: line 1"):
-        parse_corpus([(DocumentMeta(id="zz"), ["x\n"]), (DocumentMeta(id="aa"), ["y\n"])])
+        parse_corpus([("zz", "", ["x\n"]), ("aa", "", ["y\n"])])
 
 
 def test_parse_ignores_comment_lines():
@@ -185,7 +181,7 @@ def _round_trip(corpus: Corpus, path):
     doc = corpus.documents[0]
     write_token_file(corpus, doc, path)
     with open(path, encoding="utf-8") as fh:
-        return parse_corpus([(doc.meta, fh)])
+        return parse_corpus([(doc.id, doc.alleged_author, fh)])
 
 
 def test_token_file_round_trip(tmp_path):
@@ -232,7 +228,7 @@ def test_identical_lines_share_one_type_id(monkeypatch):
 
     monkeypatch.setattr(corpus_module, "normalize_token", counting)
     lines = ["Gloire,\tgloire\tNOMcom\n", "et\tet\tCONcoo\n", "\n", "Gloire,\tgloire\tNOMcom\n"]
-    corpus = parse_corpus([(META, lines), (DocumentMeta(id="doc2"), lines)])
+    corpus = parse_corpus([("doc1", "", lines), ("doc2", "", lines)])
     first, second = corpus.documents
     assert first.verse_ends.tolist() == [2, 3]
     assert first.type_ids.tolist() == second.type_ids.tolist() == [0, 1, 0]
@@ -262,7 +258,7 @@ def test_load_manifest_rejects_wrong_header(tmp_path):
 def test_load_manifest_round_trip(tmp_path, synth_dir):
     corpus = load_manifest(synth_dir / "manifest.csv")
     assert len(corpus) == 30
-    assert corpus.documents[0].meta.alleged_author == "author00"
+    assert corpus.documents[0].alleged_author == "author00"
     assert all(doc.token_count >= 5000 for doc in corpus)
 
 
@@ -280,7 +276,8 @@ def _write_manifest(directory, token_files: dict[str, bytes]):
 def _snapshot(corpus: Corpus):
     """Everything a corpus holds, in a form that compares by value."""
     return corpus.types, [
-        (d.meta, d.type_ids.dtype, d.type_ids.tolist(), d.verse_ends.dtype, d.verse_ends.tolist())
+        (d.id, d.alleged_author, d.type_ids.dtype, d.type_ids.tolist(),
+         d.verse_ends.dtype, d.verse_ends.tolist())
         for d in corpus
     ]
 
@@ -371,19 +368,20 @@ def test_parse_agrees_over_files_lists_and_the_per_line_oracle(tmp_path_factory,
     (a CR then an empty line's LF is one CRLF).
     """
     directory = tmp_path_factory.mktemp("parse")
-    metas = [DocumentMeta(id=f"d{len(docs) - i}") for i in range(len(docs))]
+    doc_ids = [f"d{len(docs) - i}" for i in range(len(docs))]
     from_lists = []
-    for i, (meta, lines) in enumerate(zip(metas, docs)):
+    for i, (doc_id, lines) in enumerate(zip(doc_ids, docs)):
         text = "".join(line + end for line, end in lines)
         if lines and not final_end:
             text = text[: -len(lines[-1][1])]
         (directory / f"{i}.tsv").write_text(text, encoding="utf-8", newline="")
-        from_lists.append((meta, list(io.StringIO(text, newline="")), f"doc {i}"))
+        from_lists.append((doc_id, "", list(io.StringIO(text, newline="")), f"doc {i}"))
     expected = _outcome(naive_parse_corpus, from_lists)
     assert _outcome(parse_corpus, from_lists) == expected
     with ExitStack() as stack:
         from_files = [
-            (meta, stack.enter_context(open(directory / f"{i}.tsv", encoding="utf-8")), f"doc {i}")
-            for i, meta in enumerate(metas)
+            (doc_id, "", stack.enter_context(open(directory / f"{i}.tsv", encoding="utf-8")),
+             f"doc {i}")
+            for i, doc_id in enumerate(doc_ids)
         ]
         assert _outcome(parse_corpus, from_files) == expected

@@ -14,7 +14,9 @@ import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 
-_spec = importlib.util.spec_from_file_location("update_golden", REPO / "scripts" / "update_golden.py")
+_spec = importlib.util.spec_from_file_location(
+    "update_golden", REPO / "scripts" / "update_golden.py"
+)
 update_golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(update_golden)
 
@@ -31,4 +33,6 @@ def test_outputs_match_the_golden_digests(corpus, tmp_path):
                 f"{corpus}: `stylokit {command}` gives a different {file}"
                 f" (computed {got!r}, {golden.name} has {want!r})"
             )
-    assert len(actual) == len(committed), f"{golden.name} has {len(committed)} lines, not {len(actual)}"
+    assert len(actual) == len(committed), (
+        f"{golden.name} has {len(committed)} lines, not {len(actual)}"
+    )

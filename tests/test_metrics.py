@@ -139,7 +139,7 @@ def test_rows_out_of_doc_id_order_are_rejected():
         with pytest.raises(ValueError, match="doc ids must be strictly increasing"):
             DistanceMatrix(ids, np.zeros((2, 2)), Measure.BURROWS_DELTA)
         with pytest.raises(ValueError, match="doc ids must be strictly increasing"):
-            Dendrogram(ids, (Merge(0, 1, 1.0, 2),), 0.0)
+            Dendrogram(ids, (Merge(0, 1, 1.0),), 0.0)
 
 
 @pytest.mark.parametrize("measure", ["delta", "minmax"])
