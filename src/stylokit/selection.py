@@ -19,8 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import open_output
 from .errors import AnalysisError
-from .features import FeatureMatrix, degenerate, format_value, write_csv
+from .features import FLOAT_FORMAT, FeatureMatrix, _csv_head, degenerate
 
 CONFIDENCE_Z = 1.645
 MARGIN_MULTIPLIER = 2.0
@@ -115,13 +116,10 @@ def nonconstant_features(matrix: FeatureMatrix, names: tuple[str, ...]) -> tuple
 
 
 def write_selection_csv(report: SelectionReport, path: str | Path) -> None:
-    table = [
-        [
-            row.name,
-            *map(format_value, (row.p_bar, row.sigma, row.required_n)),
-            str(row.retained).lower(),
-            str(row.degenerate).lower(),
-        ]
-        for row in report.per_feature
-    ]
-    write_csv(path, ["feature", "p_bar", "sigma", "required_n", "retained", "degenerate"], table)
+    """The ``write_csv`` layout with each row one %-format, as ``features.write_float_rows`` does."""
+    line = "%s" + ("," + FLOAT_FORMAT) * 3 + ",%s,%s\n"
+    with open_output(path) as fh:
+        fh.write("feature,p_bar,sigma,required_n,retained,degenerate\n")
+        for row in report.per_feature:
+            fh.write(line % (_csv_head(row.name, False), row.p_bar, row.sigma, row.required_n,
+                             str(row.retained).lower(), str(row.degenerate).lower()))

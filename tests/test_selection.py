@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -135,14 +138,22 @@ def test_top_frequency_nesting(f1, f2):
 
 
 def test_selection_csv_layout(tmp_path):
-    matrix = _matrix([[0.1, 0.3], [0.5, 0.3]])
+    matrix = _matrix([[0.1, 0.3], [0.5, 0.3]], names=("a,b", 'q"x'))
     report = select_reliable(matrix, 1000)
     path = tmp_path / "sel.csv"
     write_selection_csv(report, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "feature,p_bar,sigma,required_n,retained,degenerate"
-    assert lines[1].startswith("f0,")
-    assert lines[2].endswith(",true")  # f1 constant -> degenerate
+    assert lines[1].startswith('"a,b",')
+    assert lines[2].endswith(",true")  # q"x constant -> degenerate
+    # Byte for byte what csv.writer makes of the cells formatted one by one.
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(lines[0].split(","))
+    for row in report.per_feature:
+        stats = (format(v, ".12g") for v in (row.p_bar, row.sigma, row.required_n))
+        writer.writerow([row.name, *stats, str(row.retained).lower(), str(row.degenerate).lower()])
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 def test_select_reliable_validation():
