@@ -110,15 +110,20 @@ class Corpus:
         return {d.id: d.alleged_author for d in self.documents}
 
 
+def normalize_form(text: str) -> str:
+    """Lowercased, ``’`` read as ``'``, and every punctuation mark but the apostrophe stripped."""
+    return _strip_punctuation(text.lower())
+
+
 def normalize_token(raw_form: str, lemma: str, pos: str) -> AnnotatedToken | None:
-    """Lowercase and strip punctuation; return None when nothing survives.
+    """Normalize form and lemma with ``normalize_form``; return None when nothing survives.
 
     Proper-name tokens are normalized and returned like any other: the
     decision to skip them belongs to the lexical families, because POS
     n-grams still consume them.
     """
-    form = _strip_punctuation(raw_form.lower())
-    lem = _strip_punctuation(lemma.lower())
+    form = normalize_form(raw_form)
+    lem = normalize_form(lemma)
     if not form or not lem:
         return None
     return AnnotatedToken(form=form, lemma=lem, pos=pos)

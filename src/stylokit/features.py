@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import AnnotatedToken, Corpus, open_output, read_utf8
+from .corpus import AnnotatedToken, Corpus, normalize_form, open_output, read_utf8
 from .errors import AnalysisError, CorpusFormatError
 
 
@@ -289,15 +289,15 @@ def write_matrix_csv(matrix: FeatureMatrix, path: str | Path) -> None:
 
 
 def load_word_list(path: str | Path) -> tuple[str, ...]:
-    """One word per line; blank lines and ``#`` comments ignored.
+    """One word per line, normalized as token forms are; ``#`` comments ignored.
 
-    A file without a single word raises CorpusFormatError naming it.
+    An entry that normalizes to nothing (a blank line, punctuation alone)
+    is dropped. A file without a single word raises CorpusFormatError
+    naming it.
     """
-    words = []
-    for line in io.StringIO(read_utf8(path), newline=None):
-        word = line.strip()
-        if word and not word.startswith("#"):
-            words.append(word)
+    lines = (line.strip() for line in io.StringIO(read_utf8(path), newline=None))
+    words = [normalize_form(line) for line in lines if not line.startswith("#")]
+    words = [word for word in words if word]
     if not words:
         raise CorpusFormatError(f"{path}: no function words")
     return tuple(words)

@@ -18,6 +18,7 @@ from stylokit.features import (
     affixes_of,
     build_matrix,
     candidate_function_words,
+    load_word_list,
     write_matrix_csv,
 )
 from stylokit.metrics import DistanceMatrix, Measure, write_distance_csv
@@ -294,3 +295,9 @@ def test_distance_csv_matches_the_per_cell_oracle(tmp_path_factory, table):
 def test_feature_spec_validation():
     with pytest.raises(ValueError):
         FeatureSpec(kind=FeatureKind.FUNCTION_WORD)
+
+
+def test_word_list_entries_are_normalized_like_token_forms(tmp_path):
+    path = tmp_path / "fw.txt"
+    path.write_text("# list\nQU’\n  Le,\n...\n\nde\n", encoding="utf-8")
+    assert load_word_list(path) == ("qu'", "le", "de")
