@@ -269,9 +269,11 @@ def load_manifest(manifest_path: str | Path) -> Corpus:
     """Read a manifest CSV and parse every token file it points to.
 
     The manifest has the header ``id,title,author,genre,form,acts,year,path``
-    with paths resolved relative to the manifest location. Token files are
-    read one at a time in manifest order, and an error in one names its
-    path; the corpus holds the documents sorted by doc id.
+    with paths resolved relative to the manifest location. Every row is
+    checked, and a doc id seen twice named with its line, before the first
+    token file is opened. Token files are read one at a time in manifest
+    order, and an error in one names its path; the corpus holds the
+    documents sorted by doc id.
     """
     manifest_path = Path(manifest_path)
     reader = csv.DictReader(io.StringIO(read_utf8(manifest_path), newline=""))
@@ -279,7 +281,15 @@ def load_manifest(manifest_path: str | Path) -> Corpus:
         raise CorpusFormatError(
             f"manifest header must be {','.join(MANIFEST_FIELDS)}, got {reader.fieldnames}"
         )
-    rows = [_parse_manifest_row(row, manifest_path, reader.line_num) for row in reader]
+    rows, seen = [], set()
+    for row in reader:
+        doc_id, author, path = _parse_manifest_row(row, manifest_path, reader.line_num)
+        if doc_id in seen:
+            raise CorpusFormatError(
+                f"{manifest_path}: line {reader.line_num}: duplicate document id {doc_id!r}"
+            )
+        seen.add(doc_id)
+        rows.append((doc_id, author, path))
     if not rows:
         raise CorpusFormatError(f"manifest is empty: {manifest_path}")
     try:

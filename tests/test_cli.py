@@ -153,6 +153,15 @@ def test_malformed_manifest_row_exits_2_naming_file_and_line(tmp_path, capsys, r
     assert "bad_manifest.csv: line 2:" in capsys.readouterr().err
 
 
+def test_duplicate_manifest_id_exits_2_naming_the_line_before_any_token_file(tmp_path, capsys):
+    # No token file exists: the rows are checked before the first one is opened.
+    manifest = tmp_path / "manifest.csv"
+    rows = [f"{doc},t,a,g,verse,5,1660,{doc}.tsv\n" for doc in ("x", "y", "x")]
+    manifest.write_text(MANIFEST_HEADER + "".join(rows), encoding="utf-8")
+    assert main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {manifest}: line 4: duplicate document id 'x'\n"
+
+
 def test_non_utf8_token_file_exits_2_naming_file_and_line(tmp_path, capsys):
     (tmp_path / "latin1.tsv").write_bytes(b"a\ta\tNOMcom\n\ngl\xf4ire\tgloire\tNOMcom\n")
     manifest = tmp_path / "manifest.csv"
@@ -222,6 +231,19 @@ def test_function_word_list_without_words_exits_2_naming_it(corpus_dir, tmp_path
     ])
     assert code == 2
     assert f"{fw_list}: no function words" in capsys.readouterr().err
+
+
+def test_function_word_list_is_normalized_like_token_forms(corpus_dir, tmp_path, capsys):
+    words = (corpus_dir / "function_words.txt").read_text(encoding="utf-8").splitlines()
+    shouted = tmp_path / "shouted.txt"
+    shouted.write_text("".join(f"{w.upper()}!\n" for w in words[1:]) + "...\n", encoding="utf-8")
+    for fw_list, out in ((corpus_dir / "function_words.txt", "plain"), (shouted, "shouted")):
+        assert main([
+            "extract", "--manifest", str(corpus_dir / "manifest.csv"),
+            "--features", "fw", "--fw-list", str(fw_list), "--out", str(tmp_path / out),
+        ]) == 0
+    assert capsys.readouterr().out == "30 docs, 110 features\n" * 2
+    assert _digest(tmp_path / "shouted" / "matrix.csv") == _digest(tmp_path / "plain" / "matrix.csv")
 
 
 def test_unfilterable_corpus_exits_1(corpus_dir, tmp_path, capsys):
