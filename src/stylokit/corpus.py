@@ -270,10 +270,10 @@ def load_manifest(manifest_path: str | Path) -> Corpus:
 
     The manifest has the header ``id,title,author,genre,form,acts,year,path``
     with paths resolved relative to the manifest location. Every row is
-    checked, and a doc id seen twice named with its line, before the first
-    token file is opened. Token files are read one at a time in manifest
-    order, and an error in one names its path; the corpus holds the
-    documents sorted by doc id.
+    checked before the first token file is opened; a doc id seen twice
+    raises CorpusFormatError naming its line. Token files are read one at a
+    time in manifest order, and an error in one names its path; the corpus
+    holds the documents sorted by doc id.
     """
     manifest_path = Path(manifest_path)
     reader = csv.DictReader(io.StringIO(read_utf8(manifest_path), newline=""))
