@@ -31,7 +31,7 @@ import numpy as np
 
 from .corpus import open_output
 from .errors import AnalysisError
-from .features import check_row_order
+from .features import check_row_order, format_value
 from .metrics import DistanceMatrix
 
 WARD_SQUARED = "ward2"
@@ -175,7 +175,7 @@ def to_newick(dend: Dendrogram) -> str:
     height = [0.0] * n + [merge.height for merge in dend.merges]
 
     def branch(child: int, parent: int) -> str:
-        return f"{text.pop(child)}:{format(height[parent] - height[child], '.12g')}"
+        return f"{text.pop(child)}:{format_value(height[parent] - height[child])}"
 
     for t, merge in enumerate(dend.merges):
         text[n + t] = f"({branch(merge.left, n + t)},{branch(merge.right, n + t)})"

@@ -254,6 +254,8 @@ def _parse_manifest_row(
     where = f"{manifest_path}: line {line}"
     if None in row or None in row.values():
         raise CorpusFormatError(f"{where}: expected {len(MANIFEST_FIELDS)} fields")
+    if not row["path"]:
+        raise CorpusFormatError(f"{where}: empty path")
     try:
         for field in ("acts", "year"):
             if row[field]:
@@ -279,7 +281,8 @@ def load_manifest(manifest_path: str | Path) -> Corpus:
     reader = csv.DictReader(io.StringIO(read_utf8(manifest_path), newline=""))
     if reader.fieldnames is None or tuple(reader.fieldnames) != MANIFEST_FIELDS:
         raise CorpusFormatError(
-            f"manifest header must be {','.join(MANIFEST_FIELDS)}, got {reader.fieldnames}"
+            f"{manifest_path}: line 1: header must be {','.join(MANIFEST_FIELDS)}, "
+            f"got {reader.fieldnames}"
         )
     rows, seen = [], set()
     for row in reader:

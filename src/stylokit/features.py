@@ -1,13 +1,14 @@
 """The six feature families and the document-by-feature matrix.
 
-Every family is a count over the corpus's one token stream, so
-``build_matrix`` counts once and relabels. It bincounts each document's
-type ids into a docs x types count matrix, then sums type columns onto
-feature columns: lemmas, word forms, function words and affixes map each
-non-proper type to its name(s), rhyme lemmas do the same with the types
-that close a verse, and POS 3-grams are counted as integer trigram codes
-over each type's tag id. A family's columns are the names with a
-positive total in the corpus, in sorted name order; rows hold relative
+Every family is a count over the corpus's one token stream, made by one
+counter over count columns that each carry feature names. The lexical
+families count types, each non-proper type carrying its lemma, form,
+affixes or listed function word; rhyme counts only the types closing a
+verse. POS 3-grams count integer trigram codes over each type's tag id,
+each code carrying its tag names. Per document, one bincount gives the
+column counts and a second sums them onto the features, so no docs x
+columns array is made. A family's features are the names with a positive
+total in the corpus, in sorted name order; rows hold relative
 frequencies. Denominators are per family: the event total of the family
 itself (tokens, rhyme positions, affix occurrences, n-gram windows),
 except for function words, whose counts are divided by the document's
@@ -27,7 +28,7 @@ import io
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -88,9 +89,9 @@ def candidate_function_words(corpus: Corpus, top_k: int) -> list[tuple[str, int]
         raise ValueError("top_k must be >= 1")
     if len(corpus) == 0:
         raise AnalysisError("cannot rank forms of an empty corpus")
-    forms = [[] if tok.is_proper_noun else [tok.form] for tok in corpus.types]
-    names, counts = _sum_columns(_type_counts(corpus), forms)
-    return sorted(zip(names, counts.sum(axis=0).tolist()), key=lambda kv: (-kv[1], kv[0]))[:top_k]
+    names, counts, _ = _count(corpus, FeatureSpec(FeatureKind.WORD_FORM))
+    totals = counts.sum(axis=0).astype(np.int64).tolist()
+    return sorted(zip(names, totals), key=lambda kv: (-kv[1], kv[0]))[:top_k]
 
 
 def check_row_order(doc_ids: Sequence[str]) -> None:
@@ -150,23 +151,31 @@ def degenerate(columns: np.ndarray) -> np.ndarray:
     return columns.max(axis=1) == columns.min(axis=1)
 
 
-def _type_counts(corpus: Corpus, verse_ends_only: bool = False) -> np.ndarray:
-    """docs x types occurrence counts, or counts of the types closing a verse."""
-    n_types = len(corpus.types)
-    counts = np.zeros((len(corpus), n_types), dtype=np.int64)
-    for row, doc in zip(counts, corpus):
-        ids = doc.type_ids[doc.verse_ends - 1] if verse_ends_only else doc.type_ids
-        row[:] = np.bincount(ids, minlength=n_types)
-    return counts
+def _type_features(tok: AnnotatedToken, spec: FeatureSpec, words: set[str]) -> list[str]:
+    """The features one type contributes to a lexical family; proper names none."""
+    if tok.is_proper_noun or (spec.kind is FeatureKind.FUNCTION_WORD and tok.form not in words):
+        return []
+    if spec.kind in (FeatureKind.LEMMA, FeatureKind.RHYME_LEMMA):
+        return [tok.lemma]
+    return affixes_of(tok.form) if spec.kind is FeatureKind.AFFIX else [tok.form]
 
 
-def _pos_ngram_counts(corpus: Corpus) -> tuple[np.ndarray, list[list[str]]]:
-    """docs x distinct POS n-gram counts (n = ``POS_NGRAM_N``), and each column's name.
+def _columns(corpus: Corpus, spec: FeatureSpec) -> tuple[int, Callable[[int], list[str]], list]:
+    """A family's count columns: how many, each one's feature names, and per
+    document the (column ids, weights or None) to bincount.
 
-    Verse boundaries do not break the window, and proper-name tokens stay
-    in: their tag is part of the sequence signal. Each window is coded as
-    a base-(number of tags) integer over the tag ids of its types.
+    The lexical families count types: every token, or for rhyme the token
+    closing each verse. POS n-grams (n = ``POS_NGRAM_N``) count the
+    distinct window codes: verse boundaries do not break the window, and
+    proper-name tokens stay in, as their tag is part of the sequence
+    signal. A window is coded as a base-(number of tags) integer over the
+    tag ids of its types.
     """
+    if spec.kind is not FeatureKind.POS_NGRAM:
+        types, words = corpus.types, set(spec.function_words)
+        rhyme = spec.kind is FeatureKind.RHYME_LEMMA
+        ids = [doc.type_ids[doc.verse_ends - 1] if rhyme else doc.type_ids for doc in corpus]
+        return len(types), lambda c: _type_features(types[c], spec, words), [(i, None) for i in ids]
     tag_ids: dict[str, int] = {}
     type_tags = np.array(
         [tag_ids.setdefault(tok.pos, len(tag_ids)) for tok in corpus.types], dtype=np.int64
@@ -179,41 +188,38 @@ def _pos_ngram_counts(corpus: Corpus) -> tuple[np.ndarray, list[list[str]]]:
             codes = codes * len(tag_ids) + tags[k : k + len(codes)]
         per_doc.append(np.unique(codes, return_counts=True))
     all_codes = np.unique(np.concatenate([codes for codes, _ in per_doc]))
-    counts = np.zeros((len(corpus), len(all_codes)), dtype=np.int64)
-    for row, (codes, n_codes) in zip(counts, per_doc):
-        row[np.searchsorted(all_codes, codes)] = n_codes
     tags = list(tag_ids)
     places = [len(tags) ** (POS_NGRAM_N - 1 - k) for k in range(POS_NGRAM_N)]
     names = [[".".join(tags[code // p % len(tags)] for p in places)] for code in all_codes.tolist()]
-    return counts, names
+    doc_columns = [(np.searchsorted(all_codes, codes), n) for codes, n in per_doc]
+    return len(names), names.__getitem__, doc_columns
 
 
-def _sum_columns(
-    counts: np.ndarray, names_of_column: Sequence[Sequence[str]]
-) -> tuple[tuple[str, ...], np.ndarray]:
-    """Sum each count column onto every feature name it carries.
+def _count(corpus: Corpus, spec: FeatureSpec) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """docs x features counts of a family, and each document's denominator.
 
-    Only names with a positive total are kept, in sorted order.
+    Each document's columns are bincounted into one row of column counts,
+    which is gathered onto the (column, name) pairs and bincounted into
+    feature counts: float sums of integer counts, exact below 2**53. Only
+    columns with a positive corpus total get their names, and the features
+    are those names in sorted order. The denominator is the row's total,
+    or for function words the document's count of non-proper tokens.
     """
-    totals = counts.sum(axis=0).tolist()
-    pairs = [
-        (name, c) for c, names in enumerate(names_of_column) if totals[c] > 0 for name in names
-    ]
+    n, names_of, doc_columns = _columns(corpus, spec)
+    totals = sum(np.bincount(ids, weights, n) for ids, weights in doc_columns)
+    pairs = [(name, c) for c in np.flatnonzero(totals).tolist() for name in names_of(c)]
     index = {name: j for j, name in enumerate(sorted({name for name, _ in pairs}))}
-    summed = np.zeros((len(counts), len(index)), dtype=np.int64)
-    features = np.array([index[name] for name, _ in pairs], dtype=np.intp)
-    columns = np.array([c for _, c in pairs], dtype=np.intp)
-    np.add.at(summed, (slice(None), features), counts[:, columns])
-    return tuple(index), summed
-
-
-def _type_features(tok: AnnotatedToken, spec: FeatureSpec, words: set[str]) -> list[str]:
-    """The features one type contributes to a lexical family; proper names none."""
-    if tok.is_proper_noun or (spec.kind is FeatureKind.FUNCTION_WORD and tok.form not in words):
-        return []
-    if spec.kind in (FeatureKind.LEMMA, FeatureKind.RHYME_LEMMA):
-        return [tok.lemma]
-    return affixes_of(tok.form) if spec.kind is FeatureKind.AFFIX else [tok.form]
+    feature = np.array([index[name] for name, _ in pairs], dtype=np.intp)
+    owner = np.array([c for _, c in pairs], dtype=np.intp)
+    lexical = None
+    if spec.kind is FeatureKind.FUNCTION_WORD:
+        lexical = np.array([not tok.is_proper_noun for tok in corpus.types], dtype=np.int64)
+    counts, denoms = np.zeros((len(corpus), len(index))), np.zeros(len(corpus))
+    for d, (ids, weights) in enumerate(doc_columns):
+        column_counts = np.bincount(ids, weights, n)
+        counts[d] = np.bincount(feature, column_counts[owner], len(index))
+        denoms[d] = counts[d].sum() if lexical is None else column_counts @ lexical
+    return tuple(index), counts, denoms
 
 
 def build_matrix(corpus: Corpus, spec: FeatureSpec) -> FeatureMatrix:
@@ -225,19 +231,9 @@ def build_matrix(corpus: Corpus, spec: FeatureSpec) -> FeatureMatrix:
     """
     if len(corpus) == 0:
         raise AnalysisError("cannot build a matrix from an empty corpus")
-    if spec.kind is FeatureKind.POS_NGRAM:
-        column_counts, column_names = _pos_ngram_counts(corpus)
-    else:
-        column_counts = _type_counts(corpus, spec.kind is FeatureKind.RHYME_LEMMA)
-        words = set(spec.function_words)
-        column_names = [_type_features(tok, spec, words) for tok in corpus.types]
-    names, counts = _sum_columns(column_counts, column_names)
-    if spec.kind is FeatureKind.FUNCTION_WORD:
-        denoms = column_counts[:, [not tok.is_proper_noun for tok in corpus.types]].sum(axis=1)
-    else:
-        denoms = counts.sum(axis=1)
-    safe = np.where(denoms > 0, denoms, 1).astype(float)
-    return FeatureMatrix(corpus.doc_ids, names, counts.astype(float) / safe[:, None])
+    names, counts, denoms = _count(corpus, spec)
+    counts /= np.where(denoms > 0, denoms, 1)[:, None]
+    return FeatureMatrix(corpus.doc_ids, names, counts)
 
 
 # The one on-disk float format: a decimal with 12 significant digits.

@@ -142,8 +142,13 @@ def test_run_json_records_the_flags_of_its_command(corpus_dir, tmp_path, capsys,
 
 @pytest.mark.parametrize(
     "row",
-    ["x,t,a,g,verse,five,1660,x.tsv\n", "x,t,a,g,verse,5,mcclx,x.tsv\n", "x,t,a\n"],
-    ids=["bad-acts", "bad-year", "short-row"],
+    [
+        "x,t,a,g,verse,five,1660,x.tsv\n",
+        "x,t,a,g,verse,5,mcclx,x.tsv\n",
+        "x,t,a\n",
+        "x,t,a,g,verse,5,1660,\n",
+    ],
+    ids=["bad-acts", "bad-year", "short-row", "empty-path"],
 )
 def test_malformed_manifest_row_exits_2_naming_file_and_line(tmp_path, capsys, row):
     manifest = tmp_path / "bad_manifest.csv"

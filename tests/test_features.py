@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -235,6 +236,26 @@ def test_build_matrix_all_proper_doc_yields_zero_row():
     )
     matrix = build_matrix(corpus, FeatureSpec(kind=FeatureKind.LEMMA))
     assert np.allclose(matrix.values[1], 0.0)
+
+
+def test_affix_build_memory_follows_the_result_not_docs_x_types():
+    # 200 docs x 400 tokens over 21,000 forms: at least 20k types, but
+    # 75 affixes. The count must never hold a docs x types array.
+    forms = ["abcde"[i % 5] + f"x{i:05d}y" + "vwxyz"[i // 5 % 5] for i in range(21000)]
+    draws = np.random.default_rng(5).integers(len(forms), size=(200, 400)).tolist()
+    corpus = make_corpus(
+        *(make_doc(f"d{i:03d}", [[_tok(forms[w]) for w in row]]) for i, row in enumerate(draws))
+    )
+    dense = len(corpus) * len(corpus.types) * 8  # bytes of a docs x types int64 array
+    assert len(corpus.types) >= 20000
+    tracemalloc.start()
+    try:
+        matrix = build_matrix(corpus, FeatureSpec(kind=FeatureKind.AFFIX))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.n_features == 75
+    assert peak < dense
 
 
 def test_matrix_csv_is_byte_deterministic(tmp_path, synth_corpus):
