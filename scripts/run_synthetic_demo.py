@@ -67,8 +67,9 @@ def main() -> None:
     fw_delta = results["function words"]
 
     print("\nmost cluster-correlated function words (delta pipeline):")
-    for row in eta_table(fw_delta.selected, fw_delta.assignment)[:5]:
-        print(f"  {row.feature:<8} eta2={row.eta_squared:.3f}  p={row.p_value:.3g}")
+    names, values = eta_table(fw_delta.selected, fw_delta.assignment)
+    for name, (eta2, p) in zip(names, values[:5].tolist()):
+        print(f"  {name:<8} eta2={eta2:.3f}  p={p:.3g}")
 
     fw_minmax = run_pipeline(corpus, specs["function words"], "reliable", "minmax", k=5)
     for distance, reference in (("delta", fw_delta), ("minmax", fw_minmax)):

@@ -38,10 +38,9 @@ from .features import (
     write_matrix_csv,
 )
 from .metrics import Measure, write_distance_csv
-from .pipeline import RELIABLE, PipelineResult, apply_selection, run_pipeline
-from .pipeline import shortest_document_length
+from .pipeline import RELIABLE, PipelineResult, run_pipeline, shortest_document_length
 from .render import dendrogram_svg, write_svg
-from .selection import write_selection_csv
+from .selection import select_reliable, write_selection_csv
 from .synth import SynthConfig, generate_corpus
 
 SWEEP_CUTOFFS = (0.01, 0.10, 0.25, 0.50, 0.75, 1.00)
@@ -192,7 +191,7 @@ def _cmd_extract(args: argparse.Namespace, out: Path) -> None:
 def _cmd_select(args: argparse.Namespace, out: Path) -> None:
     corpus = _load_corpus(args)
     matrix = build_matrix(corpus, _feature_spec(args))
-    _, report = apply_selection(matrix, RELIABLE, shortest_document_length(corpus))
+    report = select_reliable(matrix, shortest_document_length(corpus))
     write_selection_csv(report, out / "selection.csv")
     print(f"{len(report.retained)} of {matrix.n_features} features retained")
 
@@ -237,10 +236,10 @@ def _cmd_cluster(args: argparse.Namespace, out: Path) -> None:
 
 def _cmd_eta(args: argparse.Namespace, out: Path) -> None:
     _, result = _run(args, args.select)
-    rows = eta_table(result.selected, result.assignment)
-    write_eta_csv(rows, out / "eta.csv")
-    for row in rows[:10]:
-        print(f"{row.feature}\t{row.eta_squared:.3f}\t{format_p_value(row.p_value)}")
+    names, values = eta_table(result.selected, result.assignment)
+    write_eta_csv((names, values), out / "eta.csv")
+    for name, (eta2, p) in zip(names, values[:10].tolist()):
+        print(f"{name}\t{eta2:.3f}\t{format_p_value(p)}")
 
 
 def _cmd_sweep(args: argparse.Namespace, out: Path) -> None:

@@ -22,10 +22,10 @@ import numpy as np
 
 from .cluster import ClusterAssignment, cut, ward_cluster
 from .errors import AnalysisError
-from .features import FeatureMatrix, degenerate, format_value, write_csv
+from .features import FeatureMatrix, degenerate, format_value, write_csv, write_float_rows
 from .metrics import compute_distance
 from .pipeline import PipelineResult
-from .selection import nonconstant_features, select_top_frequency
+from .selection import select_top_frequency
 
 P_VALUE_FLOOR = 1e-300
 
@@ -33,13 +33,6 @@ P_VALUE_FLOOR = 1e-300
 @dataclass(frozen=True)
 class EvaluationReport:
     purity: float
-
-
-@dataclass(frozen=True)
-class EtaRow:
-    feature: str
-    eta_squared: float
-    p_value: float
 
 
 @dataclass(frozen=True)
@@ -128,8 +121,9 @@ def f_pvalue(f_stat: float, df1: int, df2: int) -> float:
     return regularized_incomplete_beta(df2 / 2.0, df1 / 2.0, x)
 
 
-def _eta_rows(columns: np.ndarray, labels: np.ndarray) -> list[tuple[float, float, bool]]:
-    """(eta^2, p, degenerate) of every row of features x docs against the docs' labels.
+def _eta_rows(columns: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F x 2 (eta^2, p) of the rows of features x docs against the docs' labels, and
+    which rows are degenerate.
 
     Each group's block is copied C-contiguous, so every row reduces exactly
     as a single feature's values would.
@@ -157,7 +151,7 @@ def _eta_rows(columns: np.ndarray, labels: np.ndarray) -> list[tuple[float, floa
         1.0 if f else 0.0 if w == 0.0 else f_pvalue(stat, k - 1, n - k)
         for f, w, stat in zip(flat.tolist(), ss_within.tolist(), f_stat.tolist())
     ]
-    return list(zip(eta2.tolist(), p, flat.tolist()))
+    return np.column_stack([eta2, p]), flat
 
 
 def eta_squared(values: Sequence[float] | np.ndarray, labels: Sequence[int]) -> tuple[float, float, bool]:
@@ -171,19 +165,22 @@ def eta_squared(values: Sequence[float] | np.ndarray, labels: Sequence[int]) -> 
     labs = np.asarray(labels)
     if y.shape != labs.shape:
         raise ValueError("values and labels must have identical length")
-    return _eta_rows(y[None, :], labs)[0]
+    values, flat = _eta_rows(y[None, :], labs)
+    return (*values[0].tolist(), bool(flat[0]))
 
 
-def eta_table(matrix: FeatureMatrix, assignment: ClusterAssignment) -> list[EtaRow]:
-    """Per-feature correlation ratios against a clustering, best first."""
+def eta_table(
+    matrix: FeatureMatrix, assignment: ClusterAssignment
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """Feature names best first, by (-eta^2, name), and their F x 2 (eta^2, p) rows."""
     missing = set(matrix.doc_ids) ^ set(assignment)
     if missing:
         raise AnalysisError(f"assignment does not cover the matrix documents: {sorted(missing)}")
     labels = np.array([assignment[doc] for doc in matrix.doc_ids])
-    stats = _eta_rows(matrix.by_feature(), labels)
-    rows = [EtaRow(name, eta2, p) for name, (eta2, p, _) in zip(matrix.feature_names, stats)]
-    rows.sort(key=lambda r: (-r.eta_squared, r.feature))
-    return rows
+    values, _ = _eta_rows(matrix.by_feature(), labels)
+    names, eta2 = matrix.feature_names, values[:, 0].tolist()
+    order = sorted(range(len(names)), key=lambda j: (-eta2[j], names[j]))
+    return tuple(names[j] for j in order), values[order]
 
 
 def format_p_value(p: float) -> str:
@@ -193,12 +190,12 @@ def format_p_value(p: float) -> str:
     return format_value(p)
 
 
-def write_eta_csv(rows: Sequence[EtaRow], path: str | Path) -> None:
-    table = []
-    for row in rows:
-        p = 0.0 if row.p_value < P_VALUE_FLOOR else row.p_value
-        table.append([row.feature, format_value(row.eta_squared), format_value(p)])
-    write_csv(path, ["feature", "eta_squared", "p_value"], table)
+def write_eta_csv(table: tuple[Sequence[str], np.ndarray], path: str | Path) -> None:
+    """``eta_table``'s names and rows, one line each; a p below P_VALUE_FLOOR is stored as 0."""
+    names, values = table
+    values = values.copy()
+    values[values[:, 1] < P_VALUE_FLOOR, 1] = 0.0
+    write_float_rows(path, ("feature", "eta_squared", "p_value"), names, values)
 
 
 def robustness_sweep(
@@ -218,18 +215,19 @@ def robustness_sweep(
         raise AnalysisError("sweep needs at least one cutoff")
     matrix = reference.matrix
     reference_labels = {doc: str(label) for doc, label in reference.assignment.items()}
+    flat = degenerate(matrix.values.T)
     rows: list[SweepRow] = []
     for cutoff in cutoffs:
-        names = select_top_frequency(matrix, cutoff)
-        usable = nonconstant_features(matrix, names)
+        columns = select_top_frequency(matrix, cutoff)
+        usable = columns[~flat[columns]]
         if len(usable) < 2:
-            rows.append(SweepRow(cutoff, len(names), None, None))
+            rows.append(SweepRow(cutoff, len(columns), None, None))
             continue
         dist = compute_distance(matrix.subset(usable), reference.distance.measure)
         assignment = cut(ward_cluster(dist, reference.linkage_variant), reference.k)
         purity_authors = cluster_purity(assignment, truth).purity
         purity_reference = cluster_purity(assignment, reference_labels).purity
-        rows.append(SweepRow(cutoff, len(names), purity_authors, purity_reference))
+        rows.append(SweepRow(cutoff, len(columns), purity_authors, purity_reference))
     return rows
 
 

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cluster import ClusterAssignment, Dendrogram, cut, ward_cluster
 from .corpus import Corpus
 from .errors import AnalysisError
-from .features import FeatureMatrix, FeatureSpec, build_matrix
+from .features import FeatureMatrix, FeatureSpec, build_matrix, degenerate
 from .metrics import DistanceMatrix, Measure, compute_distance
-from .selection import SelectionReport, nonconstant_features
-from .selection import select_reliable, select_top_frequency
+from .selection import SelectionReport, select_reliable, select_top_frequency
 
 RELIABLE = "reliable"
 
@@ -43,9 +44,11 @@ def apply_selection(
     """
     if mode == RELIABLE:
         report = select_reliable(matrix, min_doc_len)
-        return matrix.subset(report.retained), report
+        retained = np.flatnonzero([row.retained for row in report.per_feature])
+        return matrix.subset(retained), report
     if isinstance(mode, tuple) and len(mode) == 2 and mode[0] == "top":
-        usable = nonconstant_features(matrix, select_top_frequency(matrix, mode[1]))
+        columns = select_top_frequency(matrix, mode[1])
+        usable = columns[~degenerate(matrix.values.T)[columns]]
         if len(usable) < 2:
             raise AnalysisError(
                 f"frequency cutoff {mode[1]} leaves fewer than 2 usable features"

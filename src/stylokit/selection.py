@@ -91,11 +91,11 @@ def select_reliable(matrix: FeatureMatrix, min_doc_len: int) -> SelectionReport:
     return SelectionReport(retained=retained, per_feature=rows)
 
 
-def select_top_frequency(matrix: FeatureMatrix, fraction: float) -> tuple[str, ...]:
-    """The ceil(fraction * n) features with highest total corpus frequency.
+def select_top_frequency(matrix: FeatureMatrix, fraction: float) -> np.ndarray:
+    """Column indices of the ceil(fraction * n) features with highest total corpus frequency.
 
-    Ties break lexicographically; the returned names keep the matrix's
-    column order so downstream output stays deterministic.
+    Ties break lexicographically by name; the indices are returned in
+    increasing order, so the kept columns keep the matrix's column order.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1]")
@@ -104,15 +104,7 @@ def select_top_frequency(matrix: FeatureMatrix, fraction: float) -> tuple[str, .
     ranked = sorted(
         range(matrix.n_features), key=lambda j: (-totals[j], matrix.feature_names[j])
     )
-    chosen = {matrix.feature_names[j] for j in ranked[:n_keep]}
-    return tuple(name for name in matrix.feature_names if name in chosen)
-
-
-def nonconstant_features(matrix: FeatureMatrix, names: tuple[str, ...]) -> tuple[str, ...]:
-    """The given features minus degenerate ones, in column order; tested without a copy."""
-    keep = set(names)
-    flat = degenerate(matrix.values.T).tolist()
-    return tuple(name for name, f in zip(matrix.feature_names, flat) if name in keep and not f)
+    return np.array(sorted(ranked[:n_keep]), dtype=np.intp)
 
 
 def write_selection_csv(report: SelectionReport, path: str | Path) -> None:

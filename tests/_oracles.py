@@ -335,3 +335,14 @@ def naive_write_float_rows(path, header, doc_ids, values) -> None:
         writer.writerow(header)
         for doc, row in zip(doc_ids, values):
             writer.writerow([doc, *(format(float(v), ".12g") for v in row)])
+
+
+def naive_write_eta_csv(table, path) -> None:
+    """eta.csv cell by cell through format() and csv.writer; a p below 1e-300 is written as 0."""
+    names, values = table
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["feature", "eta_squared", "p_value"])
+        for name, (eta2, p) in zip(names, values.tolist()):
+            p = 0.0 if p < 1e-300 else p
+            writer.writerow([name, format(eta2, ".12g"), format(p, ".12g")])

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import codecs
 import io
 import re
+import shutil
 from contextlib import ExitStack
 
 import numpy as np
@@ -19,7 +21,7 @@ from stylokit.corpus import (
     parse_corpus,
 )
 from stylokit.errors import AnalysisError, CorpusFormatError
-from stylokit.features import FeatureKind, FeatureSpec, build_matrix
+from stylokit.features import FeatureKind, FeatureSpec, build_matrix, load_word_list
 
 def _parse(lines):
     """A one-document corpus, doc1, and its document."""
@@ -305,6 +307,21 @@ def test_line_ends_do_not_change_the_corpus(tmp_path, line_end):
     expected = load_manifest(_write_manifest(lf, {"x.tsv": LF_TEXT.encode()}))
     again = load_manifest(_write_manifest(other, {"x.tsv": text.encode()}))
     assert _snapshot(again) == _snapshot(expected)
+
+
+@pytest.mark.parametrize("files", ["manifest.csv", "function_words.txt", "tokens/*.tsv"])
+def test_a_leading_byte_order_mark_changes_nothing_read(tmp_path, synth_dir, files):
+    bom = shutil.copytree(synth_dir, tmp_path / "bom")
+    for path in bom.glob(files):
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    plain, again = (load_manifest(d / "manifest.csv") for d in (synth_dir, bom))
+    assert _snapshot(again) == _snapshot(plain)
+    words = load_word_list(synth_dir / "function_words.txt")
+    assert load_word_list(bom / "function_words.txt") == words
+    spec = FeatureSpec(kind=FeatureKind.FUNCTION_WORD, function_words=words)
+    want, got = build_matrix(plain, spec), build_matrix(again, spec)
+    assert got.feature_names == want.feature_names
+    assert np.array_equal(got.values, want.values)
 
 
 def test_malformed_line_first_seen_in_the_second_document_names_that_file(tmp_path):

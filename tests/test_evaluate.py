@@ -4,13 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from _oracles import anova_by_sums, eta_per_feature, f_tail_quadrature
+from _oracles import anova_by_sums, eta_per_feature, f_tail_quadrature, naive_write_eta_csv
 from conftest import parsed_both_ways, random_sources
 from stylokit.errors import AnalysisError
 from stylokit.evaluate import (
-    EtaRow,
     cluster_purity,
     eta_squared,
     eta_table,
@@ -200,9 +199,9 @@ def test_eta_table_sorted_descending():
         feature_names=("noisy", "sharp"),
         values=np.array([[0.5, 1.0], [0.4, 1.1], [0.45, 5.0], [0.55, 5.2]]),
     )
-    rows = eta_table(matrix, {"a": 1, "b": 1, "c": 2, "d": 2})
-    assert [r.feature for r in rows] == ["sharp", "noisy"]
-    assert rows[0].eta_squared > rows[1].eta_squared
+    names, values = eta_table(matrix, {"a": 1, "b": 1, "c": 2, "d": 2})
+    assert names == ("sharp", "noisy")
+    assert values[0, 0] > values[1, 0]
 
 
 def test_eta_constant_non_representable_feature_flagged():
@@ -227,11 +226,12 @@ def test_eta_table_rows_equal_per_column_loop():
         matrix, assignment = _clustered_matrix(rng, sizes, 25)
         labels = [assignment[doc] for doc in matrix.doc_ids]
         df = (len(sizes) - 1, matrix.n_docs - len(sizes))
-        for row in eta_table(matrix, assignment):
-            column = matrix.values[:, matrix.feature_names.index(row.feature)]
-            assert (row.eta_squared, row.p_value) == eta_squared(column, labels)[:2]
+        names, values = eta_table(matrix, assignment)
+        for name, row in zip(names, values.tolist()):
+            column = matrix.values[:, matrix.feature_names.index(name)]
+            assert tuple(row) == eta_squared(column, labels)[:2]
             eta2, f_stat = eta_per_feature(column, labels)
-            assert (row.eta_squared, row.p_value) == (eta2, f_pvalue(f_stat, *df))
+            assert tuple(row) == (eta2, f_pvalue(f_stat, *df))
 
 
 def test_eta_table_bit_identical_under_row_permutation():
@@ -241,17 +241,42 @@ def test_eta_table_bit_identical_under_row_permutation():
         corpus, shuffled = parsed_both_ways(rng, random_sources(rng, 40))
         labels = rng.permutation(np.repeat([1, 2, 3], [9, 13, 18])).tolist()
         assignment = dict(zip(corpus.doc_ids, labels))
-        want = eta_table(build_matrix(corpus, spec), assignment)
-        assert eta_table(build_matrix(shuffled, spec), assignment) == want
+        want_names, want_values = eta_table(build_matrix(corpus, spec), assignment)
+        names, values = eta_table(build_matrix(shuffled, spec), assignment)
+        assert names == want_names
+        assert np.array_equal(values, want_values)
 
 
 def test_eta_csv_stores_underflow_as_zero(tmp_path):
-    rows = [EtaRow(feature="x", eta_squared=0.9, p_value=1e-310)]
     path = tmp_path / "eta.csv"
-    write_eta_csv(rows, path)
+    write_eta_csv((("x",), np.array([[0.9, 1e-310]])), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "feature,eta_squared,p_value"
     assert lines[1] == "x,0.9,0"
+
+
+# Names the csv module must quote, the empty name and non-ASCII ones.
+ETA_NAMES = st.sampled_from(["a,b", 'q"x', "", "été", "名"]) | st.text(alphabet='ab,"q \n\ré', max_size=4)
+ETA2 = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+# p equal to 0, the smallest subnormal and others under the 1e-300 floor, the floor itself.
+P_VALUES = st.sampled_from([0.0, 5e-324, 1e-310, 9.9e-301, 1e-300, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def eta_tables(draw):
+    names = tuple(draw(st.lists(ETA_NAMES, max_size=6, unique=True)))
+    rows = [(draw(ETA2), draw(P_VALUES)) for _ in names]
+    return names, np.array(rows, dtype=float).reshape(len(names), 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(eta_tables())
+@example((("a,b", 'q"x', "", "été"), np.array([[0.0, 0.0], [1.0, 5e-324], [0.5, 1e-310], [1.0, 1.0]])))
+def test_eta_csv_matches_the_per_cell_oracle(tmp_path_factory, table):
+    directory = tmp_path_factory.mktemp("eta_csv")
+    write_eta_csv(table, directory / "eta.csv")
+    naive_write_eta_csv(table, directory / "oracle.csv")
+    assert (directory / "eta.csv").read_bytes() == (directory / "oracle.csv").read_bytes()
 
 
 def test_sweep_structure_on_synthetic_corpus(synth_corpus):

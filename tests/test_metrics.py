@@ -42,6 +42,21 @@ def _random_relfreq(rng, n_docs, n_features) -> FeatureMatrix:
     return _matrix(raw / raw.sum(axis=1, keepdims=True))
 
 
+@pytest.mark.parametrize("measure", list(Measure))
+def test_subset_distances_equal_those_of_a_c_ordered_copy(measure):
+    # values[:, columns] alone is not C-ordered: the column means, sds and
+    # row sums would then reduce in another order and move the last bits.
+    rng = np.random.default_rng(11)
+    matrix = _random_relfreq(rng, 40, 60)
+    columns = np.sort(rng.choice(60, size=35, replace=False))
+    names = tuple(matrix.feature_names[j] for j in columns)
+    copy = FeatureMatrix(matrix.doc_ids, names, np.ascontiguousarray(matrix.values[:, columns]))
+    subset = matrix.subset(columns)
+    assert subset.feature_names == names
+    got, want = compute_distance(subset, measure), compute_distance(copy, measure)
+    assert np.array_equal(got.values, want.values)
+
+
 def test_zscore_standardizes_columns():
     z = _zscore(_matrix([[1.0], [2.0], [3.0]]))
     assert z.mean() == pytest.approx(0.0, abs=1e-12)
