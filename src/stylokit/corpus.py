@@ -17,6 +17,15 @@ prefix ``NOMpro``) keep their types -- POS n-grams need them -- and the
 lexical families skip those types. The documents are sorted by doc id,
 the one row order of everything after.
 
+``load_manifest`` cuts the manifest's rows, in order, into runs of about
+equal token-file bytes, one per CPU the process may use. The first run is
+parsed here, each later one by a forked helper over its own line table,
+which sends back its documents as raw int32 buffers and its types. Each
+later run adds its types not yet in the vocabulary, in its own order:
+the order in which a serial parse first sees them, so every type id, and
+every output byte, is what a serial parse gives. The first run in
+manifest order that fails raises, with the serial message.
+
 Every input may start with a UTF-8 byte-order mark, which is dropped.
 Token files are streamed, never held whole; on a read error,
 ``read_utf8`` reads the file again to name it and the bad byte's line.
@@ -27,14 +36,19 @@ naming it.
 
 from __future__ import annotations
 
+import bisect
 import codecs
 import csv
 import io
+import itertools
+import os
+import pickle
+import signal
 import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import BinaryIO, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -180,12 +194,13 @@ def parse_corpus(sources: Iterable[tuple]) -> Corpus:
     documents = []
     for doc_id, author, lines, *label in sources:
         where = label[0] if label else doc_id
+        start = lines.tell() if hasattr(lines, "seek") else 0  # past a skipped byte-order mark
         try:
             codes = np.fromiter(map(table.__getitem__, lines), np.int32)
         except _MalformedLine as bad:
             raw, n_fields = bad.args
             if hasattr(lines, "seek"):  # the line's number comes from a second read
-                lines.seek(0)
+                lines.seek(start)
             lineno = next((n for n, line in enumerate(lines, start=1) if line == raw), "?")
             raise CorpusFormatError(
                 f"{where}: line {lineno}: expected FORM<TAB>LEMMA<TAB>POS, got {n_fields} field(s)"
@@ -270,14 +285,17 @@ def _parse_manifest_row(
     return row["id"], row["author"], manifest_path.parent / row["path"]
 
 
-def load_manifest(manifest_path: str | Path) -> Corpus:
+def load_manifest(manifest_path: str | Path, *, _runs: int | None = None) -> Corpus:
     """Read a manifest CSV and parse every token file it points to.
 
     The manifest has the header ``id,title,author,genre,form,acts,year,path``
     with paths resolved relative to the manifest location. Every row is
     checked before the first token file is opened; a doc id seen twice
-    raises CorpusFormatError naming its line. Token files are read one at a
-    time in manifest order, and an error in one names its path; the corpus
+    raises CorpusFormatError naming its line. The token files are parsed in
+    contiguous runs of rows, one per usable CPU (``_runs`` overrides the
+    count), and the corpus is the one a serial parse in manifest order
+    gives: the same vocabulary, the same ids, and the same error, naming
+    the path of the first file in manifest order that fails. The corpus
     holds the documents sorted by doc id.
     """
     manifest_path = Path(manifest_path)
@@ -299,7 +317,7 @@ def load_manifest(manifest_path: str | Path) -> Corpus:
     if not rows:
         raise CorpusFormatError(f"manifest is empty: {manifest_path}")
     try:
-        return parse_corpus(_token_files(rows))
+        return _parse_runs(_split_runs(rows, _usable_cpus() if _runs is None else _runs))
     except (OSError, UnicodeDecodeError):
         for *_, path in rows:  # the first file that cannot be read whole raises naming it
             read_utf8(path)
@@ -314,6 +332,135 @@ def _token_files(rows: list[tuple[str, str, Path]]) -> Iterator[tuple]:
             if fh.buffer.peek(3)[:3] == codecs.BOM_UTF8:
                 fh.buffer.read(3)
             yield doc_id, author, fh, path
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where fork or the affinity mask is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _file_size(path: Path) -> int:
+    try:
+        return os.stat(path).st_size
+    except OSError:  # the parse names the file
+        return 0
+
+
+def _split_runs(rows: list, n_runs: int) -> list[list]:
+    """Rows cut, in order, into min(n_runs, len(rows)) non-empty runs of about equal file bytes."""
+    n_runs = min(n_runs, len(rows))
+    ends = list(itertools.accumulate(_file_size(path) for *_, path in rows))
+    cuts = [0]
+    for k in range(1, n_runs):
+        # Run k ends after the row whose bytes reach k/n of the total.
+        cut = bisect.bisect_left(ends, ends[-1] * k / n_runs) + 1
+        cuts.append(min(max(cut, cuts[-1] + 1), len(rows) - n_runs + k))
+    cuts.append(len(rows))
+    return [rows[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _parse_runs(runs: list[list]) -> Corpus:
+    """Parse the first run here and each later one in a forked helper, then merge.
+
+    The merged vocabulary is the first run's, then each later run's types
+    in its own order, less those already present: the order in which a
+    serial parse first sees them, so every type id is the serial one. The
+    first run in order that fails raises; a helper that ends without a
+    result has its run parsed here. Every helper is reaped before return.
+    """
+    helpers = []
+    try:
+        for run in runs[1:]:
+            helpers.append(_fork_helper(run))
+        first = parse_corpus(_token_files(runs[0]))
+        vocabulary = {token: i for i, token in enumerate(first.types)}
+        documents = list(first.documents)
+        for run, helper in zip(runs[1:], helpers):
+            corpus = _receive(helper[1]) if helper else None
+            if corpus is None:
+                corpus = parse_corpus(_token_files(run))
+            remap = np.array(
+                [vocabulary.setdefault(token, len(vocabulary)) for token in corpus.types], np.int32
+            )
+            for doc in corpus.documents:
+                np.take(remap, doc.type_ids, out=doc.type_ids)
+            documents += corpus.documents
+    finally:
+        for pid, reader in filter(None, helpers):
+            reader.close()
+            os.kill(pid, signal.SIGKILL)  # one still parsing after an error elsewhere
+            os.waitpid(pid, 0)
+    documents.sort(key=lambda doc: doc.id)
+    return Corpus(documents=tuple(documents), types=tuple(vocabulary))
+
+
+def _fork_helper(run: list) -> tuple[int, BinaryIO] | None:
+    """(pid, read end of its pipe) of a helper parsing ``run``; None if none can start."""
+    try:
+        read_end, write_end = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:  # the helper: it never returns into the caller's frames
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as out:
+                _send(out, run)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
+
+
+def _send(out: BinaryIO, run: list) -> None:
+    """Write the run's corpus, or the exception its parse raised, for ``_receive``.
+
+    A pickled header -- (exception or None, (id, author, id count, verse
+    count) per document, (form, lemma, pos) per type) -- then each
+    document's raw int32 type ids and verse ends.
+    """
+    try:
+        corpus = parse_corpus(_token_files(run))
+    except Exception as exc:  # forwarded, so the caller raises it in manifest order
+        out.write(pickle.dumps((exc, (), ())))
+        return
+    docs = corpus.documents
+    header = (
+        None,
+        [(d.id, d.alleged_author, len(d.type_ids), len(d.verse_ends)) for d in docs],
+        [(t.form, t.lemma, t.pos) for t in corpus.types],
+    )
+    out.write(pickle.dumps(header, pickle.HIGHEST_PROTOCOL))
+    for doc in docs:
+        out.write(doc.type_ids)
+        out.write(doc.verse_ends)
+
+
+def _receive(reader: BinaryIO) -> Corpus | None:
+    """The corpus a helper sent, None if it ended before sending all of it; its error is raised."""
+    try:
+        error, heads, types = pickle.load(reader)
+    except (EOFError, pickle.UnpicklingError):
+        return None
+    if error is not None:
+        raise error
+    documents = []
+    for doc_id, author, n_ids, n_ends in heads:
+        type_ids, verse_ends = np.empty(n_ids, np.int32), np.empty(n_ends, np.int32)
+        for array in (type_ids, verse_ends):
+            if reader.readinto(array) != array.nbytes:
+                return None
+        documents.append(Document(doc_id, author, type_ids, verse_ends))
+    return Corpus(documents=tuple(documents), types=tuple(AnnotatedToken(*t) for t in types))
 
 
 def filter_corpus(corpus: Corpus, min_tokens: int, min_plays_per_author: int) -> Corpus:

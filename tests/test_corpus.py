@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import codecs
 import io
+import os
 import re
 import shutil
+import signal
 from contextlib import ExitStack
 
 import numpy as np
@@ -403,3 +405,84 @@ def test_parse_agrees_over_files_lists_and_the_per_line_oracle(tmp_path_factory,
             for i, doc_id in enumerate(doc_ids)
         ]
         assert _outcome(parse_corpus, from_files) == expected
+
+
+def test_malformed_first_line_after_a_byte_order_mark_is_line_1(tmp_path):
+    manifest = _write_manifest(tmp_path, {"bom.tsv": codecs.BOM_UTF8 + b"a\tb\nc\tc\tNOMcom\n"})
+    with pytest.raises(CorpusFormatError) as excinfo:
+        load_manifest(manifest)
+    assert str(excinfo.value) == (
+        f"{tmp_path / 'bom.tsv'}: line 1: expected FORM<TAB>LEMMA<TAB>POS, got 2 field(s)"
+    )
+
+
+def _assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.one_of(DOC_LINES, st.just([]), st.just([("# only a comment", "\n")])),
+             min_size=1, max_size=7),
+    st.integers(min_value=1, max_value=4),
+)
+def test_runs_parse_to_the_serial_corpus_or_its_first_error(tmp_path_factory, docs, runs):
+    """Malformed lines and empty documents may fall in several runs at once."""
+    directory = tmp_path_factory.mktemp("runs")
+    texts = {f"{i}.tsv": "".join(line + end for line, end in lines) for i, lines in enumerate(docs)}
+    manifest = _write_manifest(directory, {name: t.encode() for name, t in texts.items()})
+    serial = [
+        (f"play{i}", "a", list(io.StringIO(text, newline=None)), str(directory / name))
+        for i, (name, text) in enumerate(texts.items())
+    ]
+    expected = _outcome(parse_corpus, serial)
+    assert _outcome(lambda m: load_manifest(m, _runs=runs), manifest) == expected
+    _assert_no_child_process()
+
+
+FAILING = {
+    "missing.tsv": b"",
+    "dir.tsv": b"",
+    "latin1.tsv": b"gl\xf4ire\tgloire\tNOMcom\n",
+    "bad.tsv": b"a\tb\n",
+}
+
+
+@pytest.mark.parametrize("first", list(FAILING))
+def test_a_helper_error_names_the_file_a_serial_parse_names(tmp_path, monkeypatch, first):
+    """With five runs, the first failing file is the first of a helper's, which
+    forwards its error: this process parses only its own run."""
+    parsed_here = []
+    monkeypatch.setattr(corpus_module, "parse_corpus",
+                        lambda sources: parsed_here.append(1) or parse_corpus(sources))
+    files = {"ok.tsv": b"a\ta\tNOMcom\n", first: FAILING[first], **FAILING}
+    manifest = _write_manifest(tmp_path, files)
+    (tmp_path / "missing.tsv").unlink()
+    (tmp_path / "dir.tsv").unlink()
+    (tmp_path / "dir.tsv").mkdir()
+    messages = set()
+    for runs in (1, 2, 5):
+        with pytest.raises(CorpusFormatError) as excinfo:
+            load_manifest(manifest, _runs=runs)
+        messages.add(str(excinfo.value))
+    assert len(messages) == 1
+    assert messages.pop().startswith(f"{tmp_path / first}: ")
+    assert len(parsed_here) == 3
+    _assert_no_child_process()
+
+
+def test_no_helper_outlives_an_error_in_the_first_run(tmp_path):
+    # The helper's run is long, so it is still parsing when the first run fails.
+    long_run = "".join(f"w{i}\tw{i}\tNOMcom\n" for i in range(20000)).encode() * 10
+    manifest = _write_manifest(tmp_path, {"bad.tsv": b"a\tb\n", "long.tsv": long_run})
+    with pytest.raises(CorpusFormatError, match="bad.tsv: line 1"):
+        load_manifest(manifest, _runs=2)
+    _assert_no_child_process()
+
+
+def test_a_helper_that_ends_without_a_result_has_its_run_parsed_here(tmp_path, monkeypatch, synth_dir):
+    expected = _snapshot(load_manifest(synth_dir / "manifest.csv", _runs=1))
+    monkeypatch.setattr(corpus_module, "_send", lambda out, run: os.kill(os.getpid(), signal.SIGKILL))
+    assert _snapshot(load_manifest(synth_dir / "manifest.csv", _runs=3)) == expected
+    _assert_no_child_process()
