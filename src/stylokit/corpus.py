@@ -408,6 +408,9 @@ def _fork_helper(run: list) -> tuple[int, BinaryIO] | None:
         os.close(read_end)
         os.close(write_end)
         return None
+    # fork, not spawn: a fresh interpreter would take longer to import numpy
+    # than the run takes to parse. The helper calls no BLAS, so an idle BLAS
+    # thread in this process does not matter to it.
     if pid == 0:  # the helper: it never returns into the caller's frames
         status = 1
         try:
