@@ -17,14 +17,12 @@ prefix ``NOMpro``) keep their types -- POS n-grams need them -- and the
 lexical families skip those types. The documents are sorted by doc id,
 the one row order of everything after.
 
-``load_manifest`` cuts the manifest's rows, in order, into runs of about
-equal token-file bytes, one per CPU the process may use. The first run is
-parsed here, each later one by a forked helper over its own line table,
-which sends back its documents as raw int32 buffers and its types. Each
-later run adds its types not yet in the vocabulary, in its own order:
-the order in which a serial parse first sees them, so every type id, and
-every output byte, is what a serial parse gives. The first run in
-manifest order that fails raises, with the serial message.
+``load_manifest`` cuts the manifest's rows, in order, into runs of equal
+row count, one per usable CPU. Run 1 is parsed here, each later run by a
+forked helper over its own line table, which sends back one pickle. Each
+later run adds its types not yet in the vocabulary, in its own order: a
+serial parse's first-sight order, so every type id and output byte is a
+serial parse's. The first run in order that fails raises the serial error.
 
 Every input may start with a UTF-8 byte-order mark, which is dropped.
 Token files are streamed, never held whole; on a read error,
@@ -36,15 +34,15 @@ naming it.
 
 from __future__ import annotations
 
-import bisect
 import codecs
 import csv
 import io
-import itertools
 import os
 import pickle
 import signal
+import threading
 import unicodedata
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -285,18 +283,18 @@ def _parse_manifest_row(
     return row["id"], row["author"], manifest_path.parent / row["path"]
 
 
-def load_manifest(manifest_path: str | Path, *, _runs: int | None = None) -> Corpus:
+def load_manifest(manifest_path: str | Path) -> Corpus:
     """Read a manifest CSV and parse every token file it points to.
 
     The manifest has the header ``id,title,author,genre,form,acts,year,path``
     with paths resolved relative to the manifest location. Every row is
     checked before the first token file is opened; a doc id seen twice
     raises CorpusFormatError naming its line. The token files are parsed in
-    contiguous runs of rows, one per usable CPU (``_runs`` overrides the
-    count), and the corpus is the one a serial parse in manifest order
-    gives: the same vocabulary, the same ids, and the same error, naming
-    the path of the first file in manifest order that fails. The corpus
-    holds the documents sorted by doc id.
+    contiguous runs of equal row count, one per usable CPU, all but the
+    first by forked helpers that each send back one pickle. The corpus, or
+    the error, is a serial parse's in manifest order: the same vocabulary
+    and ids, or the path of the first file that fails. The corpus holds the
+    documents sorted by doc id.
     """
     manifest_path = Path(manifest_path)
     reader = csv.DictReader(io.StringIO(read_utf8(manifest_path), newline=""))
@@ -317,7 +315,7 @@ def load_manifest(manifest_path: str | Path, *, _runs: int | None = None) -> Cor
     if not rows:
         raise CorpusFormatError(f"manifest is empty: {manifest_path}")
     try:
-        return _parse_runs(_split_runs(rows, _usable_cpus() if _runs is None else _runs))
+        return _parse_runs(rows)
     except (OSError, UnicodeDecodeError):
         for *_, path in rows:  # the first file that cannot be read whole raises naming it
             read_utf8(path)
@@ -336,54 +334,28 @@ def _token_files(rows: list[tuple[str, str, Path]]) -> Iterator[tuple]:
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on; 1 where fork or the affinity mask is missing."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
+    usable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    return len(os.sched_getaffinity(0)) if usable else 1
 
 
-def _file_size(path: Path) -> int:
-    try:
-        return os.stat(path).st_size
-    except OSError:  # the parse names the file
-        return 0
-
-
-def _split_runs(rows: list, n_runs: int) -> list[list]:
-    """Rows cut, in order, into min(n_runs, len(rows)) non-empty runs of about equal file bytes."""
-    n_runs = min(n_runs, len(rows))
-    ends = list(itertools.accumulate(_file_size(path) for *_, path in rows))
-    cuts = [0]
-    for k in range(1, n_runs):
-        # Run k ends after the row whose bytes reach k/n of the total.
-        cut = bisect.bisect_left(ends, ends[-1] * k / n_runs) + 1
-        cuts.append(min(max(cut, cuts[-1] + 1), len(rows) - n_runs + k))
-    cuts.append(len(rows))
-    return [rows[a:b] for a, b in zip(cuts, cuts[1:])]
-
-
-def _parse_runs(runs: list[list]) -> Corpus:
-    """Parse the first run here and each later one in a forked helper, then merge.
-
-    The merged vocabulary is the first run's, then each later run's types
-    in its own order, less those already present: the order in which a
-    serial parse first sees them, so every type id is the serial one. The
-    first run in order that fails raises; a helper that ends without a
-    result has its run parsed here. Every helper is reaped before return.
+def _parse_runs(rows: list) -> Corpus:
+    """Parse the rows cut, in order, into one run per usable CPU (at most one per
+    row) whose row counts differ by at most 1: run 1 here, each later run in a
+    forked helper, merged as the module docstring says. A helper that ends
+    without a result has its run parsed here; every helper is reaped before return.
     """
-    helpers = []
+    n, r = len(rows), min(_usable_cpus(), len(rows))
+    runs = [rows[k * n // r : (k + 1) * n // r] for k in range(r)]
+    helpers, vocabulary, documents = [None], {}, []  # run 1 has no helper
     try:
         for run in runs[1:]:
             helpers.append(_fork_helper(run))
-        first = parse_corpus(_token_files(runs[0]))
-        vocabulary = {token: i for i, token in enumerate(first.types)}
-        documents = list(first.documents)
-        for run, helper in zip(runs[1:], helpers):
+        for run, helper in zip(runs, helpers):
             corpus = _receive(helper[1]) if helper else None
             if corpus is None:
                 corpus = parse_corpus(_token_files(run))
-            remap = np.array(
-                [vocabulary.setdefault(token, len(vocabulary)) for token in corpus.types], np.int32
-            )
+            ids = [vocabulary.setdefault(token, len(vocabulary)) for token in corpus.types]
+            remap = np.array(ids, np.int32)
             for doc in corpus.documents:
                 np.take(remap, doc.type_ids, out=doc.type_ids)
             documents += corpus.documents
@@ -397,73 +369,69 @@ def _parse_runs(runs: list[list]) -> Corpus:
 
 
 def _fork_helper(run: list) -> tuple[int, BinaryIO] | None:
-    """(pid, read end of its pipe) of a helper parsing ``run``; None if none can start."""
+    """(pid, read end of its pipe) of a helper parsing ``run``; None if none can start.
+    Forked, not spawned: a fresh interpreter imports numpy slower than a run parses."""
     try:
         read_end, write_end = os.pipe()
     except OSError:
         return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    # fork, not spawn: a fresh interpreter would take longer to import numpy
-    # than the run takes to parse. The helper calls no BLAS, so an idle BLAS
-    # thread in this process does not matter to it.
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on fork with a second OS thread. With one Python
+        # thread, the rest are native, such as numpy's BLAS, which a helper never calls.
+        if threading.active_count() == 1:
+            warnings.filterwarnings("ignore", "This process .* multi-threaded", DeprecationWarning)
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            return None
     if pid == 0:  # the helper: it never returns into the caller's frames
-        status = 1
         try:
             os.close(read_end)
             with open(write_end, "wb") as out:
                 _send(out, run)
-            status = 0
         finally:
-            os._exit(status)
+            os._exit(0)  # the parent reads the pipe, not the exit status
     os.close(write_end)
     return pid, open(read_end, "rb")
 
 
 def _send(out: BinaryIO, run: list) -> None:
-    """Write the run's corpus, or the exception its parse raised, for ``_receive``.
-
-    A pickled header -- (exception or None, (id, author, id count, verse
-    count) per document, (form, lemma, pos) per type) -- then each
-    document's raw int32 type ids and verse ends.
-    """
+    """Write for ``_receive`` one protocol-5 pickle: (the parse's exception or
+    None, (id, author, id count, verse count) per document, the run's type ids
+    and verse ends as two int32 arrays, (form, lemma, pos) per type)."""
     try:
         corpus = parse_corpus(_token_files(run))
     except Exception as exc:  # forwarded, so the caller raises it in manifest order
-        out.write(pickle.dumps((exc, (), ())))
+        pickle.dump((exc, (), None, None, ()), out, 5)
         return
     docs = corpus.documents
-    header = (
-        None,
-        [(d.id, d.alleged_author, len(d.type_ids), len(d.verse_ends)) for d in docs],
-        [(t.form, t.lemma, t.pos) for t in corpus.types],
-    )
-    out.write(pickle.dumps(header, pickle.HIGHEST_PROTOCOL))
-    for doc in docs:
-        out.write(doc.type_ids)
-        out.write(doc.verse_ends)
+    heads = [(d.id, d.alleged_author, len(d.type_ids), len(d.verse_ends)) for d in docs]
+    type_ids = np.concatenate([d.type_ids for d in docs])
+    verse_ends = np.concatenate([d.verse_ends for d in docs])
+    types = [(t.form, t.lemma, t.pos) for t in corpus.types]
+    pickle.dump((None, heads, type_ids, verse_ends, types), out, 5)
 
 
 def _receive(reader: BinaryIO) -> Corpus | None:
-    """The corpus a helper sent, None if it ended before sending all of it; its error is raised."""
+    """The corpus a helper sent, None if it ended before sending all of it; its error is raised.
+
+    Its documents' arrays are writable views into the run's two arrays: two
+    per run, not per document, as per-document arrays left ~0.1 MB more RSS.
+    """
     try:
-        error, heads, types = pickle.load(reader)
-    except (EOFError, pickle.UnpicklingError):
+        error, heads, type_ids, verse_ends, types = pickle.load(reader)
+    except (EOFError, pickle.UnpicklingError):  # all a truncated pickle raises
         return None
     if error is not None:
         raise error
-    documents = []
+    documents, i, j = [], 0, 0
     for doc_id, author, n_ids, n_ends in heads:
-        type_ids, verse_ends = np.empty(n_ids, np.int32), np.empty(n_ends, np.int32)
-        for array in (type_ids, verse_ends):
-            if reader.readinto(array) != array.nbytes:
-                return None
-        documents.append(Document(doc_id, author, type_ids, verse_ends))
-    return Corpus(documents=tuple(documents), types=tuple(AnnotatedToken(*t) for t in types))
+        ids, ends = type_ids[i : i + n_ids], verse_ends[j : j + n_ends]
+        documents.append(Document(doc_id, author, ids, ends))
+        i, j = i + n_ids, j + n_ends
+    return Corpus(tuple(documents), tuple(AnnotatedToken(*t) for t in types))
 
 
 def filter_corpus(corpus: Corpus, min_tokens: int, min_plays_per_author: int) -> Corpus:

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cluster import ClusterAssignment, Dendrogram, cut, ward_cluster
 from .corpus import Corpus
 from .errors import AnalysisError
@@ -44,8 +42,7 @@ def apply_selection(
     """
     if mode == RELIABLE:
         report = select_reliable(matrix, min_doc_len)
-        retained = np.flatnonzero([row.retained for row in report.per_feature])
-        return matrix.subset(retained), report
+        return matrix.subset(report.retained), report
     if isinstance(mode, tuple) and len(mode) == 2 and mode[0] == "top":
         columns = select_top_frequency(matrix, mode[1])
         usable = columns[~degenerate(matrix.values.T)[columns]]

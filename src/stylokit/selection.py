@@ -28,19 +28,18 @@ MARGIN_MULTIPLIER = 2.0
 
 
 @dataclass(frozen=True)
-class FeatureDiagnostic:
-    name: str
-    p_bar: float
-    sigma: float
-    required_n: float
-    retained: bool
-    degenerate: bool
-
-
-@dataclass(frozen=True)
 class SelectionReport:
-    retained: tuple[str, ...]
-    per_feature: tuple[FeatureDiagnostic, ...]
+    """Every feature's reliability scores, in the matrix's column order.
+
+    ``per_feature`` is F x 3 floats (p_bar, sigma, required_n) and
+    ``degenerate`` F bools; ``retained`` holds the kept columns' indices in
+    increasing order, as ``select_top_frequency`` returns them.
+    """
+
+    feature_names: tuple[str, ...]
+    per_feature: np.ndarray
+    degenerate: np.ndarray
+    retained: np.ndarray
 
 
 def corrected_mean(values) -> np.ndarray:
@@ -82,13 +81,11 @@ def select_reliable(matrix: FeatureMatrix, min_doc_len: int) -> SelectionReport:
     sigma = np.where(flat, 0.0, columns.std(axis=1, ddof=1))
     p_bar = corrected_mean(columns)
     required_n = required_sample_size(p_bar, sigma)
-    keep = ~flat & (required_n <= min_doc_len)
-    if not keep.any():
+    retained = np.flatnonzero(~flat & (required_n <= min_doc_len))
+    if not len(retained):
         raise AnalysisError("selection eliminated all features")
-    stats = (p_bar, sigma, required_n, keep, flat)
-    rows = tuple(map(FeatureDiagnostic, matrix.feature_names, *(s.tolist() for s in stats)))
-    retained = tuple(row.name for row in rows if row.retained)
-    return SelectionReport(retained=retained, per_feature=rows)
+    per_feature = np.column_stack((p_bar, sigma, required_n))
+    return SelectionReport(matrix.feature_names, per_feature, flat, retained)
 
 
 def select_top_frequency(matrix: FeatureMatrix, fraction: float) -> np.ndarray:
@@ -110,8 +107,9 @@ def select_top_frequency(matrix: FeatureMatrix, fraction: float) -> np.ndarray:
 def write_selection_csv(report: SelectionReport, path: str | Path) -> None:
     """The ``write_csv`` layout with each row one %-format, as ``features.write_float_rows`` does."""
     line = "%s" + ("," + FLOAT_FORMAT) * 3 + ",%s,%s\n"
+    names, stats = report.feature_names, report.per_feature.tolist()
+    kept = np.isin(np.arange(len(names)), report.retained)
     with open_output(path) as fh:
         fh.write("feature,p_bar,sigma,required_n,retained,degenerate\n")
-        for row in report.per_feature:
-            fh.write(line % (_csv_head(row.name, False), row.p_bar, row.sigma, row.required_n,
-                             str(row.retained).lower(), str(row.degenerate).lower()))
+        for name, row, keep, flat in zip(names, stats, kept.tolist(), report.degenerate.tolist()):
+            fh.write(line % (_csv_head(name, False), *row, str(keep).lower(), str(flat).lower()))

@@ -346,3 +346,15 @@ def naive_write_eta_csv(table, path) -> None:
         for name, (eta2, p) in zip(names, values.tolist()):
             p = 0.0 if p < 1e-300 else p
             writer.writerow([name, format(eta2, ".12g"), format(p, ".12g")])
+
+
+def naive_write_selection_csv(report, path) -> None:
+    """selection.csv one feature at a time, each cell through format() and csv.writer."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["feature", "p_bar", "sigma", "required_n", "retained", "degenerate"])
+        for j, name in enumerate(report.feature_names):
+            p_bar, sigma, required_n = (format(float(v), ".12g") for v in report.per_feature[j])
+            retained = str(j in report.retained.tolist()).lower()
+            degenerate = str(bool(report.degenerate[j])).lower()
+            writer.writerow([name, p_bar, sigma, required_n, retained, degenerate])

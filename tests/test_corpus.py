@@ -6,6 +6,8 @@ import os
 import re
 import shutil
 import signal
+import threading
+import warnings
 from contextlib import ExitStack
 
 import numpy as np
@@ -421,6 +423,13 @@ def _assert_no_child_process():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _load_in_runs(manifest, runs: int) -> Corpus:
+    """load_manifest as on a machine with ``runs`` usable CPUs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus_module, "_usable_cpus", lambda: runs)
+        return load_manifest(manifest)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.one_of(DOC_LINES, st.just([]), st.just([("# only a comment", "\n")])),
@@ -437,7 +446,7 @@ def test_runs_parse_to_the_serial_corpus_or_its_first_error(tmp_path_factory, do
         for i, (name, text) in enumerate(texts.items())
     ]
     expected = _outcome(parse_corpus, serial)
-    assert _outcome(lambda m: load_manifest(m, _runs=runs), manifest) == expected
+    assert _outcome(lambda m: _load_in_runs(m, runs), manifest) == expected
     _assert_no_child_process()
 
 
@@ -464,7 +473,7 @@ def test_a_helper_error_names_the_file_a_serial_parse_names(tmp_path, monkeypatc
     messages = set()
     for runs in (1, 2, 5):
         with pytest.raises(CorpusFormatError) as excinfo:
-            load_manifest(manifest, _runs=runs)
+            _load_in_runs(manifest, runs)
         messages.add(str(excinfo.value))
     assert len(messages) == 1
     assert messages.pop().startswith(f"{tmp_path / first}: ")
@@ -477,12 +486,74 @@ def test_no_helper_outlives_an_error_in_the_first_run(tmp_path):
     long_run = "".join(f"w{i}\tw{i}\tNOMcom\n" for i in range(20000)).encode() * 10
     manifest = _write_manifest(tmp_path, {"bad.tsv": b"a\tb\n", "long.tsv": long_run})
     with pytest.raises(CorpusFormatError, match="bad.tsv: line 1"):
-        load_manifest(manifest, _runs=2)
+        _load_in_runs(manifest, 2)
     _assert_no_child_process()
 
 
 def test_a_helper_that_ends_without_a_result_has_its_run_parsed_here(tmp_path, monkeypatch, synth_dir):
-    expected = _snapshot(load_manifest(synth_dir / "manifest.csv", _runs=1))
+    expected = _snapshot(_load_in_runs(synth_dir / "manifest.csv", 1))
     monkeypatch.setattr(corpus_module, "_send", lambda out, run: os.kill(os.getpid(), signal.SIGKILL))
-    assert _snapshot(load_manifest(synth_dir / "manifest.csv", _runs=3)) == expected
+    assert _snapshot(_load_in_runs(synth_dir / "manifest.csv", 3)) == expected
+    _assert_no_child_process()
+
+
+@pytest.mark.parametrize("kept", [lambda n: n // 2, lambda n: n - 1], ids=["half", "all_but_the_last_byte"])
+def test_a_helper_that_sends_part_of_its_result_has_its_run_parsed_here(monkeypatch, synth_dir, kept):
+    """The helper writes the start of its real pickle and is killed: a truncated pickle
+    reads as no result, not as an error."""
+    send = corpus_module._send
+
+    def send_part_then_die(out, run):
+        whole = io.BytesIO()
+        send(whole, run)
+        out.write(whole.getvalue()[: kept(len(whole.getvalue()))])
+        out.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    expected = _snapshot(_load_in_runs(synth_dir / "manifest.csv", 1))
+    monkeypatch.setattr(corpus_module, "_send", send_part_then_die)
+    assert _snapshot(_load_in_runs(synth_dir / "manifest.csv", 3)) == expected
+    _assert_no_child_process()
+
+
+FORK_WARNING = "This process (pid={}) is multi-threaded, use of fork() may lead to deadlocks in the child."
+
+
+def _fork_warning_as_in_python_3_12(monkeypatch):
+    """os.fork warns in the parent as it does from Python 3.12 on with a second OS thread."""
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn(FORK_WARNING.format(os.getpid()), DeprecationWarning, stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+
+
+def test_no_fork_warning_with_only_native_threads(tmp_path, monkeypatch):
+    """numpy's BLAS thread makes Python 3.12+ warn on fork; a helper never calls BLAS."""
+    _fork_warning_as_in_python_3_12(monkeypatch)
+    manifest = _write_manifest(tmp_path, {"a.tsv": b"a\ta\tNOMcom\n", "b.tsv": b"b\tb\tNOMcom\n"})
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        assert len(_load_in_runs(manifest, 2)) == 2
+    assert [str(w.message) for w in shown] == []
+    _assert_no_child_process()
+
+
+def test_the_fork_warning_is_shown_to_a_caller_running_python_threads(tmp_path, monkeypatch):
+    _fork_warning_as_in_python_3_12(monkeypatch)
+    manifest = _write_manifest(tmp_path, {"a.tsv": b"a\ta\tNOMcom\n", "b.tsv": b"b\tb\tNOMcom\n"})
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, daemon=True)
+    thread.start()
+    try:
+        with pytest.warns(DeprecationWarning, match="multi-threaded"):
+            assert len(_load_in_runs(manifest, 2)) == 2
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
     _assert_no_child_process()

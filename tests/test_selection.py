@@ -1,17 +1,16 @@
 from __future__ import annotations
 
-import csv
-import io
-
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from _oracles import naive_write_selection_csv
 from conftest import parsed_both_ways, random_sources
 from stylokit.errors import AnalysisError
 from stylokit.features import FeatureKind, FeatureMatrix, FeatureSpec, build_matrix
 from stylokit.pipeline import apply_selection
 from stylokit.selection import (
+    SelectionReport,
     corrected_mean,
     required_sample_size,
     select_reliable,
@@ -91,12 +90,13 @@ def test_select_reliable_threshold_behavior():
     )
     matrix = _matrix(values)
     report = select_reliable(matrix, 5000)
-    assert report.retained == ("f0",)
-    by_name = {row.name: row for row in report.per_feature}
-    assert by_name["f1"].retained is False and by_name["f1"].required_n > 5000
-    assert by_name["f2"].degenerate is True and by_name["f2"].required_n == 0.0
-    assert by_name["f0"].sigma == pytest.approx(values[:, 0].std(ddof=1))
-    assert by_name["f0"].p_bar == pytest.approx(0.5)
+    assert report.feature_names == ("f0", "f1", "f2")
+    assert report.retained.tolist() == [0]
+    p_bar, sigma, required_n = report.per_feature.T
+    assert report.degenerate.tolist() == [False, False, True]
+    assert required_n[1] > 5000 and required_n[2] == 0.0
+    assert sigma[0] == pytest.approx(values[:, 0].std(ddof=1))
+    assert p_bar[0] == pytest.approx(0.5)
 
 
 def test_select_reliable_example_thresholds():
@@ -146,14 +146,37 @@ def test_selection_csv_layout(tmp_path):
     assert lines[0] == "feature,p_bar,sigma,required_n,retained,degenerate"
     assert lines[1].startswith('"a,b",')
     assert lines[2].endswith(",true")  # q"x constant -> degenerate
-    # Byte for byte what csv.writer makes of the cells formatted one by one.
-    expected = io.StringIO()
-    writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow(lines[0].split(","))
-    for row in report.per_feature:
-        stats = (format(v, ".12g") for v in (row.p_bar, row.sigma, row.required_n))
-        writer.writerow([row.name, *stats, str(row.retained).lower(), str(row.degenerate).lower()])
-    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+    naive_write_selection_csv(report, tmp_path / "oracle.csv")
+    assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+# Names the csv module must quote, the empty name and non-ASCII ones.
+SELECTION_NAMES = st.sampled_from(["a,b", 'q"x', "", "été", "名"]) | st.text(alphabet='ab,"q \n\ré', max_size=4)
+# Signed zero, the smallest subnormal and a value near the top of the range among the others.
+SELECTION_VALUES = st.sampled_from([-0.0, 0.0, 5e-324, 1e300]) | st.floats(allow_nan=False)
+
+
+@st.composite
+def selection_reports(draw):
+    names = tuple(draw(st.lists(SELECTION_NAMES, max_size=6, unique=True)))
+    values = [[draw(SELECTION_VALUES) for _ in range(3)] for _ in names]
+    flags = [draw(st.booleans()) for _ in names]
+    kept = [j for j in range(len(names)) if not flags[j] and draw(st.booleans())]
+    return SelectionReport(
+        names, np.array(values, dtype=float).reshape(len(names), 3),
+        np.array(flags, dtype=bool), np.array(kept, dtype=np.intp),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(selection_reports())
+@example(SelectionReport(("a,b", 'q"x', "", "été"), np.array([[-0.0, 5e-324, 1e300]] * 4),
+                         np.array([False, True, False, False]), np.array([0, 3])))
+def test_selection_csv_matches_the_per_row_oracle(tmp_path_factory, report):
+    directory = tmp_path_factory.mktemp("selection_csv")
+    write_selection_csv(report, directory / "selection.csv")
+    naive_write_selection_csv(report, directory / "oracle.csv")
+    assert (directory / "selection.csv").read_bytes() == (directory / "oracle.csv").read_bytes()
 
 
 def test_select_reliable_validation():
@@ -175,8 +198,9 @@ def _with_constant_column() -> FeatureMatrix:
 def test_constant_column_is_degenerate_in_select_reliable():
     assert CONSTANT.std(ddof=1) != 0.0
     report = select_reliable(_with_constant_column(), 10**9)
-    row = {r.name: r for r in report.per_feature}["f2"]
-    assert (row.degenerate, row.retained, row.sigma, row.required_n) == (True, False, 0.0, 0.0)
+    assert report.feature_names[2] == "f2"
+    assert report.degenerate[2] and 2 not in report.retained
+    assert report.per_feature[2, 1:].tolist() == [0.0, 0.0]  # sigma, required_n
 
 
 def test_constant_column_does_not_survive_top_selection():
@@ -191,8 +215,14 @@ def test_select_reliable_bit_identical_under_row_permutation():
         corpus, shuffled = parsed_both_ways(rng, random_sources(rng, 15))
         m = build_matrix(corpus, spec)
         report = select_reliable(m, 10**6)
-        assert select_reliable(build_matrix(shuffled, spec), 10**6) == report
+        assert _bits(select_reliable(build_matrix(shuffled, spec), 10**6)) == _bits(report)
         # Against one column at a time.
-        for j, row in enumerate(report.per_feature):
+        for j, (p_bar, sigma, _) in enumerate(report.per_feature.tolist()):
             col = m.values[:, j]
-            assert (row.p_bar, row.sigma) == ((col.max() + col.min()) / 2, col.std(ddof=1))
+            assert (p_bar, sigma) == ((col.max() + col.min()) / 2, col.std(ddof=1))
+
+
+def _bits(report: SelectionReport):
+    """A report's fields in a form that compares bit for bit."""
+    arrays = (report.per_feature, report.degenerate, report.retained)
+    return report.feature_names, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
