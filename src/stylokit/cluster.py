@@ -89,7 +89,9 @@ def ward_cluster(dist: DistanceMatrix, variant: str = WARD_SQUARED) -> Dendrogra
     # Slot i holds one live cluster: its row of merge values, its size and
     # its dendrogram node. The diagonal and every retired slot hold +inf,
     # so the minimum is always a live pair.
-    state = values * values / 2.0 if variant == WARD_SQUARED else values.copy()
+    state = np.multiply(values, values) if variant == WARD_SQUARED else values.copy()
+    if variant == WARD_SQUARED:
+        state /= 2.0  # in place: one n x n array at a time, not two
     np.fill_diagonal(state, np.inf)
     size = np.ones(n)
     node = list(range(n))

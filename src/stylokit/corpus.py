@@ -7,9 +7,11 @@ in; tokens that vanish under that normalization are dropped entirely.
 
 A corpus is parsed as a whole over one vocabulary: ``Corpus.types``
 holds each distinct normalized token once, and a ``Document`` is an
-int32 array of ids into it, in reading order, plus the exclusive end
-offset of each verse. One line table local to the parse maps every
-distinct raw line to its type id: a dict whose ``__missing__`` normalizes
+array of ids into it, in reading order, plus the exclusive int32 end
+offset of each verse. The ids are uint16 up to 2**16 types and int32
+beyond (``_id_dtype``), narrowed as each document is read, serial or
+forked alike. One line table local to the parse maps every distinct
+raw line to its type id: a dict whose ``__missing__`` normalizes
 and registers a line on first sight, so ``normalize_token`` runs once per
 distinct line and a document is read in one C-level pass,
 ``np.fromiter(map(table.__getitem__, lines))``. Proper-name tokens (POS
@@ -85,8 +87,9 @@ class AnnotatedToken:
 class Document:
     """One play as ids into its corpus's ``types``, with verse end offsets.
 
-    Documents compare by identity: their ids mean something only against
-    the vocabulary of the corpus that parsed them.
+    The ids are uint16, or int32 past 2**16 types (``_id_dtype``); the verse
+    ends are int32. Documents compare by identity: their ids mean something
+    only against the vocabulary of the corpus that parsed them.
     """
 
     id: str
@@ -148,6 +151,11 @@ def normalize_token(raw_form: str, lemma: str, pos: str) -> AnnotatedToken | Non
 _SKIPPED, _VERSE_BREAK = -1, -2
 
 
+def _id_dtype(n_types: int) -> np.dtype:
+    """The dtype of every document's ids over a vocabulary of n_types: two bytes while they fit."""
+    return np.dtype(np.uint16 if n_types <= 1 << 16 else np.int32)
+
+
 class _MalformedLine(Exception):
     """args: a raw token line without three fields, and its field count."""
 
@@ -204,7 +212,9 @@ def parse_corpus(sources: Iterable[tuple]) -> Corpus:
                 f"{where}: line {lineno}: expected FORM<TAB>LEMMA<TAB>POS, got {n_fields} field(s)"
             ) from None
         others = np.flatnonzero(codes < 0)
-        type_ids = np.delete(codes, others)
+        dtype = _id_dtype(len(table.vocabulary))
+        # Narrowed first: the line ids below 0 wrap, but they are the ones deleted.
+        type_ids = np.delete(codes.astype(dtype, copy=False), others)
         if not len(type_ids):
             raise CorpusFormatError(f"{where}: empty document")
         # The i-th non-token line, at index p, has p - i tokens before it. A
@@ -212,6 +222,8 @@ def parse_corpus(sources: Iterable[tuple]) -> Corpus:
         ends = (others - np.arange(len(others)))[codes[others] == _VERSE_BREAK]
         ends = np.append(ends, len(type_ids))
         verse_ends = ends[np.diff(ends, prepend=0) > 0].astype(np.int32)
+        if documents and documents[0].type_ids.dtype != dtype:  # the vocabulary just passed 2**16
+            documents = [replace(doc, type_ids=doc.type_ids.astype(dtype)) for doc in documents]
         documents.append(Document(doc_id, author, type_ids, verse_ends))
     documents.sort(key=lambda doc: doc.id)
     return Corpus(documents=tuple(documents), types=tuple(table.vocabulary))
@@ -272,6 +284,8 @@ def _parse_manifest_row(
         raise CorpusFormatError(f"{where}: expected {len(MANIFEST_FIELDS)} fields")
     if not row["path"]:
         raise CorpusFormatError(f"{where}: empty path")
+    if "\0" in row["path"]:
+        raise CorpusFormatError(f"{where}: path contains a NUL byte")
     try:
         for field in ("acts", "year"):
             if row[field]:
@@ -346,7 +360,7 @@ def _parse_runs(rows: list) -> Corpus:
     """
     n, r = len(rows), min(_usable_cpus(), len(rows))
     runs = [rows[k * n // r : (k + 1) * n // r] for k in range(r)]
-    helpers, vocabulary, documents = [None], {}, []  # run 1 has no helper
+    helpers, vocabulary, parsed = [None], {}, []  # run 1 has no helper
     try:
         for run in runs[1:]:
             helpers.append(_fork_helper(run))
@@ -355,15 +369,21 @@ def _parse_runs(rows: list) -> Corpus:
             if corpus is None:
                 corpus = parse_corpus(_token_files(run))
             ids = [vocabulary.setdefault(token, len(vocabulary)) for token in corpus.types]
-            remap = np.array(ids, np.int32)
-            for doc in corpus.documents:
-                np.take(remap, doc.type_ids, out=doc.type_ids)
-            documents += corpus.documents
+            parsed.append((ids, corpus.documents))
     finally:
         for pid, reader in filter(None, helpers):
             reader.close()
             os.kill(pid, signal.SIGKILL)  # one still parsing after an error elsewhere
             os.waitpid(pid, 0)
+    dtype, documents = _id_dtype(len(vocabulary)), []
+    for ids, docs in parsed:
+        remap = np.array(ids, dtype)
+        for doc in docs:
+            if doc.type_ids.dtype == dtype:
+                np.take(remap, doc.type_ids, out=doc.type_ids)
+            else:  # the runs together pass 2**16 types, this one alone does not
+                doc = replace(doc, type_ids=remap[doc.type_ids])
+            documents.append(doc)
     documents.sort(key=lambda doc: doc.id)
     return Corpus(documents=tuple(documents), types=tuple(vocabulary))
 
@@ -400,7 +420,8 @@ def _fork_helper(run: list) -> tuple[int, BinaryIO] | None:
 def _send(out: BinaryIO, run: list) -> None:
     """Write for ``_receive`` one protocol-5 pickle: (the parse's exception or
     None, (id, author, id count, verse count) per document, the run's type ids
-    and verse ends as two int32 arrays, (form, lemma, pos) per type)."""
+    and verse ends as two arrays of the documents' dtypes, (form, lemma, pos)
+    per type)."""
     try:
         corpus = parse_corpus(_token_files(run))
     except Exception as exc:  # forwarded, so the caller raises it in manifest order

@@ -60,17 +60,20 @@ def _column_stats(matrix: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 def _zscore(matrix: FeatureMatrix) -> np.ndarray:
     mean, sd = _column_stats(matrix)
-    return (matrix.values - mean) / sd
+    z = matrix.values - mean
+    return np.divide(z, sd, out=z)
 
 
 def _unit_rows(values: np.ndarray, doc_ids: tuple[str, ...]) -> np.ndarray:
-    norms = np.linalg.norm(values, axis=1)
+    """values, which the caller gives up, with each row divided by its Euclidean norm in place."""
+    # np.linalg.norm(values, axis=1) bit for bit, but one row squared at a time.
+    norms = np.sqrt([np.add.reduce(row * row) for row in values])
     dead = np.flatnonzero(norms == 0.0)
     if dead.size:
         raise AnalysisError(
             f"document has no signal under selected features: {doc_ids[dead[0]]}"
         )
-    return values / norms[:, None]
+    return np.divide(values, norms[:, None], out=values)
 
 
 def _delta_vectors(matrix: FeatureMatrix) -> np.ndarray:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings, strategies as st
 
-from stylokit import features
+from stylokit import corpus, features
 from stylokit.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -165,6 +165,20 @@ def test_duplicate_manifest_id_exits_2_naming_the_line_before_any_token_file(tmp
     manifest.write_text(MANIFEST_HEADER + "".join(rows), encoding="utf-8")
     assert main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"error: {manifest}: line 4: duplicate document id 'x'\n"
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_nul_byte_in_a_manifest_path_exits_2_naming_the_line(tmp_path, capsys, monkeypatch, cpus):
+    """With two CPUs the row falls in a forked helper's run."""
+    monkeypatch.setattr(corpus, "_usable_cpus", lambda: cpus)
+    (tmp_path / "x.tsv").write_text("a\ta\tNOMcom\n", encoding="utf-8")
+    manifest = tmp_path / "manifest.csv"
+    rows = ["x,t,a,g,verse,5,1660,x.tsv\n", "y,t,a,g,verse,5,1660,x.tsv\0\n"]
+    manifest.write_text(MANIFEST_HEADER + "".join(rows), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["extract", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {manifest}: line 3: path contains a NUL byte\n"
+    assert not (out / "run.json").exists()
 
 
 def test_non_utf8_token_file_exits_2_naming_file_and_line(tmp_path, capsys):

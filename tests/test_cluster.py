@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -167,6 +169,22 @@ def test_heights_non_decreasing_on_random_inputs():
         assert all(a <= b + 1e-12 for a, b in zip(heights, heights[1:]))
 
 
+@pytest.mark.parametrize("n", [100, 200])
+def test_ward_holds_one_n_by_n_array(n):
+    """Below numpy's 256 KiB temporary elision (n = 100) too: the squares are halved in place."""
+    m = np.random.default_rng(5).uniform(0.1, 2.0, size=(n, n))
+    m = (m + m.T) / 2.0
+    np.fill_diagonal(m, 0.0)
+    dist = _dist(m, tuple(f"d{i:03d}" for i in range(n)))
+    tracemalloc.start()
+    try:
+        ward_cluster(dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * 8
+
+
 def test_rejects_bad_matrices():
     with pytest.raises(AnalysisError, match="symmetric"):
         ward_cluster(_dist([[0.0, 1.0], [2.0, 0.0]]))
@@ -306,7 +324,11 @@ def test_leaf_order_covers_all_leaves():
 def test_newick_and_leaf_order_match_the_recursive_oracle(n, seed, grid):
     # Grid points give many tied distances, so the trees take every shape.
     rng = np.random.default_rng(seed)
-    dend = ward_cluster(_grid_dist(rng, n) if grid else _random_dist(rng, n))
+    dist = _grid_dist(rng, n) if grid else _random_dist(rng, n)
+    # Every height is zero exactly when every distance is, as all points coincide.
+    all_zero = not dist.values.any()
+    with pytest.warns(UserWarning, match="all merge heights are zero") if all_zero else nullcontext():
+        dend = ward_cluster(dist)
     assert to_newick(dend) == naive_to_newick(dend)
     assert leaf_order(dend) == naive_leaf_order(dend)
 

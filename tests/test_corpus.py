@@ -381,6 +381,16 @@ def _outcome(parse, sources):
         return str(exc)
 
 
+def _assert_agrees_with_the_oracle(got, expected):
+    """The ids compare by value, as the oracle's are int32; a vocabulary this small gets uint16."""
+    if isinstance(got, str) or isinstance(expected, str):
+        assert got == expected
+        return
+    assert got[0] == expected[0]
+    assert [doc[:2] + doc[3:] for doc in got[1]] == [doc[:2] + doc[3:] for doc in expected[1]]
+    assert {doc[2] for doc in got[1]} == {np.dtype(np.uint16)}
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(DOC_LINES, min_size=1, max_size=3), st.booleans())
 def test_parse_agrees_over_files_lists_and_the_per_line_oracle(tmp_path_factory, docs, final_end):
@@ -399,14 +409,14 @@ def test_parse_agrees_over_files_lists_and_the_per_line_oracle(tmp_path_factory,
         (directory / f"{i}.tsv").write_text(text, encoding="utf-8", newline="")
         from_lists.append((doc_id, "", list(io.StringIO(text, newline="")), f"doc {i}"))
     expected = _outcome(naive_parse_corpus, from_lists)
-    assert _outcome(parse_corpus, from_lists) == expected
+    _assert_agrees_with_the_oracle(_outcome(parse_corpus, from_lists), expected)
     with ExitStack() as stack:
         from_files = [
             (doc_id, "", stack.enter_context(open(directory / f"{i}.tsv", encoding="utf-8")),
              f"doc {i}")
             for i, doc_id in enumerate(doc_ids)
         ]
-        assert _outcome(parse_corpus, from_files) == expected
+        _assert_agrees_with_the_oracle(_outcome(parse_corpus, from_files), expected)
 
 
 def test_malformed_first_line_after_a_byte_order_mark_is_line_1(tmp_path):
@@ -448,6 +458,47 @@ def test_runs_parse_to_the_serial_corpus_or_its_first_error(tmp_path_factory, do
     expected = _outcome(parse_corpus, serial)
     assert _outcome(lambda m: _load_in_runs(m, runs), manifest) == expected
     _assert_no_child_process()
+
+
+def _one_line_per_type(types: range) -> bytes:
+    """A token file with one line per type, w{i}, three tags in turn and a verse of eight."""
+    tags = ("NOMcom", "VERcjg", "ADJqua")
+    return "".join(
+        f"w{i}\tw{i}\t{tags[i % 3]}\n" + ("\n" if i % 8 == 7 else "") for i in types
+    ).encode()
+
+
+@pytest.mark.parametrize("n_types, dtype", [(1 << 16, np.uint16), ((1 << 16) + 1, np.int32)])
+def test_ids_are_two_bytes_up_to_2_16_types_serial_or_forked(tmp_path, n_types, dtype):
+    """The vocabulary passes 2**16 types in the last play, in the second run: a
+    serial parse widens the three plays before it, the helper one, the merge
+    the first run's two."""
+    files = {
+        "a.tsv": _one_line_per_type(range(10)),
+        "b.tsv": _one_line_per_type(range(10, 20)),
+        "c.tsv": _one_line_per_type(range(40000)),
+        "d.tsv": _one_line_per_type(range(40000, n_types)),
+    }
+    manifest = _write_manifest(tmp_path, files)
+    oracle = naive_parse_corpus(
+        (f"play{i}", "a", data.decode().splitlines(keepends=True))
+        for i, data in enumerate(files.values())
+    )
+    assert len(oracle.types) == n_types
+    serial = _load_in_runs(manifest, 1)
+    assert _snapshot(_load_in_runs(manifest, 2)) == _snapshot(serial)
+    _assert_no_child_process()
+    assert {doc.type_ids.dtype for doc in serial} == {np.dtype(dtype)}
+    assert serial.types == oracle.types
+    assert [d.type_ids.tolist() for d in serial] == [d.type_ids.tolist() for d in oracle]
+    for kind in (FeatureKind.LEMMA, FeatureKind.RHYME_LEMMA, FeatureKind.POS_NGRAM):
+        got, want = (build_matrix(c, FeatureSpec(kind=kind)) for c in (serial, oracle))
+        assert got.feature_names == want.feature_names
+        assert np.array_equal(got.values, want.values)
+
+
+def test_the_synth_corpus_holds_two_bytes_per_id(synth_corpus):
+    assert {doc.type_ids.itemsize for doc in synth_corpus} == {2}
 
 
 FAILING = {

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from stylokit.features import FeatureKind, FeatureMatrix, FeatureSpec, build_mat
 from stylokit.metrics import (
     DistanceMatrix,
     Measure,
+    _delta_vectors,
     _minmax_row,
     _tfsd,
     _unit_rows,
@@ -89,8 +91,21 @@ def test_l2_three_four_five():
 
 def test_l2_unit_row_unchanged_and_scale_invariant():
     row = np.array([[0.6, 0.8]])
-    assert np.allclose(_unit_rows(row, ("d0",)), row)
+    assert np.allclose(_unit_rows(row.copy(), ("d0",)), row)  # a copy, as it divides in place
     assert np.allclose(_unit_rows(7.0 * row, ("d0",)), row)
+
+
+def test_delta_vectors_hold_one_matrix_sized_array():
+    """The z-scores are unit-normed in place, the norms taken a row at a time."""
+    values = np.random.default_rng(8).uniform(0.05, 1.0, size=(200, 300))
+    matrix = FeatureMatrix(tuple(f"d{i:03d}" for i in range(200)), tuple(map(str, range(300))), values)
+    tracemalloc.start()
+    try:
+        _delta_vectors(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * matrix.values.nbytes
 
 
 def test_l2_zero_row_is_an_error():
