@@ -6,8 +6,8 @@ feature's variance the clustering explains, with a one-way ANOVA F test
 supplying the p-value through a hand-rolled regularized incomplete beta
 (continued fraction, relative error around 1e-10 down to p = 1e-300).
 
-``eta_table`` sums all features at once, one cluster at a time; a
-feature whose values are all equal scores (0, 1).
+``eta_table`` sums one block of features at a time (``by_feature``), one
+cluster at a time; a feature whose values are all equal scores (0, 1).
 """
 
 from __future__ import annotations
@@ -125,8 +125,8 @@ def _eta_rows(columns: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.n
     """F x 2 (eta^2, p) of the rows of features x docs against the docs' labels, and
     which rows are degenerate.
 
-    Each group's block is copied C-contiguous, so every row reduces exactly
-    as a single feature's values would.
+    Each group's columns are copied C-contiguous, so every row reduces exactly
+    as a single feature's values would, whichever block of features it is in.
     """
     groups = np.unique(labels)
     k, n = len(groups), columns.shape[1]
@@ -177,7 +177,7 @@ def eta_table(
     if missing:
         raise AnalysisError(f"assignment does not cover the matrix documents: {sorted(missing)}")
     labels = np.array([assignment[doc] for doc in matrix.doc_ids])
-    values, _ = _eta_rows(matrix.by_feature(), labels)
+    values = np.concatenate([_eta_rows(block, labels)[0] for block in matrix.by_feature()])
     names, eta2 = matrix.feature_names, values[:, 0].tolist()
     order = sorted(range(len(names)), key=lambda j: (-eta2[j], names[j]))
     return tuple(names[j] for j in order), values[order]

@@ -28,7 +28,7 @@ import io
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,6 +51,7 @@ class Scale(str, Enum):
 
 POS_NGRAM_N = 3
 AFFIX_MIN_WORD_LEN = 4
+BLOCK_FLOATS = 1 << 14  # 128 KiB: the most values one block of per-feature or per-pair work holds
 
 
 @dataclass(frozen=True)
@@ -128,15 +129,18 @@ class FeatureMatrix:
     def n_features(self) -> int:
         return len(self.feature_names)
 
-    def by_feature(self) -> np.ndarray:
-        """Features x docs, C-contiguous: each feature reduces along a row."""
-        return np.ascontiguousarray(self.values.T)
+    def by_feature(self) -> Iterator[np.ndarray]:
+        """Features x docs, C-contiguous, in blocks of at most BLOCK_FLOATS values (or one row;
+        no features: one empty block): each feature reduces along a row, as in the whole."""
+        step = max(1, BLOCK_FLOATS // max(1, self.n_docs))
+        for lo in range(0, max(1, self.n_features), step):
+            yield np.ascontiguousarray(self.values[:, lo:lo + step].T)
 
     def subset(self, columns: Sequence[int] | np.ndarray) -> "FeatureMatrix":
         """Restrict to the given column indices, which must be increasing."""
         names = tuple(self.feature_names[j] for j in columns)
-        # A C-ordered copy keeps compute_distance's column reductions bit-identical.
-        return FeatureMatrix(self.doc_ids, names, self.values[:, columns].copy())
+        # One C-ordered copy keeps compute_distance's column reductions bit-identical.
+        return FeatureMatrix(self.doc_ids, names, np.take(self.values, columns, axis=1))
 
 
 def degenerate(columns: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 ``compute_distance(matrix, measure)`` is the one entry point. Each
 measure is a transform of the matrix followed by a row function applied
-to every pair of documents:
+to every pair of documents, one document against a block of at most
+``BLOCK_FLOATS`` values of later ones at a time:
 
 - delta: z-score every feature column (sample standard deviation, n-1),
   length-normalize each document vector, take Manhattan distances;
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AnalysisError
-from .features import FeatureMatrix, check_row_order, degenerate, write_float_rows
+from .features import BLOCK_FLOATS, FeatureMatrix, check_row_order, degenerate, write_float_rows
 
 __all__ = ["Measure", "DistanceMatrix", "compute_distance", "write_distance_csv"]
 
@@ -87,11 +88,14 @@ def _tfsd(matrix: FeatureMatrix) -> np.ndarray:
 
 
 def _pairwise(values: np.ndarray, row_fn) -> np.ndarray:
-    """Symmetric matrix from row_fn(a, rest): one row against all later rows."""
-    n = values.shape[0]
+    """Symmetric matrix from row_fn(a, rows): one row against later rows, at most BLOCK_FLOATS
+    values (or one row) of them per call; each pair reduces along its own row, as in one call."""
+    n, n_features = values.shape
+    step = max(1, BLOCK_FLOATS // max(1, n_features))
     out = np.zeros((n, n), dtype=float)
     for i in range(n - 1):
-        out[i, i + 1:] = out[i + 1:, i] = row_fn(values[i], values[i + 1:])
+        for lo in range(i + 1, n, step):
+            out[i, lo:lo + step] = out[lo:lo + step, i] = row_fn(values[i], values[lo:lo + step])
     return out
 
 

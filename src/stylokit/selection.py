@@ -7,8 +7,8 @@ in the corpus is already that large. The probability estimate is
 debiased by averaging each observation with its mirror around the
 observed range, which collapses to the midrange (max + min) / 2.
 
-All features are scored at once. A feature whose values are all equal
-is degenerate: sigma 0, required n 0, never kept.
+Features are scored a block at a time, each along its own row. A feature
+whose values are all equal is degenerate: sigma 0, required n 0, never kept.
 """
 
 from __future__ import annotations
@@ -76,10 +76,9 @@ def select_reliable(matrix: FeatureMatrix, min_doc_len: int) -> SelectionReport:
         raise ValueError("min_doc_len must be >= 1")
     if matrix.n_docs < 2:
         raise AnalysisError("reliability selection needs at least 2 documents")
-    columns = matrix.by_feature()
-    flat = degenerate(columns)
-    sigma = np.where(flat, 0.0, columns.std(axis=1, ddof=1))
-    p_bar = corrected_mean(columns)
+    scores = [(degenerate(b), b.std(axis=1, ddof=1), corrected_mean(b)) for b in matrix.by_feature()]
+    flat, sd, p_bar = map(np.concatenate, zip(*scores))
+    sigma = np.where(flat, 0.0, sd)
     required_n = required_sample_size(p_bar, sigma)
     retained = np.flatnonzero(~flat & (required_n <= min_doc_len))
     if not len(retained):

@@ -358,3 +358,17 @@ def naive_write_selection_csv(report, path) -> None:
             retained = str(j in report.retained.tolist()).lower()
             degenerate = str(bool(report.degenerate[j])).lower()
             writer.writerow([name, p_bar, sigma, required_n, retained, degenerate])
+
+
+def whole_pairwise(values: np.ndarray, row_fn) -> np.ndarray:
+    """metrics._pairwise with no blocks: each row against all later rows in one call."""
+    n = values.shape[0]
+    out = np.zeros((n, n), dtype=float)
+    for i in range(n - 1):
+        out[i, i + 1:] = out[i + 1:, i] = row_fn(values[i], values[i + 1:])
+    return out
+
+
+def whole_by_feature(matrix):
+    """FeatureMatrix.by_feature with no blocks: the whole transpose, C-contiguous."""
+    yield np.ascontiguousarray(matrix.values.T)

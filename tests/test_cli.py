@@ -1,20 +1,24 @@
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings, strategies as st
 
 from stylokit import corpus, features
-from stylokit.cli import main
+from stylokit.cli import _FEATURE_FLAGS, main
+from stylokit.synth import SynthConfig, generate_corpus
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -263,6 +267,24 @@ def test_function_word_list_is_normalized_like_token_forms(corpus_dir, tmp_path,
         ]) == 0
     assert capsys.readouterr().out == "30 docs, 110 features\n" * 2
     assert _digest(tmp_path / "shouted" / "matrix.csv") == _digest(tmp_path / "plain" / "matrix.csv")
+
+
+@pytest.mark.parametrize("command", ["extract", "select", "cluster", "eta"])
+def test_a_word_list_matching_no_token_gives_no_fw_features(corpus_dir, tmp_path, capsys, command):
+    """extract writes a matrix of 0 features; the commands that select from it exit 1."""
+    fw_list = tmp_path / "unmatched.txt"
+    fw_list.write_text("zzzz\nqqqq\n", encoding="utf-8")
+    out = tmp_path / "o"
+    code = main([
+        command, "--manifest", str(corpus_dir / "manifest.csv"),
+        "--features", "fw", "--fw-list", str(fw_list), "--out", str(out),
+    ])
+    captured = capsys.readouterr()
+    if command == "extract":
+        assert (code, captured.out) == (0, "30 docs, 0 features\n")
+    else:
+        assert (code, captured.err) == (1, "error: selection eliminated all features\n")
+        assert not (out / "run.json").exists()
 
 
 def test_unfilterable_corpus_exits_1(corpus_dir, tmp_path, capsys):
@@ -556,3 +578,83 @@ def test_cluster_invariant_under_manifest_row_order(
         writer.writeheader()
         writer.writerows({**row, "path": str(corpus_dir / row["path"])} for row in rows)
     assert _row_order_outputs(corpus_dir, shuffled, work / "shuffled") == row_order_reference
+
+
+@pytest.fixture(scope="module")
+def short_corpus(tmp_path_factory):
+    """2 authors x 3 plays of ~300 tokens: the corpus the mutation property mutates."""
+    out = tmp_path_factory.mktemp("short_corpus")
+    generate_corpus(SynthConfig(seed=5, n_authors=2, docs_per_author=3, min_tokens=300), out)
+    return out
+
+
+# The first token file is parsed here, the last by a forked helper under 2 CPUs.
+MUTATION_TARGETS = (
+    "manifest.csv", "function_words.txt", "tokens/auth00_doc00.tsv", "tokens/auth01_doc02.tsv",
+)
+MUTATIONS = st.one_of(
+    st.tuples(st.just("insert"), st.sampled_from(
+        [b"\t", b"\r", b"\n", b"\0", codecs.BOM_UTF8, b"\xff", b'"', b",", b"NOMpro"]
+    )),
+    st.tuples(st.just("delete"), st.integers(1, 8)),
+    st.tuples(st.sampled_from(["truncate", "empty"]), st.none()),
+)
+# Faults of a whole file name no line; every other input fault names one.
+WHOLE_FILE_FAULTS = re.compile(r": cannot read: |: empty document$|: no function words$|^manifest is empty: ")
+
+
+def _mutate(data: bytes, kind: str, arg, at: float) -> bytes:
+    """data with arg inserted or arg bytes deleted at a fraction at of its length, cut there, or emptied."""
+    i = int(at * max(len(data) - 1, 0))
+    if kind == "insert":
+        return data[:i] + arg + data[i:]
+    if kind == "delete":
+        return data[:i] + data[i + arg:]
+    return data[:i] if kind == "truncate" else b""
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    target=st.sampled_from(MUTATION_TARGETS),
+    mutation=MUTATIONS,
+    at=st.floats(0.0, 1.0),
+    command=st.sampled_from(["extract", "select", "cluster", "eta", "sweep"]),
+    family=st.sampled_from(sorted(_FEATURE_FLAGS)),
+    measure=st.sampled_from(["delta", "minmax"]),
+    cpus=st.sampled_from([1, 2]),
+)
+# A NUL byte at the end of the last row's path, which a helper reads under 2 CPUs.
+@example(target="manifest.csv", mutation=("insert", b"\0"), at=1.0, command="extract",
+         family="fw", measure="delta", cpus=2)
+@example(target="manifest.csv", mutation=("insert", b"\0"), at=1.0, command="cluster",
+         family="fw", measure="delta", cpus=1)
+def test_a_mutated_input_ends_in_an_exit_code_and_one_error_line(
+    short_corpus, tmp_path_factory, capsys, target, mutation, at, command, family, measure, cpus
+):
+    """Exit 0, 1 or 2 and no traceback; a failure prints one error line and leaves no
+    run.json, and an input fault names the input and, unless it is the whole file's, a line."""
+    work = tmp_path_factory.mktemp("mutated")
+    inputs = work / "corpus"
+    shutil.copytree(short_corpus, inputs)
+    path = inputs / target
+    path.write_bytes(_mutate(path.read_bytes(), *mutation, at))
+    out = work / "out"
+    argv = [
+        command, "--manifest", str(inputs / "manifest.csv"), "--features", family,
+        "--fw-list", str(inputs / "function_words.txt"), "--min-tokens", "0", "--out", str(out),
+    ]
+    if command in ("cluster", "eta", "sweep"):
+        argv += ["--distance", measure]
+    with patch.object(corpus, "_usable_cpus", lambda: cpus):
+        code = main(argv)  # an exception escaping main fails the example
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == "" and (out / "run.json").exists()
+        return
+    assert not (out / "run.json").exists()
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if code == 2:
+        message = err[len("error: "):].rstrip("\n")
+        assert str(inputs) in message
+        assert re.search(r": line [1-9][0-9]*: ", message) or WHOLE_FILE_FAULTS.search(message)
