@@ -174,12 +174,13 @@ def _feature_spec(args: argparse.Namespace) -> FeatureSpec:
 
 def _run(
     args: argparse.Namespace, select: str | tuple[str, float]
-) -> tuple[Corpus, PipelineResult]:
-    """Load, filter and run the pipeline; k defaults to the number of authors."""
+) -> tuple[dict[str, str], PipelineResult]:
+    """Load, filter and run the pipeline; k defaults to the number of authors. Returns the
+    alleged-author map, not the corpus, so the corpus is freed before writing or sweeping."""
     corpus = _load_corpus(args)
-    k = args.k if args.k is not None else len(set(corpus.alleged_authors().values()))
-    result = run_pipeline(corpus, _feature_spec(args), select, args.distance, k, args.linkage)
-    return corpus, result
+    truth = corpus.alleged_authors()
+    k = args.k if args.k is not None else len(set(truth.values()))
+    return truth, run_pipeline(corpus, _feature_spec(args), select, args.distance, k, args.linkage)
 
 
 def _cmd_extract(args: argparse.Namespace, out: Path) -> None:
@@ -205,8 +206,7 @@ def _write_assignment_csv(assignment: dict[str, int], truth: dict[str, str], pat
 
 
 def _cmd_cluster(args: argparse.Namespace, out: Path) -> None:
-    corpus, result = _run(args, args.select)
-    truth = corpus.alleged_authors()
+    truth, result = _run(args, args.select)
     purity = cluster_purity(result.assignment, truth).purity
 
     write_matrix_csv(result.matrix, out / "matrix.csv")
@@ -243,8 +243,7 @@ def _cmd_eta(args: argparse.Namespace, out: Path) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace, out: Path) -> None:
-    corpus, reference = _run(args, RELIABLE)
-    truth = corpus.alleged_authors()
+    truth, reference = _run(args, RELIABLE)
     reference_purity = cluster_purity(reference.assignment, truth).purity
     rows = robustness_sweep(reference, truth, args.cutoffs)
     write_sweep_csv(rows, out / "sweep.csv", reference.selected.n_features, reference_purity)

@@ -127,8 +127,10 @@ def _eta_rows(columns: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.n
 
     Each group's columns are copied C-contiguous, so every row reduces exactly
     as a single feature's values would, whichever block of features it is in.
+    The groups are the distinct labels in sorted order, found as a Python set:
+    a plain ``np.unique`` imports ``numpy.ma`` on numpy >= 2.3.
     """
-    groups = np.unique(labels)
+    groups = sorted(set(labels.tolist()))
     k, n = len(groups), columns.shape[1]
     if k < 2:
         raise AnalysisError("correlation ratio needs at least 2 groups")

@@ -137,7 +137,10 @@ class FeatureMatrix:
             yield np.ascontiguousarray(self.values[:, lo:lo + step].T)
 
     def subset(self, columns: Sequence[int] | np.ndarray) -> "FeatureMatrix":
-        """Restrict to the given column indices, which must be increasing."""
+        """Restrict to the given column indices, which must be increasing. All columns of a
+        C-ordered matrix give the matrix itself: every transform writes into a new array."""
+        if self.values.flags.c_contiguous and np.array_equal(columns, np.arange(self.n_features)):
+            return self
         names = tuple(self.feature_names[j] for j in columns)
         # One C-ordered copy keeps compute_distance's column reductions bit-identical.
         return FeatureMatrix(self.doc_ids, names, np.take(self.values, columns, axis=1))
@@ -166,7 +169,9 @@ def _columns(corpus: Corpus, spec: FeatureSpec) -> tuple[int, Callable[[int], li
     distinct window codes: verse boundaries do not break the window, and
     proper-name tokens stay in, as their tag is part of the sequence
     signal. A window is coded as a base-(number of tags) integer over the
-    tag ids of its types.
+    tag ids of its types; the corpus's codes are the union of each document's
+    distinct codes, taken as Python ints, since a plain ``np.unique`` imports
+    ``numpy.ma`` on numpy >= 2.3.
     """
     if spec.kind is not FeatureKind.POS_NGRAM:
         types, words = corpus.types, set(spec.function_words)
@@ -184,7 +189,7 @@ def _columns(corpus: Corpus, spec: FeatureSpec) -> tuple[int, Callable[[int], li
         for k in range(POS_NGRAM_N):
             codes = codes * len(tag_ids) + tags[k : k + len(codes)]
         per_doc.append(np.unique(codes, return_counts=True))
-    all_codes = np.unique(np.concatenate([codes for codes, _ in per_doc]))
+    all_codes = np.array(sorted(set().union(*(codes.tolist() for codes, _ in per_doc))), np.int64)
     tags = list(tag_ids)
     places = [len(tags) ** (POS_NGRAM_N - 1 - k) for k in range(POS_NGRAM_N)]
     names = [[".".join(tags[code // p % len(tags)] for p in places)] for code in all_codes.tolist()]

@@ -164,5 +164,7 @@ def test_eta_table_holds_no_matrix_sized_array(big_matrix):
 
 
 def test_subset_makes_one_copy(big_matrix):
-    columns = np.arange(N_FEATURES)
+    """A partial selection; keeping every column gives the matrix itself, with no copy."""
+    columns = np.arange(1, N_FEATURES)
+    assert big_matrix.subset(columns).values.flags.c_contiguous
     assert _peak_after_warm_up(lambda: big_matrix.subset(columns)) < 1.5 * MATRIX_BYTES
