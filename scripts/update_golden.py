@@ -8,7 +8,10 @@ in-process, from that directory and with relative paths, so ``run.json``
 does not depend on where it ran. Each command starts from an empty
 ``out``. ``tests/golden/<corpus>.sha256`` gets one line per (command,
 output file): the command, the file name and the file's sha256, tab
-separated, where ``stdout`` stands for what the command printed.
+separated, where ``stdout`` stands for what the command printed. The
+corpus itself comes first, under the command ``synth``: its
+``manifest.csv``, its ``function_words.txt``, and one digest of every
+``tokens/*.tsv`` file's name and bytes in name order.
 
 ``tests/test_golden.py`` recomputes the lines and compares them with the
 committed files, so a change that moves an output shows up as a diff of
@@ -58,7 +61,13 @@ def digest_lines(separation: float, workdir: Path) -> list[str]:
     try:
         config = SynthConfig(seed=SEED, n_authors=5, docs_per_author=6, separation=separation)
         generate_corpus(config, "corpus")
-        lines = []
+        lines = [
+            f"synth\t{name}\t{_sha256(Path('corpus', name).read_bytes())}"
+            for name in ("manifest.csv", "function_words.txt")
+        ]
+        tokens = sorted(Path("corpus", "tokens").glob("*.tsv"))
+        data = b"".join(path.name.encode("utf-8") + b"\n" + path.read_bytes() for path in tokens)
+        lines.append(f"synth\ttokens/*.tsv\t{_sha256(data)}")
         for command in COMMANDS:
             shutil.rmtree("out", ignore_errors=True)
             argv = [*command, *INPUTS, "--out", "out"]
