@@ -34,8 +34,8 @@ from .features import (
     build_matrix,
     default_function_words,
     load_word_list,
-    write_csv,
     write_matrix_csv,
+    write_table,
 )
 from .metrics import Measure, write_distance_csv
 from .pipeline import RELIABLE, PipelineResult, run_pipeline, shortest_document_length
@@ -198,11 +198,9 @@ def _cmd_select(args: argparse.Namespace, out: Path) -> None:
 
 
 def _write_assignment_csv(assignment: dict[str, int], truth: dict[str, str], path: Path) -> None:
-    write_csv(
-        path,
-        ["doc_id", "cluster", "author"],
-        ([doc, assignment[doc], truth.get(doc, "")] for doc in sorted(assignment)),
-    )
+    docs = sorted(assignment)
+    clusters, authors = [str(assignment[doc]) for doc in docs], [truth.get(doc, "") for doc in docs]
+    write_table(path, ("doc_id", "cluster", "author"), docs, tails=(clusters, authors))
 
 
 def _cmd_cluster(args: argparse.Namespace, out: Path) -> None:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .corpus import open_output
 from .errors import AnalysisError
-from .features import check_row_order, format_value
+from .features import FLOAT_FORMAT, check_row_order
 from .metrics import DistanceMatrix
 
 WARD_SQUARED = "ward2"
@@ -177,7 +177,7 @@ def to_newick(dend: Dendrogram) -> str:
     height = [0.0] * n + [merge.height for merge in dend.merges]
 
     def branch(child: int, parent: int) -> str:
-        return f"{text.pop(child)}:{format_value(height[parent] - height[child])}"
+        return f"{text.pop(child)}:{FLOAT_FORMAT % (height[parent] - height[child])}"
 
     for t, merge in enumerate(dend.merges):
         text[n + t] = f"({branch(merge.left, n + t)},{branch(merge.right, n + t)})"

@@ -22,7 +22,7 @@ import numpy as np
 
 from .cluster import ClusterAssignment, cut, ward_cluster
 from .errors import AnalysisError
-from .features import FeatureMatrix, degenerate, format_value, write_csv, write_float_rows
+from .features import FLOAT_FORMAT, FeatureMatrix, degenerate, write_table
 from .metrics import compute_distance
 from .pipeline import PipelineResult
 from .selection import select_top_frequency
@@ -189,7 +189,7 @@ def format_p_value(p: float) -> str:
     """Console rendering; CSV stores underflowed values as 0."""
     if 0.0 < p < P_VALUE_FLOOR:
         return "< 1e-300"
-    return format_value(p)
+    return FLOAT_FORMAT % p
 
 
 def write_eta_csv(table: tuple[Sequence[str], np.ndarray], path: str | Path) -> None:
@@ -197,7 +197,7 @@ def write_eta_csv(table: tuple[Sequence[str], np.ndarray], path: str | Path) -> 
     names, values = table
     values = values.copy()
     values[values[:, 1] < P_VALUE_FLOOR, 1] = 0.0
-    write_float_rows(path, ("feature", "eta_squared", "p_value"), names, values)
+    write_table(path, ("feature", "eta_squared", "p_value"), names, values)
 
 
 def robustness_sweep(
@@ -239,11 +239,11 @@ def write_sweep_csv(
     """Sweep table, closed by the reference-selection ("RS") row: its feature count and purity."""
 
     def fmt(p: float | None) -> str:
-        return "" if p is None else format_value(p)
+        return "" if p is None else FLOAT_FORMAT % p
 
-    table = [
-        [format_value(row.cutoff), row.n_features, fmt(row.purity_authors), fmt(row.purity_reference)]
-        for row in rows
-    ]
-    table.append(["RS", reference_features, format_value(reference_purity), ""])
-    write_csv(path, ["cutoff", "n_features", "purity_authors", "purity_reference"], table)
+    table = [(FLOAT_FORMAT % row.cutoff, str(row.n_features), fmt(row.purity_authors),
+              fmt(row.purity_reference)) for row in rows]
+    table.append(("RS", str(reference_features), fmt(reference_purity), ""))
+    cutoffs, *tails = zip(*table)
+    header = ("cutoff", "n_features", "purity_authors", "purity_reference")
+    write_table(path, header, cutoffs, tails=tails)

@@ -15,20 +15,21 @@ except for function words, whose counts are divided by the document's
 lexical token total so that rarely-used list words keep their
 corpus-level scale.
 
-Feature and distance matrices go to disk through one row writer,
-``write_float_rows``: each line is a single %-format of the row over
-``FLOAT_FORMAT``, the one float spec, and only the doc id goes through
-the csv module's quoting.
+Every CSV stylokit writes goes through one writer, ``write_table``: a
+string head column, an optional block of floats in ``FLOAT_FORMAT``, the
+one float spec, and optional trailing string columns. Only a string that
+the csv module may quote goes through the module.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -240,50 +241,46 @@ def build_matrix(corpus: Corpus, spec: FeatureSpec) -> FeatureMatrix:
 
 # The one on-disk float format: a decimal with 12 significant digits.
 FLOAT_FORMAT = "%.12g"
+# Text the csv module never quotes: non-empty, without a delimiter, quote or line break.
+_PLAIN = re.compile(r'[^,"\r\n]+')
 
 
-def format_value(v: float) -> str:
-    """One value in FLOAT_FORMAT, for the tables written cell by cell."""
-    return FLOAT_FORMAT % v
+def _field(text: str, alone: bool) -> str:
+    """text as the csv module writes it as a field, quoted only if it must be.
 
-
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """The one on-disk table layout: UTF-8, comma-separated, LF line ends."""
-    with open_output(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _csv_head(text: str, alone: bool) -> str:
-    """text as the csv module writes it first in a row: quoted only if it must be.
-
-    The module quotes an empty field alone in its row, so a doc id with no
-    values after it is quoted as a row of its own.
+    The module quotes an empty field alone in its row, so ``alone`` says
+    whether the field is the row's only one.
     """
+    if _PLAIN.fullmatch(text):
+        return text
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow((text,) if alone else (text, ""))
     return buf.getvalue()[: -1 if alone else -2]
 
 
-def write_float_rows(
-    path: str | Path, header: Sequence[str], doc_ids: Sequence[str], values: np.ndarray
+def write_table(
+    path: str | Path, header: Sequence[str], heads: Sequence[str],
+    floats: np.ndarray | None = None, tails: Sequence[Sequence[str]] = (),
 ) -> None:
-    """The ``write_csv`` layout for one doc id and one row of floats per line.
+    """The one on-disk table layout: UTF-8, comma-separated, LF line ends.
 
-    Each line is one %-format of the row, built once per table from
-    FLOAT_FORMAT; only the doc id goes through the csv module's quoting.
-    Rows are converted one at a time, so no second copy of the table is held.
+    Row i is ``heads[i]``, then ``floats[i]`` in FLOAT_FORMAT, then ``tails[k][i]``
+    for each k: one %-format per line, built once per table. Rows are converted
+    one at a time, so no second copy of the table is held.
     """
-    line = "%s" + ("," + FLOAT_FORMAT) * values.shape[1] + "\n"
+    width = 0 if floats is None else floats.shape[1]
+    alone = not width and not tails
+    line = "%s" + ("," + FLOAT_FORMAT) * width + ",%s" * len(tails) + "\n"
     with open_output(path) as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        for doc, row in zip(doc_ids, values):
-            fh.write(line % (_csv_head(doc, not values.shape[1]), *row.tolist()))
+        fh.write(",".join(_field(name, len(header) == 1) for name in header) + "\n")
+        for i, head in enumerate(heads):
+            row = floats[i].tolist() if width else ()
+            rest = (_field(tail[i], False) for tail in tails)
+            fh.write(line % (_field(head, alone), *row, *rest))
 
 
 def write_matrix_csv(matrix: FeatureMatrix, path: str | Path) -> None:
-    write_float_rows(path, ("doc_id", *matrix.feature_names), matrix.doc_ids, matrix.values)
+    write_table(path, ("doc_id", *matrix.feature_names), matrix.doc_ids, matrix.values)
 
 
 def load_word_list(path: str | Path) -> tuple[str, ...]:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AnalysisError
-from .features import BLOCK_FLOATS, FeatureMatrix, check_row_order, degenerate, write_float_rows
+from .features import BLOCK_FLOATS, FeatureMatrix, check_row_order, degenerate, write_table
 
 __all__ = ["Measure", "DistanceMatrix", "compute_distance", "write_distance_csv"]
 
@@ -127,4 +127,4 @@ def compute_distance(matrix: FeatureMatrix, measure: Measure | str) -> DistanceM
 
 
 def write_distance_csv(dist: DistanceMatrix, path: str | Path) -> None:
-    write_float_rows(path, ("doc_id", *dist.doc_ids), dist.doc_ids, dist.values)
+    write_table(path, ("doc_id", *dist.doc_ids), dist.doc_ids, dist.values)

@@ -19,9 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import open_output
 from .errors import AnalysisError
-from .features import FLOAT_FORMAT, FeatureMatrix, _csv_head, degenerate
+from .features import FeatureMatrix, degenerate, write_table
 
 CONFIDENCE_Z = 1.645
 MARGIN_MULTIPLIER = 2.0
@@ -104,11 +103,9 @@ def select_top_frequency(matrix: FeatureMatrix, fraction: float) -> np.ndarray:
 
 
 def write_selection_csv(report: SelectionReport, path: str | Path) -> None:
-    """The ``write_csv`` layout with each row one %-format, as ``features.write_float_rows`` does."""
-    line = "%s" + ("," + FLOAT_FORMAT) * 3 + ",%s,%s\n"
-    names, stats = report.feature_names, report.per_feature.tolist()
-    kept = np.isin(np.arange(len(names)), report.retained)
-    with open_output(path) as fh:
-        fh.write("feature,p_bar,sigma,required_n,retained,degenerate\n")
-        for name, row, keep, flat in zip(names, stats, kept.tolist(), report.degenerate.tolist()):
-            fh.write(line % (_csv_head(name, False), *row, str(keep).lower(), str(flat).lower()))
+    """One row per feature: its three scores, then whether it is retained and whether degenerate."""
+    words = ("false", "true")
+    kept = np.isin(np.arange(len(report.feature_names)), report.retained)
+    flags = [[words[flag] for flag in column.tolist()] for column in (kept, report.degenerate)]
+    header = ("feature", "p_bar", "sigma", "required_n", "retained", "degenerate")
+    write_table(path, header, report.feature_names, report.per_feature, flags)

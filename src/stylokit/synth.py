@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import MANIFEST_FIELDS, make_output_dir, open_output
-from .features import write_csv
+from .features import write_table
 
 N_FUNCTION_WORDS = 110
 N_CONTENT_WORDS = 600
@@ -136,5 +136,6 @@ def generate_corpus(config: SynthConfig, out_dir: str | Path) -> Path:
             fh.write(word + "\n")
 
     manifest_path = out_dir / "manifest.csv"
-    write_csv(manifest_path, MANIFEST_FIELDS, manifest_rows)
+    doc_ids, *columns = zip(*manifest_rows)
+    write_table(manifest_path, MANIFEST_FIELDS, doc_ids, tails=columns)
     return manifest_path

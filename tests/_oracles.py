@@ -360,6 +360,16 @@ def naive_write_selection_csv(report, path) -> None:
             writer.writerow([name, p_bar, sigma, required_n, retained, degenerate])
 
 
+def naive_write_table(path, header, heads, floats, tails) -> None:
+    """Any table row by row through csv.writer: a head, its floats through format(), its tails."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for i, head in enumerate(heads):
+            row = [] if floats is None else [format(float(v), ".12g") for v in floats[i]]
+            writer.writerow([head, *row, *(tail[i] for tail in tails)])
+
+
 def whole_pairwise(values: np.ndarray, row_fn) -> np.ndarray:
     """metrics._pairwise with no blocks: each row against all later rows in one call."""
     n = values.shape[0]

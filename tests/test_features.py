@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from _oracles import naive_family_counts, naive_family_matrix, naive_write_float_rows
+from _oracles import (
+    naive_family_counts, naive_family_matrix, naive_write_float_rows, naive_write_table,
+)
 from conftest import make_corpus, make_doc
 from stylokit.corpus import filter_corpus
 from stylokit.errors import AnalysisError
@@ -21,6 +23,7 @@ from stylokit.features import (
     candidate_function_words,
     load_word_list,
     write_matrix_csv,
+    write_table,
 )
 from stylokit.metrics import DistanceMatrix, Measure, write_distance_csv
 
@@ -311,6 +314,58 @@ def test_distance_csv_matches_the_per_cell_oracle(tmp_path_factory, table):
     write_distance_csv(DistanceMatrix(ids, values, Measure.BURROWS_DELTA), directory / "distance.csv")
     expected = _oracle_bytes(directory, ("doc_id", *ids), ids, values)
     assert (directory / "distance.csv").read_bytes() == expected
+
+
+# String cells the csv module must quote, plain ones and the empty string.
+TEXTS = st.text(alphabet='ab,"q \n\r', max_size=4)
+
+
+@st.composite
+def any_tables(draw):
+    """write_table's arguments: heads, no float block or one of 0-3 columns, and 0-3 tails."""
+    n = draw(st.integers(0, 4))
+    width = draw(st.none() | st.integers(0, 3))
+    floats = None
+    if width is not None:
+        cells = draw(st.lists(CELLS, min_size=n * width, max_size=n * width))
+        floats = np.array(cells, dtype=float).reshape(n, width)
+    tails = draw(st.lists(st.lists(TEXTS, min_size=n, max_size=n), max_size=3))
+    size = 1 + (width or 0) + len(tails)
+    header = draw(st.lists(TEXTS, min_size=size, max_size=size))
+    return header, draw(st.lists(TEXTS, min_size=n, max_size=n)), floats, tails
+
+
+ASSIGNMENT = (
+    ("doc_id", "cluster", "author"), ("a,b", "", "c"), None, (("1", "2", "1"), ("", 'q"x', "\r")),
+)
+SWEEP = (
+    ("cutoff", "n_features", "purity_authors", "purity_reference"), ("0.01", "0.5", "RS"), None,
+    (("1", "9", "12"), ("", "0.75", "1"), ("", "1", "")),
+)
+MANIFEST = (
+    ("doc_id", "title", "author", "genre", "form", "acts", "year", "path"),
+    ("auth00_doc00", "x\ny"), None,
+    tuple((f"{field}0", "") for field in ("t,", "a", "g", "f", "5", "1660", "p")),
+)
+MIXED = (
+    ("", "f,0", "f1", "flag"), ("", '"'), np.array([[-0.0, 5e-324, 1e300], [0.5, -1e300, 0.1]]),
+    (("true", "\r\n"),),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_tables())
+@example(ASSIGNMENT)
+@example(SWEEP)
+@example(MANIFEST)
+@example(MIXED)
+@example((("",), ("", "a"), None, ()))
+@example((("", ""), ("",), np.zeros((1, 0)), (("",),)))
+def test_write_table_matches_the_per_cell_oracle(tmp_path_factory, table):
+    directory = tmp_path_factory.mktemp("table_csv")
+    write_table(directory / "table.csv", *table)
+    naive_write_table(directory / "oracle.csv", *table)
+    assert (directory / "table.csv").read_bytes() == (directory / "oracle.csv").read_bytes()
 
 
 def test_feature_spec_validation():
