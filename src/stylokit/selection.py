@@ -89,12 +89,15 @@ def select_reliable(matrix: FeatureMatrix, min_doc_len: int) -> SelectionReport:
 def select_top_frequency(matrix: FeatureMatrix, fraction: float) -> np.ndarray:
     """Column indices of the ceil(fraction * n) features with highest total corpus frequency.
 
-    Ties break lexicographically by name; the indices are returned in
-    increasing order, so the kept columns keep the matrix's column order.
+    The product is rounded to 9 decimals first, so a fraction given as a
+    decimal counts as that decimal: 0.07 of 100 features is 7, although
+    the float product is 7.000000000000001. Ties break lexicographically
+    by name; the indices are returned in increasing order, so the kept
+    columns keep the matrix's column order.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1]")
-    n_keep = math.ceil(fraction * matrix.n_features)
+    n_keep = max(1, math.ceil(round(fraction * matrix.n_features, 9)))
     totals = matrix.values.sum(axis=0)
     ranked = sorted(
         range(matrix.n_features), key=lambda j: (-totals[j], matrix.feature_names[j])

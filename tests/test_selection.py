@@ -119,6 +119,9 @@ def test_top_frequency_counts_match_ceiling_rule():
     fw = _matrix(np.full((2, 110), 1.0 / 110))
     assert len(select_top_frequency(fw, 0.10)) == 11
     assert len(select_top_frequency(fw, 0.01)) == 2
+    # The ceiling of the decimal given: 0.07 * 100 is 7.000000000000001 as floats.
+    for fraction, n, kept in ((0.07, 100, 7), (0.14, 100, 14), (0.333, 1000, 333), (0.0001, 10, 1)):
+        assert len(select_top_frequency(_matrix(np.full((2, n), 1.0 / n)), fraction)) == kept
 
 
 def test_top_frequency_prefers_frequent_then_lexicographic():
