@@ -91,8 +91,9 @@ def select_top_frequency(matrix: FeatureMatrix, fraction: float) -> np.ndarray:
 
     The product is rounded to 9 decimals first, so a fraction given as a
     decimal counts as that decimal: 0.07 of 100 features is 7, although
-    the float product is 7.000000000000001. Ties break lexicographically
-    by name; the indices are returned in increasing order, so the kept
+    the float product is 7.000000000000001; a fraction too small to reach
+    1 after rounding still keeps one. Ties break lexicographically by
+    name; the indices are returned in increasing order, so the kept
     columns keep the matrix's column order.
     """
     if not 0.0 < fraction <= 1.0:
