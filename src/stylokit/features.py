@@ -17,13 +17,13 @@ corpus-level scale.
 
 Every CSV stylokit writes goes through one writer, ``write_table``: a
 string head column, an optional block of floats in ``FLOAT_FORMAT``, the
-one float spec, and optional trailing string columns. Only a string that
-the csv module may quote goes through the module.
+one float spec, and optional trailing string columns. A string is
+quoted by one rule of stylokit's own, so a table's bytes do not depend
+on the Python version.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import re
 from dataclasses import dataclass
@@ -241,21 +241,17 @@ def build_matrix(corpus: Corpus, spec: FeatureSpec) -> FeatureMatrix:
 
 # The one on-disk float format: a decimal with 12 significant digits.
 FLOAT_FORMAT = "%.12g"
-# Text the csv module never quotes: non-empty, without a delimiter, quote or line break.
-_PLAIN = re.compile(r'[^,"\r\n]+')
+# Text written as it is: without a delimiter, quote or line break.
+_PLAIN = re.compile(r'[^,"\r\n]*')
 
 
 def _field(text: str, alone: bool) -> str:
-    """text as the csv module writes it as a field, quoted only if it must be.
-
-    The module quotes an empty field alone in its row, so ``alone`` says
-    whether the field is the row's only one.
-    """
-    if _PLAIN.fullmatch(text):
+    """text as one field: as it is, or in double quotes with each ``"`` doubled when it
+    holds ``,`` ``"`` ``\\r`` or ``\\n``, or is empty and ``alone``, the row's only field
+    (an empty line would be no row)."""
+    if _PLAIN.fullmatch(text) and (text or not alone):
         return text
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow((text,) if alone else (text, ""))
-    return buf.getvalue()[: -1 if alone else -2]
+    return '"' + text.replace('"', '""') + '"'
 
 
 def write_table(

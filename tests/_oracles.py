@@ -8,6 +8,7 @@ functions. Keep it that way.
 from __future__ import annotations
 
 import csv
+import io
 import math
 
 import numpy as np
@@ -328,46 +329,55 @@ def naive_parse_corpus(sources):
     return Corpus(documents=tuple(documents), types=tuple(vocabulary))
 
 
+def naive_write_rows(path, header, rows) -> None:
+    """The header and each row through csv.writer, then a \\n line end.
+
+    The writer ends each row with \\r\\n, which is cut off: with \\r\\n as its line
+    terminator, every supported CPython quotes a field holding \\r or \\n.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for row in (header, *rows):
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\r\n").writerow(row)
+            fh.write(buf.getvalue()[:-2] + "\n")
+
+
 def naive_write_float_rows(path, header, doc_ids, values) -> None:
     """A doc id and a row of floats per line, each cell through format() and csv.writer."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for doc, row in zip(doc_ids, values):
-            writer.writerow([doc, *(format(float(v), ".12g") for v in row)])
+    rows = ([doc, *(format(float(v), ".12g") for v in row)] for doc, row in zip(doc_ids, values))
+    naive_write_rows(path, header, rows)
 
 
 def naive_write_eta_csv(table, path) -> None:
     """eta.csv cell by cell through format() and csv.writer; a p below 1e-300 is written as 0."""
     names, values = table
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["feature", "eta_squared", "p_value"])
-        for name, (eta2, p) in zip(names, values.tolist()):
-            p = 0.0 if p < 1e-300 else p
-            writer.writerow([name, format(eta2, ".12g"), format(p, ".12g")])
+    rows = (
+        [name, format(eta2, ".12g"), format(0.0 if p < 1e-300 else p, ".12g")]
+        for name, (eta2, p) in zip(names, values.tolist())
+    )
+    naive_write_rows(path, ["feature", "eta_squared", "p_value"], rows)
 
 
 def naive_write_selection_csv(report, path) -> None:
     """selection.csv one feature at a time, each cell through format() and csv.writer."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["feature", "p_bar", "sigma", "required_n", "retained", "degenerate"])
-        for j, name in enumerate(report.feature_names):
-            p_bar, sigma, required_n = (format(float(v), ".12g") for v in report.per_feature[j])
-            retained = str(j in report.retained.tolist()).lower()
-            degenerate = str(bool(report.degenerate[j])).lower()
-            writer.writerow([name, p_bar, sigma, required_n, retained, degenerate])
+    rows = []
+    for j, name in enumerate(report.feature_names):
+        p_bar, sigma, required_n = (format(float(v), ".12g") for v in report.per_feature[j])
+        retained = str(j in report.retained.tolist()).lower()
+        degenerate = str(bool(report.degenerate[j])).lower()
+        rows.append([name, p_bar, sigma, required_n, retained, degenerate])
+    header = ["feature", "p_bar", "sigma", "required_n", "retained", "degenerate"]
+    naive_write_rows(path, header, rows)
 
 
 def naive_write_table(path, header, heads, floats, tails) -> None:
     """Any table row by row through csv.writer: a head, its floats through format(), its tails."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i, head in enumerate(heads):
-            row = [] if floats is None else [format(float(v), ".12g") for v in floats[i]]
-            writer.writerow([head, *row, *(tail[i] for tail in tails)])
+    rows = (
+        [head, *([] if floats is None else [format(float(v), ".12g") for v in floats[i]]),
+         *(tail[i] for tail in tails)]
+        for i, head in enumerate(heads)
+    )
+    naive_write_rows(path, header, rows)
 
 
 def whole_pairwise(values: np.ndarray, row_fn) -> np.ndarray:

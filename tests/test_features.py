@@ -18,6 +18,7 @@ from stylokit.features import (
     FeatureMatrix,
     FeatureSpec,
     Scale,
+    _field,
     affixes_of,
     build_matrix,
     candidate_function_words,
@@ -366,6 +367,19 @@ def test_write_table_matches_the_per_cell_oracle(tmp_path_factory, table):
     write_table(directory / "table.csv", *table)
     naive_write_table(directory / "oracle.csv", *table)
     assert (directory / "table.csv").read_bytes() == (directory / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize(("text", "alone", "field"), [
+    ("a\rb", False, '"a\rb"'),
+    ("c\nd", False, '"c\nd"'),
+    ('q"x', False, '"q""x"'),
+    ("a,b", True, '"a,b"'),
+    ("", True, '""'),
+    ("", False, ""),
+    ("auth00_doc00 x", True, "auth00_doc00 x"),
+])
+def test_field_writes_the_same_bytes_on_every_python(text, alone, field):
+    assert _field(text, alone) == field
 
 
 def test_feature_spec_validation():
