@@ -282,6 +282,11 @@ def _parse_manifest_row(
     where = f"{manifest_path}: line {line}"
     if None in row or None in row.values():
         raise CorpusFormatError(f"{where}: expected {len(MANIFEST_FIELDS)} fields")
+    if not row["id"]:
+        raise CorpusFormatError(f"{where}: empty id")
+    for field in ("id", "author"):  # every output row holds them, and a line break ends a row
+        if "\r" in row[field] or "\n" in row[field]:
+            raise CorpusFormatError(f"{where}: {field} {row[field]!r} holds a line break")
     if not row["path"]:
         raise CorpusFormatError(f"{where}: empty path")
     if "\0" in row["path"]:

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import MANIFEST_FIELDS, make_output_dir, open_output
+from .errors import CorpusFormatError
 from .features import write_table
 
 N_FUNCTION_WORDS = 110
@@ -79,19 +80,28 @@ def _vocabulary() -> tuple[list[str], list[str], np.ndarray]:
 
 
 def _author_distributions(config: SynthConfig, rng: np.random.Generator, base: np.ndarray) -> np.ndarray:
+    """Each author's word probabilities: base weights tilted by exp(separation x a normal draw).
+
+    A separation whose weights, or their sum, overflow raises CorpusFormatError naming it.
+    """
     tilt = rng.standard_normal((config.n_authors, base.size))
-    probs = base[None, :] * np.exp(config.separation * tilt)
-    return probs / probs.sum(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = base[None, :] * np.exp(config.separation * tilt)
+        totals = probs.sum(axis=1, keepdims=True)
+    if not np.isfinite(totals).all():
+        raise CorpusFormatError(
+            f"separation {config.separation:g} is too large: the author weights overflow"
+        )
+    return probs / totals
 
 
 def generate_corpus(config: SynthConfig, out_dir: str | Path) -> Path:
     """Write manifest, token files and the function-word list; return the manifest path."""
-    out_dir = Path(out_dir)
-    tokens_dir = make_output_dir(out_dir / "tokens")
-
     rng = np.random.Generator(np.random.PCG64(config.seed))
     words, tags, base = _vocabulary()
     author_probs = _author_distributions(config, rng, base)
+    out_dir = Path(out_dir)
+    tokens_dir = make_output_dir(out_dir / "tokens")
 
     manifest_rows = []
     for a in range(config.n_authors):

@@ -185,6 +185,32 @@ def test_nul_byte_in_a_manifest_path_exits_2_naming_the_line(tmp_path, capsys, m
     assert not (out / "run.json").exists()
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (",t,a,g,verse,5,1660,x.tsv\n", "line 3: empty id"),
+        ('"a\rb",t,a,g,verse,5,1660,x.tsv\n', "line 4: id 'a\\rb' holds a line break"),
+        ('"c\nd",t,a,g,verse,5,1660,x.tsv\n', "line 4: id 'c\\nd' holds a line break"),
+        ('y,t,"a\r\nb",g,verse,5,1660,x.tsv\n', "line 4: author 'a\\r\\nb' holds a line break"),
+    ],
+    ids=["empty-id", "cr-in-id", "lf-in-id", "crlf-in-author"],
+)
+def test_manifest_id_or_author_no_output_row_can_carry_exits_2_naming_the_line(
+    tmp_path, capsys, row, message
+):
+    """Every output row holds a doc id, and the assignment an author: neither may be empty
+    (an id) or end the row early. The line is the one the csv record ends on."""
+    (tmp_path / "x.tsv").write_text("a\ta\tNOMcom\n", encoding="utf-8")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(MANIFEST_HEADER + "x,t,a,g,verse,5,1660,x.tsv\n" + row,
+                        encoding="utf-8", newline="")
+    out = tmp_path / "o"
+    assert main(["extract", "--manifest", str(manifest), "--min-tokens", "0", "--min-plays", "1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {manifest}: {message}\n"
+    assert not (out / "run.json").exists()
+
+
 def test_non_utf8_token_file_exits_2_naming_file_and_line(tmp_path, capsys):
     (tmp_path / "latin1.tsv").write_bytes(b"a\ta\tNOMcom\n\ngl\xf4ire\tgloire\tNOMcom\n")
     manifest = tmp_path / "manifest.csv"
@@ -344,6 +370,15 @@ def test_svg_and_dot_escape_awkward_doc_ids(corpus_dir, tmp_path, capsys):
     dot = (out / "dendrogram.dot").read_text(encoding="utf-8")
     quoted = re.findall(r'^  n\d+ \[label="((?:[^"\\]|\\.)*)"\];$', dot, re.MULTILINE)
     assert [re.sub(r"\\(.)", r"\1", label) for label in quoted] == ids
+    # Every table holding doc ids reads back through the csv module with exactly those ids.
+    for name in ("matrix.csv", "distance.csv", "assignment.csv"):
+        with open(out / name, encoding="utf-8", newline="") as fh:
+            header, *table = csv.reader(fh)
+        assert [row[0] for row in table] == ids, name
+        assert {len(row) for row in table} == {len(header)}, name
+    assert header == ["doc_id", "cluster", "author"]
+    with open(out / "distance.csv", encoding="utf-8", newline="") as fh:
+        assert next(csv.reader(fh))[1:] == ids
 
 
 def test_failed_rerun_leaves_no_run_json(corpus_dir, tmp_path, capsys):
@@ -509,6 +544,17 @@ def test_synth_determinism_via_cli(tmp_path):
     assert files_a == files_b
     for rel in files_a:
         assert (a / rel).read_bytes() == (b / rel).read_bytes()
+
+
+@pytest.mark.parametrize("separation", ["200", "1e308", "inf"])
+def test_synth_separation_that_overflows_exits_2_before_any_token_file(tmp_path, capsys, separation):
+    out = tmp_path / "out"
+    assert main(["synth", "--seed", "1234", "--separation", separation, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: separation {float(separation):g} is too large: the author weights overflow\n"
+    )
+    assert not list(out.rglob("*.tsv"))
+    assert not (out / "run.json").exists()
 
 
 def test_bad_select_spec_exits_2(corpus_dir, tmp_path, capsys):
