@@ -11,7 +11,10 @@ output file): the command, the file name and the file's sha256, tab
 separated, where ``stdout`` stands for what the command printed. The
 corpus itself comes first, under the command ``synth``: its
 ``manifest.csv``, its ``function_words.txt``, and one digest of every
-``tokens/*.tsv`` file's name and bytes in name order.
+``tokens/*.tsv`` file's name and bytes in name order. Last comes what
+``scripts/run_synthetic_demo.py`` prints for the corpus's seed and
+separation with ``--out demo``, run in-process by its path, so it imports
+the same stylokit as this script.
 
 ``tests/test_golden.py`` recomputes the lines and compares them with the
 committed files, so a change that moves an output shows up as a diff of
@@ -26,7 +29,9 @@ import contextlib
 import hashlib
 import io
 import os
+import runpy
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -34,6 +39,7 @@ from stylokit.cli import main as stylokit
 from stylokit.synth import SynthConfig, generate_corpus
 
 GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden"
+DEMO = Path(__file__).resolve().parent / "run_synthetic_demo.py"
 SEED = 1234
 CORPORA = {"sep1.5": 1.5, "sep0.3": 0.3}
 FAMILIES = ("lemma", "rhyme", "form", "affix", "pos3", "fw")
@@ -79,6 +85,14 @@ def digest_lines(separation: float, workdir: Path) -> list[str]:
             lines.append(f"{label}\tstdout\t{_sha256(stdout.getvalue().encode('utf-8'))}")
             for path in sorted(Path("out").iterdir()):
                 lines.append(f"{label}\t{path.name}\t{_sha256(path.read_bytes())}")
+        argv = sys.argv
+        sys.argv = [str(DEMO), "--seed", str(SEED), "--separation", str(separation), "--out", "demo"]
+        try:
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                runpy.run_path(str(DEMO), run_name="__main__")
+        finally:
+            sys.argv = argv
+        lines.append(f"demo\tstdout\t{_sha256(stdout.getvalue().encode('utf-8'))}")
         return lines
     finally:
         os.chdir(home)
