@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import argparse
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from stylokit.cli import SWEEP_CUTOFFS
+from stylokit.cluster import cut, ward_cluster
 from stylokit.corpus import filter_corpus, load_manifest
 from stylokit.evaluate import cluster_purity, eta_table, robustness_sweep
 from stylokit.features import FeatureKind, FeatureSpec, load_word_list
+from stylokit.metrics import compute_distance
 from stylokit.pipeline import run_pipeline
 from stylokit.synth import SynthConfig, generate_corpus
 
@@ -71,7 +74,10 @@ def main() -> None:
     for name, (eta2, p) in zip(names, values[:5].tolist()):
         print(f"  {name:<8} eta2={eta2:.3f}  p={p:.3g}")
 
-    fw_minmax = run_pipeline(corpus, specs["function words"], "reliable", "minmax", k=5)
+    # Reliable selection does not depend on the measure: re-cluster the selected fw matrix.
+    dist = compute_distance(fw_delta.selected, "minmax")
+    dend = ward_cluster(dist)
+    fw_minmax = replace(fw_delta, distance=dist, dendrogram=dend, assignment=cut(dend, fw_delta.k))
     for distance, reference in (("delta", fw_delta), ("minmax", fw_minmax)):
         rows = robustness_sweep(reference, truth, SWEEP_CUTOFFS)
         print(f"\nfunction-word sweep under {distance}:")
