@@ -35,12 +35,12 @@ FAMILIES = {
 }
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=1234)
     parser.add_argument("--separation", type=float, default=1.5)
     parser.add_argument("--out", default=None, help="corpus directory (default: temp)")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     out = Path(args.out) if args.out else Path(tempfile.mkdtemp(prefix="stylokit_demo_"))
     config = SynthConfig(seed=args.seed, n_authors=5, docs_per_author=6,

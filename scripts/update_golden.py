@@ -31,7 +31,6 @@ import io
 import os
 import runpy
 import shutil
-import sys
 import tempfile
 from pathlib import Path
 
@@ -85,13 +84,9 @@ def digest_lines(separation: float, workdir: Path) -> list[str]:
             lines.append(f"{label}\tstdout\t{_sha256(stdout.getvalue().encode('utf-8'))}")
             for path in sorted(Path("out").iterdir()):
                 lines.append(f"{label}\t{path.name}\t{_sha256(path.read_bytes())}")
-        argv = sys.argv
-        sys.argv = [str(DEMO), "--seed", str(SEED), "--separation", str(separation), "--out", "demo"]
-        try:
-            with contextlib.redirect_stdout(io.StringIO()) as stdout:
-                runpy.run_path(str(DEMO), run_name="__main__")
-        finally:
-            sys.argv = argv
+        demo = runpy.run_path(str(DEMO))["main"]
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            demo(["--seed", str(SEED), "--separation", str(separation), "--out", "demo"])
         lines.append(f"demo\tstdout\t{_sha256(stdout.getvalue().encode('utf-8'))}")
         return lines
     finally:

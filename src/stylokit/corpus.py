@@ -284,7 +284,7 @@ def _parse_manifest_row(
         raise CorpusFormatError(f"{where}: expected {len(MANIFEST_FIELDS)} fields")
     if not row["id"]:
         raise CorpusFormatError(f"{where}: empty id")
-    for field in ("id", "author"):  # every output row holds them, and a line break ends a row
+    for field in ("id", "author"):  # output rows carry them, and a line break would split a row
         if "\r" in row[field] or "\n" in row[field]:
             raise CorpusFormatError(f"{where}: {field} {row[field]!r} holds a line break")
     if not row["path"]:

@@ -372,11 +372,10 @@ def naive_write_selection_csv(report, path) -> None:
 
 def naive_write_table(path, header, heads, floats, tails) -> None:
     """Any table row by row through csv.writer: a head, its floats through format(), its tails."""
-    rows = (
-        [head, *([] if floats is None else [format(float(v), ".12g") for v in floats[i]]),
-         *(tail[i] for tail in tails)]
-        for i, head in enumerate(heads)
-    )
+    rows = []
+    for i, head in enumerate(heads):
+        row = [] if floats is None else [format(float(v), ".12g") for v in floats[i]]
+        rows.append([head, *row, *(tail[i] for tail in tails)])
     naive_write_rows(path, header, rows)
 
 
