@@ -111,7 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     select.add_argument("--select", type=_parse_select, default=RELIABLE,
                         help="'reliable' or 'top:<pct>'")
     analysis.add_argument("--distance", choices=[m.value for m in Measure], default="delta")
-    analysis.add_argument("--linkage", choices=["ward2", "ward1"], default="ward2")
     analysis.add_argument("--k", type=_at_least(int, 1), default=None,
                           help="number of clusters (default: number of authors)")
     groups = {"corpus": corpus, "select": select, "analysis": analysis}
@@ -180,7 +179,7 @@ def _run(
     corpus = _load_corpus(args)
     truth = corpus.alleged_authors()
     k = args.k if args.k is not None else len(set(truth.values()))
-    return truth, run_pipeline(corpus, _feature_spec(args), select, args.distance, k, args.linkage)
+    return truth, run_pipeline(corpus, _feature_spec(args), select, args.distance, k)
 
 
 def _cmd_extract(args: argparse.Namespace, out: Path) -> None:

@@ -1,12 +1,11 @@
 """Agglomerative clustering with Ward's criterion on a dissimilarity matrix.
 
-Two variants ship. The default ("ward2") applies the Lance-Williams
-update with Ward coefficients to squared input dissimilarities, seeded
-at d^2/2 so the tracked value of a candidate merge is exactly
-(n1*n2/(n1+n2)) * d^2(G1, G2) -- the within-cluster variance increase
-when the input is Euclidean -- and reports square roots as heights. The
-compatibility variant ("ward1") runs the same update on the raw
-dissimilarities and reports them unchanged.
+One update ships, R's ward.D2 ("ward2"): the Lance-Williams update with
+Ward coefficients on squared dissimilarities, seeded at d^2/2 so the
+tracked value of a merge is exactly (n1*n2/(n1+n2)) * d^2(G1, G2) -- the
+variance increase for Euclidean input -- and heights are its square roots.
+R's ward.D, the update on unsquared dissimilarities, is absent because it
+does not implement Ward's criterion (Murtagh & Legendre 2014).
 
 The merge state is one n x n matrix with a slot per live cluster. Each
 step takes the matrix minimum; a merge writes the Lance-Williams row of
@@ -34,8 +33,6 @@ from .errors import AnalysisError
 from .features import FLOAT_FORMAT, check_row_order
 from .metrics import DistanceMatrix
 
-WARD_SQUARED = "ward2"
-WARD_RAW = "ward1"
 
 ClusterAssignment = dict[str, int]
 
@@ -65,14 +62,14 @@ class Dendrogram:
         return len(self.leaves)
 
 
-def ward_cluster(dist: DistanceMatrix, variant: str = WARD_SQUARED) -> Dendrogram:
+def ward_cluster(dist: DistanceMatrix, variant: str = "ward2") -> Dendrogram:
     """Greedy minimum-variance merging via the Lance-Williams recurrence.
 
     Raises on non-square, non-symmetric or non-finite input. Heights are
     guaranteed non-decreasing (asserted) because the Ward coefficients
-    satisfy the monotonicity condition.
+    satisfy the monotonicity condition. ``variant`` accepts only "ward2".
     """
-    if variant not in (WARD_SQUARED, WARD_RAW):
+    if variant != "ward2":
         raise ValueError(f"unknown linkage variant: {variant!r}")
     ids = dist.doc_ids
     n = len(ids)
@@ -89,9 +86,8 @@ def ward_cluster(dist: DistanceMatrix, variant: str = WARD_SQUARED) -> Dendrogra
     # Slot i holds one live cluster: its row of merge values, its size and
     # its dendrogram node. The diagonal and every retired slot hold +inf,
     # so the minimum is always a live pair.
-    state = np.multiply(values, values) if variant == WARD_SQUARED else values.copy()
-    if variant == WARD_SQUARED:
-        state /= 2.0  # in place: one n x n array at a time, not two
+    state = np.multiply(values, values)
+    state /= 2.0  # in place: one n x n array at a time, not two
     np.fill_diagonal(state, np.inf)
     size = np.ones(n)
     node = list(range(n))
@@ -105,7 +101,7 @@ def ward_cluster(dist: DistanceMatrix, variant: str = WARD_SQUARED) -> Dendrogra
         if best_value < -1e-12:
             raise AnalysisError("Ward linkage produced a negative merge value")
         best_value = max(best_value, 0.0)
-        height = math.sqrt(best_value) if variant == WARD_SQUARED else best_value
+        height = math.sqrt(best_value)
         assert height >= last_height - 1e-12, "Ward heights must be non-decreasing"
         last_height = max(last_height, height)
 

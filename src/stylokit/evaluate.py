@@ -207,8 +207,8 @@ def robustness_sweep(
 ) -> list[SweepRow]:
     """Re-cluster the reference run's matrix at frequency-rank cutoffs.
 
-    Every row reuses the reference's feature matrix, distance measure,
-    linkage variant and k, so only the selection differs. Each row carries
+    Every row reuses the reference's feature matrix, distance measure
+    and k, so only the selection differs. Each row carries
     purity against the alleged authors (P-A) and against the reference
     clustering (P-R). A cutoff leaving fewer than 2 usable features is not
     fatal: its row has no purities (None).
@@ -226,7 +226,7 @@ def robustness_sweep(
             rows.append(SweepRow(cutoff, len(columns), None, None))
             continue
         dist = compute_distance(matrix.subset(usable), reference.distance.measure)
-        assignment = cut(ward_cluster(dist, reference.linkage_variant), reference.k)
+        assignment = cut(ward_cluster(dist), reference.k)
         purity_authors = cluster_purity(assignment, truth).purity
         purity_reference = cluster_purity(assignment, reference_labels).purity
         rows.append(SweepRow(cutoff, len(columns), purity_authors, purity_reference))

@@ -81,21 +81,6 @@ def affixes_of(form: str) -> list[str]:
     return out
 
 
-def candidate_function_words(corpus: Corpus, top_k: int) -> list[tuple[str, int]]:
-    """Most frequent surface forms corpus-wide, for manual curation.
-
-    Returns at most ``top_k`` (form, count) pairs, count-descending with
-    lexicographic tie-break, clamped to the vocabulary size.
-    """
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
-    if len(corpus) == 0:
-        raise AnalysisError("cannot rank forms of an empty corpus")
-    names, counts, _ = _count(corpus, FeatureSpec(FeatureKind.WORD_FORM))
-    totals = counts.sum(axis=0).astype(np.int64).tolist()
-    return sorted(zip(names, totals), key=lambda kv: (-kv[1], kv[0]))[:top_k]
-
-
 def check_row_order(doc_ids: Sequence[str]) -> None:
     """One row order everywhere: strictly increasing doc ids, as ``parse_corpus`` sorts them."""
     for before, after in zip(doc_ids, doc_ids[1:]):

@@ -23,7 +23,6 @@ class PipelineResult:
     dendrogram: Dendrogram
     assignment: ClusterAssignment
     k: int
-    linkage_variant: str
 
 
 def shortest_document_length(corpus: Corpus) -> int:
@@ -60,12 +59,11 @@ def run_pipeline(
     selection_mode: str | tuple[str, float],
     distance: Measure | str,
     k: int,
-    linkage_variant: str = "ward2",
 ) -> PipelineResult:
     matrix = build_matrix(corpus, spec)
     selected, report = apply_selection(matrix, selection_mode, shortest_document_length(corpus))
     dist = compute_distance(selected, distance)
-    dend = ward_cluster(dist, linkage_variant)
+    dend = ward_cluster(dist)
     assignment = cut(dend, k)
     return PipelineResult(
         matrix=matrix,
@@ -75,5 +73,4 @@ def run_pipeline(
         dendrogram=dend,
         assignment=assignment,
         k=k,
-        linkage_variant=linkage_variant,
     )

@@ -19,7 +19,7 @@ from stylokit.corpus import Corpus, Document, normalize_token
 from stylokit.errors import CorpusFormatError
 
 
-def naive_ward(values: np.ndarray, ids: tuple[str, ...], variant: str = "ward2"):
+def naive_ward(values: np.ndarray, ids: tuple[str, ...]):
     """Recompute-from-scratch Ward merging on a dissimilarity matrix.
 
     Clusters are nested tuples; every inter-cluster value is derived
@@ -27,7 +27,7 @@ def naive_ward(values: np.ndarray, ids: tuple[str, ...], variant: str = "ward2")
     of (sorted leaf-index tuple, height) per merge.
     """
     n = len(ids)
-    base = values * values / 2.0 if variant == "ward2" else values.copy()
+    base = values * values / 2.0
 
     def leaves(tree):
         return (tree,) if isinstance(tree, int) else leaves(tree[0]) + leaves(tree[1])
@@ -65,7 +65,7 @@ def naive_ward(values: np.ndarray, ids: tuple[str, ...], variant: str = "ward2")
                 if best is None or key < best[0]:
                     best = (key, a, b)
         (value, *_), a, b = best
-        height = math.sqrt(max(value, 0.0)) if variant == "ward2" else float(value)
+        height = math.sqrt(max(value, 0.0))
         merges.append((tuple(sorted(leaves(a) + leaves(b))), height))
         active = [x for x in active if x not in (a, b)] + [(a, b)]
     return merges

@@ -120,7 +120,7 @@ def test_out_blocked_by_a_file_exits_2_naming_it(
 
 
 CORPUS_KEYS = {"manifest", "min_tokens", "min_plays", "features", "fw_list", "out"}
-ANALYSIS_KEYS = {"distance", "linkage", "k"}
+ANALYSIS_KEYS = {"distance", "k"}
 
 
 @pytest.mark.parametrize(
@@ -327,7 +327,7 @@ def test_cluster_outputs(corpus_dir, tmp_path, capsys):
     assert main([
         "cluster", "--manifest", str(corpus_dir / "manifest.csv"),
         "--features", "fw", "--fw-list", str(corpus_dir / "function_words.txt"),
-        "--distance", "delta", "--linkage", "ward2", "--k", "5",
+        "--distance", "delta", "--k", "5",
         "--out", str(out),
     ]) == 0
     for name in (
@@ -492,6 +492,17 @@ def test_sweep_rejects_select(corpus_dir, tmp_path, capsys):
         ])
     assert excinfo.value.code == 2
     assert "--select" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["cluster", "eta", "sweep"])
+def test_removed_linkage_flag_exits_2_naming_it(corpus_dir, tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as excinfo:
+        main([
+            command, "--manifest", str(corpus_dir / "manifest.csv"),
+            "--linkage", "ward2", "--out", str(tmp_path / "o"),
+        ])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --linkage ward2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -65,10 +65,13 @@ def test_two_singletons_squared_linkage_is_half_squared_distance():
     assert dend.merges[0].height ** 2 == pytest.approx(d * d / 2.0, abs=1e-12)
 
 
-def test_two_singletons_raw_variant_reports_input_distance():
-    d = 1.7
-    dend = ward_cluster(_dist([[0.0, d], [d, 0.0]]), variant="ward1")
-    assert dend.merges[0].height == pytest.approx(d, abs=1e-12)
+def test_ward_cluster_accepts_only_ward2():
+    # R's ward.D is not Ward's criterion and is refused; "ward2" stays
+    # accepted because the benchmark driver passes it positionally.
+    dist = _random_dist(np.random.default_rng(5), 6)
+    assert ward_cluster(dist, "ward2") == ward_cluster(dist)
+    with pytest.raises(ValueError, match="unknown linkage variant"):
+        ward_cluster(dist, "ward1")
 
 
 def test_three_equidistant_points_tie_break_and_growth():
@@ -103,13 +106,12 @@ def test_matches_naive_recompute_oracle():
     grid = [_grid_dist(rng, int(rng.integers(6, 13))) for _ in range(60)]
     for dist in uniform + grid:
         n = dist.n_docs
-        for variant in ("ward2", "ward1"):
-            dend = ward_cluster(dist, variant)
-            oracle = naive_ward(dist.values, dist.doc_ids, variant)
-            for t, merge in enumerate(dend.merges):
-                members, height = oracle[t]
-                assert leaf_members(dend, n + t) == members
-                assert merge.height == pytest.approx(height, abs=1e-10)
+        dend = ward_cluster(dist)
+        oracle = naive_ward(dist.values, dist.doc_ids)
+        for t, merge in enumerate(dend.merges):
+            members, height = oracle[t]
+            assert leaf_members(dend, n + t) == members
+            assert merge.height == pytest.approx(height, abs=1e-10)
 
 
 def test_squared_variant_equals_explicit_variance_minimization():

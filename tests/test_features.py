@@ -1,18 +1,14 @@
 from __future__ import annotations
 
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from _oracles import (
-    naive_family_counts, naive_family_matrix, naive_write_float_rows, naive_write_table,
-)
+from _oracles import naive_family_matrix, naive_write_float_rows, naive_write_table
 from conftest import make_corpus, make_doc
 from stylokit.corpus import filter_corpus
-from stylokit.errors import AnalysisError
 from stylokit.features import (
     FeatureKind,
     FeatureMatrix,
@@ -21,7 +17,6 @@ from stylokit.features import (
     _field,
     affixes_of,
     build_matrix,
-    candidate_function_words,
     load_word_list,
     write_matrix_csv,
     write_table,
@@ -178,25 +173,6 @@ def test_build_matrix_matches_per_token_oracle(docs):
         names, values = naive_family_matrix(docs, kind.value, words)
         assert matrix.feature_names == names, kind
         assert np.array_equal(matrix.values, values), kind
-    totals: Counter[str] = Counter()
-    for verses in docs:
-        totals.update(naive_family_counts(verses, "form")[0])
-    ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
-    assert candidate_function_words(corpus, 1000) == ranked
-
-
-def test_candidate_function_words_ranking_and_ties():
-    docs = make_corpus(
-        make_doc("a", [[_tok("et"), _tok("et"), _tok("ab"), _tok("ba")]]),
-    )
-    ranked = candidate_function_words(docs, 10)
-    assert ranked == [("et", 2), ("ab", 1), ("ba", 1)]
-    assert candidate_function_words(docs, 2) == [("et", 2), ("ab", 1)]
-
-
-def test_candidate_function_words_empty_corpus():
-    with pytest.raises(AnalysisError):
-        candidate_function_words(make_corpus(), 5)
 
 
 def test_build_matrix_single_doc_relative_frequencies():
