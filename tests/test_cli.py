@@ -192,14 +192,16 @@ def test_nul_byte_in_a_manifest_path_exits_2_naming_the_line(tmp_path, capsys, m
         ('"a\rb",t,a,g,verse,5,1660,x.tsv\n', "line 4: id 'a\\rb' holds a line break"),
         ('"c\nd",t,a,g,verse,5,1660,x.tsv\n', "line 4: id 'c\\nd' holds a line break"),
         ('y,t,"a\r\nb",g,verse,5,1660,x.tsv\n', "line 4: author 'a\\r\\nb' holds a line break"),
+        ('y,t,a,g,verse,5,1660,"x\n.tsv"\n', "line 4: path 'x\\n.tsv' holds a line break"),
     ],
-    ids=["empty-id", "cr-in-id", "lf-in-id", "crlf-in-author"],
+    ids=["empty-id", "cr-in-id", "lf-in-id", "crlf-in-author", "lf-in-path"],
 )
 def test_manifest_id_or_author_no_output_row_can_carry_exits_2_naming_the_line(
     tmp_path, capsys, row, message
 ):
     """Every output row holds a doc id, and the assignment an author: neither may be empty
-    (an id) or end the row early. The line is the one the csv record ends on."""
+    (an id) or end the row early. An error names the path, so it may not break a line
+    either. The line is the one the csv record ends on."""
     (tmp_path / "x.tsv").write_text("a\ta\tNOMcom\n", encoding="utf-8")
     manifest = tmp_path / "manifest.csv"
     manifest.write_text(MANIFEST_HEADER + "x,t,a,g,verse,5,1660,x.tsv\n" + row,
@@ -685,6 +687,12 @@ def _mutate(data: bytes, kind: str, arg, at: float) -> bytes:
          family="fw", measure="delta", cpus=2)
 @example(target="manifest.csv", mutation=("insert", b"\0"), at=1.0, command="cluster",
          family="fw", measure="delta", cpus=1)
+# A quote that opens the path field of a row mid-file, so the field runs on over line breaks.
+@example(target="manifest.csv", mutation=("insert", b'"'), at=0.49609375, command="extract",
+         family="affix", measure="delta", cpus=1)
+# "tokens" cut from the start of a path, which leaves an absolute path outside the inputs.
+@example(target="manifest.csv", mutation=("delete", 6), at=0.341796875, command="extract",
+         family="fw", measure="delta", cpus=1)
 def test_a_mutated_input_ends_in_an_exit_code_and_one_error_line(
     short_corpus, tmp_path_factory, capsys, target, mutation, at, command, family, measure, cpus
 ):
@@ -713,5 +721,10 @@ def test_a_mutated_input_ends_in_an_exit_code_and_one_error_line(
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     if code == 2:
         message = err[len("error: "):].rstrip("\n")
-        assert str(inputs) in message
+        # A mutated manifest may name an absolute path; the message then names that path.
+        named = message.split(": ")[0]
+        assert str(inputs) in message or (
+            target == "manifest.csv"
+            and Path(named).is_absolute() and named.encode() in path.read_bytes()
+        )
         assert re.search(r": line [1-9][0-9]*: ", message) or WHOLE_FILE_FAULTS.search(message)
