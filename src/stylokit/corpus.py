@@ -19,12 +19,14 @@ prefix ``NOMpro``) keep their types -- POS n-grams need them -- and the
 lexical families skip those types. The documents are sorted by doc id,
 the one row order of everything after.
 
-``load_manifest`` cuts the manifest's rows, in order, into runs of equal
-row count, one per usable CPU. Run 1 is parsed here, each later run by a
-forked helper over its own line table, which sends back one pickle. Each
-later run adds its types not yet in the vocabulary, in its own order: a
-serial parse's first-sight order, so every type id and output byte is a
-serial parse's. The first run in order that fails raises the serial error.
+``load_manifest`` reads a corpus parsed before from the same bytes back
+from ``stylokit.cache``. Otherwise it cuts the manifest's rows, in
+order, into runs of equal row count, one per usable CPU. Run 1 is parsed
+here, each later run by a forked helper over its own line table, which
+sends back one pickle. Each later run adds its types not yet in the
+vocabulary, in its own order: a serial parse's first-sight order, so
+every type id and output byte is a serial parse's. The first run in
+order that fails raises the serial error.
 
 Every input may start with a UTF-8 byte-order mark, which is dropped.
 Token files are streamed, never held whole; on a read error,
@@ -313,7 +315,8 @@ def load_manifest(manifest_path: str | Path) -> Corpus:
     first by forked helpers that each send back one pickle. The corpus, or
     the error, is a serial parse's in manifest order: the same vocabulary
     and ids, or the path of the first file that fails. The corpus holds the
-    documents sorted by doc id.
+    documents sorted by doc id. A corpus parsed before from the same ids,
+    authors and token-file bytes is read from the corpus cache instead.
     """
     manifest_path = Path(manifest_path)
     reader = csv.DictReader(io.StringIO(read_utf8(manifest_path), newline=""))
@@ -333,8 +336,10 @@ def load_manifest(manifest_path: str | Path) -> Corpus:
         rows.append((doc_id, author, path))
     if not rows:
         raise CorpusFormatError(f"manifest is empty: {manifest_path}")
+    from . import cache  # on first load: ``import stylokit.cli`` leaves it uncompiled
+
     try:
-        return _parse_runs(rows)
+        return cache.load(rows)
     except (OSError, UnicodeDecodeError):
         for *_, path in rows:  # the first file that cannot be read whole raises naming it
             read_utf8(path)
@@ -424,20 +429,24 @@ def _fork_helper(run: list) -> tuple[int, BinaryIO] | None:
 
 def _send(out: BinaryIO, run: list) -> None:
     """Write for ``_receive`` one protocol-5 pickle: (the parse's exception or
-    None, (id, author, id count, verse count) per document, the run's type ids
-    and verse ends as two arrays of the documents' dtypes, (form, lemma, pos)
-    per type)."""
+    None, ``_heads``' documents, the run's type ids and verse ends as two
+    arrays of the documents' dtypes, ``_heads``' types)."""
     try:
         corpus = parse_corpus(_token_files(run))
     except Exception as exc:  # forwarded, so the caller raises it in manifest order
         pickle.dump((exc, (), None, None, ()), out, 5)
         return
     docs = corpus.documents
-    heads = [(d.id, d.alleged_author, len(d.type_ids), len(d.verse_ends)) for d in docs]
     type_ids = np.concatenate([d.type_ids for d in docs])
     verse_ends = np.concatenate([d.verse_ends for d in docs])
-    types = [(t.form, t.lemma, t.pos) for t in corpus.types]
+    heads, types = _heads(corpus)
     pickle.dump((None, heads, type_ids, verse_ends, types), out, 5)
+
+
+def _heads(corpus: Corpus) -> tuple[list, list]:
+    """(id, author, id count, verse count) per document and (form, lemma, pos) per type."""
+    heads = [(d.id, d.alleged_author, len(d.type_ids), len(d.verse_ends)) for d in corpus]
+    return heads, [(t.form, t.lemma, t.pos) for t in corpus.types]
 
 
 def _receive(reader: BinaryIO) -> Corpus | None:
@@ -452,6 +461,11 @@ def _receive(reader: BinaryIO) -> Corpus | None:
         return None
     if error is not None:
         raise error
+    return _assemble(heads, type_ids, verse_ends, types)
+
+
+def _assemble(heads: list, type_ids: np.ndarray, verse_ends: np.ndarray, types: list) -> Corpus:
+    """The corpus of ``_heads`` whose documents' arrays are views, in order, into two arrays."""
     documents, i, j = [], 0, 0
     for doc_id, author, n_ids, n_ends in heads:
         ids, ends = type_ids[i : i + n_ids], verse_ends[j : j + n_ends]

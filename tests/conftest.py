@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import shutil
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from stylokit import cache, corpus as corpus_module
 from stylokit.corpus import (
     AnnotatedToken,
     Corpus,
@@ -15,6 +19,35 @@ from stylokit.synth import SynthConfig, generate_corpus
 
 SYNTH_SEED = 1234
 SYNTH_SEPARATION = 1.5
+
+
+@pytest.fixture(autouse=True)
+def corpus_cache(tmp_path_factory, monkeypatch):
+    """The test's own corpus cache directory, empty: $XDG_CACHE_HOME/stylokit."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg_cache")))
+    return cache._directory()
+
+
+@contextmanager
+def every_load_parses():
+    """Each load_manifest inside starts from an empty corpus cache; yields a list
+    that gets one entry per load, and asserts on leaving that every load parsed."""
+    load, parse_runs, loads = cache.load, corpus_module._parse_runs, []
+
+    def emptied_first(rows):
+        shutil.rmtree(cache._directory(), ignore_errors=True)
+        loads.append(False)
+        return load(rows)
+
+    def parsing(rows):
+        loads[-1] = True
+        return parse_runs(rows)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cache, "load", emptied_first)
+        patch.setattr(corpus_module, "_parse_runs", parsing)
+        yield loads
+    assert all(loads), f"{loads.count(False)} of {len(loads)} loads read the corpus cache"
 
 
 def make_doc(
@@ -67,6 +100,34 @@ def write_token_file(corpus: Corpus, doc: Document, path) -> None:
             for tok in verse:
                 fh.write(f"{tok.form}\t{tok.lemma}\t{tok.pos}\n")
             fh.write("\n")
+
+
+def write_manifest(directory, token_files: dict[str, bytes]):
+    """A manifest of one play per token file, in the order given, named play0, play1, ..."""
+    rows = ["id,title,author,genre,form,acts,year,path\n"]
+    for i, (name, data) in enumerate(token_files.items()):
+        (directory / name).write_bytes(data)
+        rows.append(f"play{i},t,a,g,verse,5,1660,{name}\n")
+    manifest = directory / "manifest.csv"
+    manifest.write_text("".join(rows), encoding="utf-8")
+    return manifest
+
+
+def snapshot(corpus: Corpus):
+    """Everything a corpus holds, in a form that compares by value."""
+    return corpus.types, [
+        (d.id, d.alleged_author, d.type_ids.dtype, d.type_ids.tolist(),
+         d.verse_ends.dtype, d.verse_ends.tolist())
+        for d in corpus
+    ]
+
+
+def one_line_per_type(types: range) -> bytes:
+    """A token file with one line per type, w{i}, three tags in turn and a verse of eight."""
+    tags = ("NOMcom", "VERcjg", "ADJqua")
+    return "".join(
+        f"w{i}\tw{i}\t{tags[i % 3]}\n" + ("\n" if i % 8 == 7 else "") for i in types
+    ).encode()
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings, strategies as st
 
+from conftest import every_load_parses
 from stylokit import corpus, features
 from stylokit.cli import _FEATURE_FLAGS, main
 from stylokit.synth import SynthConfig, generate_corpus
@@ -44,10 +45,12 @@ def test_extract_reports_counts_and_is_deterministic(corpus_dir, tmp_path, capsy
         "--features", "fw", "--fw-list", str(corpus_dir / "function_words.txt"),
         "--out", str(out),
     ]
-    assert main(argv) == 0
-    assert capsys.readouterr().out.strip() == "30 docs, 110 features"
-    first = _digest(out / "matrix.csv")
-    assert main(argv) == 0
+    with every_load_parses() as loads:
+        assert main(argv) == 0
+        assert capsys.readouterr().out.strip() == "30 docs, 110 features"
+        first = _digest(out / "matrix.csv")
+        assert main(argv) == 0
+    assert len(loads) == 2
     assert _digest(out / "matrix.csv") == first
     assert (out / "run.json").exists()
 
@@ -288,11 +291,13 @@ def test_function_word_list_is_normalized_like_token_forms(corpus_dir, tmp_path,
     words = (corpus_dir / "function_words.txt").read_text(encoding="utf-8").splitlines()
     shouted = tmp_path / "shouted.txt"
     shouted.write_text("".join(f"{w.upper()}!\n" for w in words[1:]) + "...\n", encoding="utf-8")
-    for fw_list, out in ((corpus_dir / "function_words.txt", "plain"), (shouted, "shouted")):
-        assert main([
-            "extract", "--manifest", str(corpus_dir / "manifest.csv"),
-            "--features", "fw", "--fw-list", str(fw_list), "--out", str(tmp_path / out),
-        ]) == 0
+    with every_load_parses() as loads:
+        for fw_list, out in ((corpus_dir / "function_words.txt", "plain"), (shouted, "shouted")):
+            assert main([
+                "extract", "--manifest", str(corpus_dir / "manifest.csv"),
+                "--features", "fw", "--fw-list", str(fw_list), "--out", str(tmp_path / out),
+            ]) == 0
+    assert len(loads) == 2
     assert capsys.readouterr().out == "30 docs, 110 features\n" * 2
     assert _digest(tmp_path / "shouted" / "matrix.csv") == _digest(tmp_path / "plain" / "matrix.csv")
 
@@ -389,11 +394,13 @@ def test_failed_rerun_leaves_no_run_json(corpus_dir, tmp_path, capsys):
         "cluster", "--manifest", str(corpus_dir / "manifest.csv"),
         "--fw-list", str(corpus_dir / "function_words.txt"), "--out", str(out),
     ]
-    assert main([*argv, "--k", "5"]) == 0
-    assert (out / "run.json").exists()
-    (out / "dendrogram.svg").unlink()
-    (out / "dendrogram.svg").mkdir()
-    assert main([*argv, "--k", "2"]) == 2
+    with every_load_parses() as loads:
+        assert main([*argv, "--k", "5"]) == 0
+        assert (out / "run.json").exists()
+        (out / "dendrogram.svg").unlink()
+        (out / "dendrogram.svg").mkdir()
+        assert main([*argv, "--k", "2"]) == 2
+    assert len(loads) == 2
     assert f"{out / 'dendrogram.svg'}: cannot write" in capsys.readouterr().err
     assert not (out / "run.json").exists()
 
@@ -405,9 +412,11 @@ def test_cluster_rerun_byte_identical(corpus_dir, tmp_path):
         "--features", "fw", "--fw-list", str(corpus_dir / "function_words.txt"),
         "--out", str(out),
     ]
-    assert main(argv) == 0
-    digests = {p.name: _digest(p) for p in out.iterdir()}
-    assert main(argv) == 0
+    with every_load_parses() as loads:
+        assert main(argv) == 0
+        digests = {p.name: _digest(p) for p in out.iterdir()}
+        assert main(argv) == 0
+    assert len(loads) == 2
     assert {p.name: _digest(p) for p in out.iterdir()} == digests
 
 
@@ -595,12 +604,14 @@ def _row_order_outputs(corpus_dir: Path, manifest: Path, out: Path) -> dict:
         ["select", "--features", "affix"], ["sweep", "--features", "fw", *fw_list],
     ]
     outputs = {}
-    for i, argv in enumerate(runs):
-        run = out / str(i)
-        assert main([*argv, "--manifest", str(manifest), "--out", str(run)]) == 0
-        for path in run.iterdir():
-            if path.name != "run.json":
-                outputs[f"{argv[0]} {i}/{path.name}"] = path.read_bytes()
+    with every_load_parses() as loads:
+        for i, argv in enumerate(runs):
+            run = out / str(i)
+            assert main([*argv, "--manifest", str(manifest), "--out", str(run)]) == 0
+            for path in run.iterdir():
+                if path.name != "run.json":
+                    outputs[f"{argv[0]} {i}/{path.name}"] = path.read_bytes()
+    assert len(loads) == len(runs)
     return outputs
 
 
@@ -710,8 +721,9 @@ def test_a_mutated_input_ends_in_an_exit_code_and_one_error_line(
     ]
     if command in ("cluster", "eta", "sweep"):
         argv += ["--distance", measure]
-    with patch.object(corpus, "_usable_cpus", lambda: cpus):
+    with patch.object(corpus, "_usable_cpus", lambda: cpus), every_load_parses() as loads:
         code = main(argv)  # an exception escaping main fails the example
+    assert len(loads) <= 1
     err = capsys.readouterr().err
     assert code in (0, 1, 2)
     if code == 0:

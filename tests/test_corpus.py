@@ -15,7 +15,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracles import naive_parse_corpus
-from conftest import make_corpus, make_doc, verses_of, write_token_file
+from conftest import (
+    every_load_parses,
+    make_corpus,
+    make_doc,
+    one_line_per_type,
+    snapshot,
+    verses_of,
+    write_manifest,
+    write_token_file,
+)
 from stylokit import corpus as corpus_module
 from stylokit.corpus import (
     Corpus,
@@ -269,26 +278,6 @@ def test_load_manifest_round_trip(tmp_path, synth_dir):
     assert all(doc.token_count >= 5000 for doc in corpus)
 
 
-def _write_manifest(directory, token_files: dict[str, bytes]):
-    """A manifest of one play per token file, in the order given, named play0, play1, ..."""
-    rows = ["id,title,author,genre,form,acts,year,path\n"]
-    for i, (name, data) in enumerate(token_files.items()):
-        (directory / name).write_bytes(data)
-        rows.append(f"play{i},t,a,g,verse,5,1660,{name}\n")
-    manifest = directory / "manifest.csv"
-    manifest.write_text("".join(rows), encoding="utf-8")
-    return manifest
-
-
-def _snapshot(corpus: Corpus):
-    """Everything a corpus holds, in a form that compares by value."""
-    return corpus.types, [
-        (d.id, d.alleged_author, d.type_ids.dtype, d.type_ids.tolist(),
-         d.verse_ends.dtype, d.verse_ends.tolist())
-        for d in corpus
-    ]
-
-
 # Long enough that line ends fall on both sides of the reader's 8 KiB chunks.
 LF_TEXT = "".join(
     f"# verse {i}\nLe\tle\tDETdef\nRoi{i % 7},\troi\tNOMcom\nAlcandre\talcandre\tNOMpro\n\n\n"
@@ -308,9 +297,9 @@ def test_line_ends_do_not_change_the_corpus(tmp_path, line_end):
     lf, other = tmp_path / "lf", tmp_path / "other"
     lf.mkdir()
     other.mkdir()
-    expected = load_manifest(_write_manifest(lf, {"x.tsv": LF_TEXT.encode()}))
-    again = load_manifest(_write_manifest(other, {"x.tsv": text.encode()}))
-    assert _snapshot(again) == _snapshot(expected)
+    expected = load_manifest(write_manifest(lf, {"x.tsv": LF_TEXT.encode()}))
+    again = load_manifest(write_manifest(other, {"x.tsv": text.encode()}))
+    assert snapshot(again) == snapshot(expected)
 
 
 @pytest.mark.parametrize("files", ["manifest.csv", "function_words.txt", "tokens/*.tsv"])
@@ -318,8 +307,10 @@ def test_a_leading_byte_order_mark_changes_nothing_read(tmp_path, synth_dir, fil
     bom = shutil.copytree(synth_dir, tmp_path / "bom")
     for path in bom.glob(files):
         path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
-    plain, again = (load_manifest(d / "manifest.csv") for d in (synth_dir, bom))
-    assert _snapshot(again) == _snapshot(plain)
+    with every_load_parses() as loads:  # unless tokens/ got the marks, both key one entry
+        plain, again = (load_manifest(d / "manifest.csv") for d in (synth_dir, bom))
+    assert len(loads) == 2
+    assert snapshot(again) == snapshot(plain)
     words = load_word_list(synth_dir / "function_words.txt")
     assert load_word_list(bom / "function_words.txt") == words
     spec = FeatureSpec(kind=FeatureKind.FUNCTION_WORD, function_words=words)
@@ -329,7 +320,7 @@ def test_a_leading_byte_order_mark_changes_nothing_read(tmp_path, synth_dir, fil
 
 
 def test_malformed_line_first_seen_in_the_second_document_names_that_file(tmp_path):
-    manifest = _write_manifest(tmp_path, {
+    manifest = write_manifest(tmp_path, {
         "one.tsv": b"a\ta\tNOMcom\nb\tb\tNOMcom\n\n",
         # Lines 1-3 repeat lines of one.tsv, so the table already holds them.
         "two.tsv": b"a\ta\tNOMcom\n\nb\tb\tNOMcom\ngloire\tNOMcom\na\ta\tNOMcom\n",
@@ -344,14 +335,14 @@ def test_malformed_line_first_seen_in_the_second_document_names_that_file(tmp_pa
 def test_bad_utf8_byte_past_the_first_8_kib_names_its_line(tmp_path):
     data = b"gloire\tgloire\tNOMcom\n" * 600 + b"gl\xf4ire\tgloire\tNOMcom\n"
     assert data.index(b"\xf4") > 8192
-    manifest = _write_manifest(tmp_path, {"ok.tsv": b"a\ta\tNOMcom\n", "latin1.tsv": data})
+    manifest = write_manifest(tmp_path, {"ok.tsv": b"a\ta\tNOMcom\n", "latin1.tsv": data})
     with pytest.raises(CorpusFormatError) as excinfo:
         load_manifest(manifest)
     assert str(excinfo.value).startswith(f"{tmp_path / 'latin1.tsv'}: line 601: not valid UTF-8")
 
 
 def test_token_file_that_is_a_directory_names_it(tmp_path):
-    manifest = _write_manifest(tmp_path, {"ok.tsv": b"a\ta\tNOMcom\n"})
+    manifest = write_manifest(tmp_path, {"ok.tsv": b"a\ta\tNOMcom\n"})
     (tmp_path / "dir.tsv").mkdir()
     with open(manifest, "a", encoding="utf-8") as fh:
         fh.write("play9,t,a,g,verse,5,1660,dir.tsv\n")
@@ -376,7 +367,7 @@ DOC_LINES = st.lists(
 def _outcome(parse, sources):
     """A parse's corpus snapshot, or the message of the CorpusFormatError it raised."""
     try:
-        return _snapshot(parse(sources))
+        return snapshot(parse(sources))
     except CorpusFormatError as exc:
         return str(exc)
 
@@ -420,7 +411,7 @@ def test_parse_agrees_over_files_lists_and_the_per_line_oracle(tmp_path_factory,
 
 
 def test_malformed_first_line_after_a_byte_order_mark_is_line_1(tmp_path):
-    manifest = _write_manifest(tmp_path, {"bom.tsv": codecs.BOM_UTF8 + b"a\tb\nc\tc\tNOMcom\n"})
+    manifest = write_manifest(tmp_path, {"bom.tsv": codecs.BOM_UTF8 + b"a\tb\nc\tc\tNOMcom\n"})
     with pytest.raises(CorpusFormatError) as excinfo:
         load_manifest(manifest)
     assert str(excinfo.value) == (
@@ -434,10 +425,12 @@ def _assert_no_child_process():
 
 
 def _load_in_runs(manifest, runs: int) -> Corpus:
-    """load_manifest as on a machine with ``runs`` usable CPUs."""
-    with pytest.MonkeyPatch.context() as patch:
+    """load_manifest as on a machine with ``runs`` usable CPUs, from an empty corpus cache."""
+    with pytest.MonkeyPatch.context() as patch, every_load_parses() as loads:
         patch.setattr(corpus_module, "_usable_cpus", lambda: runs)
-        return load_manifest(manifest)
+        corpus = load_manifest(manifest)
+    assert loads == [True]
+    return corpus
 
 
 @settings(max_examples=40, deadline=None)
@@ -450,7 +443,7 @@ def test_runs_parse_to_the_serial_corpus_or_its_first_error(tmp_path_factory, do
     """Malformed lines and empty documents may fall in several runs at once."""
     directory = tmp_path_factory.mktemp("runs")
     texts = {f"{i}.tsv": "".join(line + end for line, end in lines) for i, lines in enumerate(docs)}
-    manifest = _write_manifest(directory, {name: t.encode() for name, t in texts.items()})
+    manifest = write_manifest(directory, {name: t.encode() for name, t in texts.items()})
     serial = [
         (f"play{i}", "a", list(io.StringIO(text, newline=None)), str(directory / name))
         for i, (name, text) in enumerate(texts.items())
@@ -460,33 +453,25 @@ def test_runs_parse_to_the_serial_corpus_or_its_first_error(tmp_path_factory, do
     _assert_no_child_process()
 
 
-def _one_line_per_type(types: range) -> bytes:
-    """A token file with one line per type, w{i}, three tags in turn and a verse of eight."""
-    tags = ("NOMcom", "VERcjg", "ADJqua")
-    return "".join(
-        f"w{i}\tw{i}\t{tags[i % 3]}\n" + ("\n" if i % 8 == 7 else "") for i in types
-    ).encode()
-
-
 @pytest.mark.parametrize("n_types, dtype", [(1 << 16, np.uint16), ((1 << 16) + 1, np.int32)])
 def test_ids_are_two_bytes_up_to_2_16_types_serial_or_forked(tmp_path, n_types, dtype):
     """The vocabulary passes 2**16 types in the last play, in the second run: a
     serial parse widens the three plays before it, the helper one, the merge
     the first run's two."""
     files = {
-        "a.tsv": _one_line_per_type(range(10)),
-        "b.tsv": _one_line_per_type(range(10, 20)),
-        "c.tsv": _one_line_per_type(range(40000)),
-        "d.tsv": _one_line_per_type(range(40000, n_types)),
+        "a.tsv": one_line_per_type(range(10)),
+        "b.tsv": one_line_per_type(range(10, 20)),
+        "c.tsv": one_line_per_type(range(40000)),
+        "d.tsv": one_line_per_type(range(40000, n_types)),
     }
-    manifest = _write_manifest(tmp_path, files)
+    manifest = write_manifest(tmp_path, files)
     oracle = naive_parse_corpus(
         (f"play{i}", "a", data.decode().splitlines(keepends=True))
         for i, data in enumerate(files.values())
     )
     assert len(oracle.types) == n_types
     serial = _load_in_runs(manifest, 1)
-    assert _snapshot(_load_in_runs(manifest, 2)) == _snapshot(serial)
+    assert snapshot(_load_in_runs(manifest, 2)) == snapshot(serial)
     _assert_no_child_process()
     assert {doc.type_ids.dtype for doc in serial} == {np.dtype(dtype)}
     assert serial.types == oracle.types
@@ -517,7 +502,7 @@ def test_a_helper_error_names_the_file_a_serial_parse_names(tmp_path, monkeypatc
     monkeypatch.setattr(corpus_module, "parse_corpus",
                         lambda sources: parsed_here.append(1) or parse_corpus(sources))
     files = {"ok.tsv": b"a\ta\tNOMcom\n", first: FAILING[first], **FAILING}
-    manifest = _write_manifest(tmp_path, files)
+    manifest = write_manifest(tmp_path, files)
     (tmp_path / "missing.tsv").unlink()
     (tmp_path / "dir.tsv").unlink()
     (tmp_path / "dir.tsv").mkdir()
@@ -535,16 +520,16 @@ def test_a_helper_error_names_the_file_a_serial_parse_names(tmp_path, monkeypatc
 def test_no_helper_outlives_an_error_in_the_first_run(tmp_path):
     # The helper's run is long, so it is still parsing when the first run fails.
     long_run = "".join(f"w{i}\tw{i}\tNOMcom\n" for i in range(20000)).encode() * 10
-    manifest = _write_manifest(tmp_path, {"bad.tsv": b"a\tb\n", "long.tsv": long_run})
+    manifest = write_manifest(tmp_path, {"bad.tsv": b"a\tb\n", "long.tsv": long_run})
     with pytest.raises(CorpusFormatError, match="bad.tsv: line 1"):
         _load_in_runs(manifest, 2)
     _assert_no_child_process()
 
 
 def test_a_helper_that_ends_without_a_result_has_its_run_parsed_here(tmp_path, monkeypatch, synth_dir):
-    expected = _snapshot(_load_in_runs(synth_dir / "manifest.csv", 1))
+    expected = snapshot(_load_in_runs(synth_dir / "manifest.csv", 1))
     monkeypatch.setattr(corpus_module, "_send", lambda out, run: os.kill(os.getpid(), signal.SIGKILL))
-    assert _snapshot(_load_in_runs(synth_dir / "manifest.csv", 3)) == expected
+    assert snapshot(_load_in_runs(synth_dir / "manifest.csv", 3)) == expected
     _assert_no_child_process()
 
 
@@ -561,9 +546,9 @@ def test_a_helper_that_sends_part_of_its_result_has_its_run_parsed_here(monkeypa
         out.flush()
         os.kill(os.getpid(), signal.SIGKILL)
 
-    expected = _snapshot(_load_in_runs(synth_dir / "manifest.csv", 1))
+    expected = snapshot(_load_in_runs(synth_dir / "manifest.csv", 1))
     monkeypatch.setattr(corpus_module, "_send", send_part_then_die)
-    assert _snapshot(_load_in_runs(synth_dir / "manifest.csv", 3)) == expected
+    assert snapshot(_load_in_runs(synth_dir / "manifest.csv", 3)) == expected
     _assert_no_child_process()
 
 
@@ -586,7 +571,7 @@ def _fork_warning_as_in_python_3_12(monkeypatch):
 def test_no_fork_warning_with_only_native_threads(tmp_path, monkeypatch):
     """numpy's BLAS thread makes Python 3.12+ warn on fork; a helper never calls BLAS."""
     _fork_warning_as_in_python_3_12(monkeypatch)
-    manifest = _write_manifest(tmp_path, {"a.tsv": b"a\ta\tNOMcom\n", "b.tsv": b"b\tb\tNOMcom\n"})
+    manifest = write_manifest(tmp_path, {"a.tsv": b"a\ta\tNOMcom\n", "b.tsv": b"b\tb\tNOMcom\n"})
     with warnings.catch_warnings(record=True) as shown:
         warnings.simplefilter("always")
         assert len(_load_in_runs(manifest, 2)) == 2
@@ -596,7 +581,7 @@ def test_no_fork_warning_with_only_native_threads(tmp_path, monkeypatch):
 
 def test_the_fork_warning_is_shown_to_a_caller_running_python_threads(tmp_path, monkeypatch):
     _fork_warning_as_in_python_3_12(monkeypatch)
-    manifest = _write_manifest(tmp_path, {"a.tsv": b"a\ta\tNOMcom\n", "b.tsv": b"b\tb\tNOMcom\n"})
+    manifest = write_manifest(tmp_path, {"a.tsv": b"a\ta\tNOMcom\n", "b.tsv": b"b\tb\tNOMcom\n"})
     release = threading.Event()
     thread = threading.Thread(target=release.wait, daemon=True)
     thread.start()
