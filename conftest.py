@@ -7,22 +7,15 @@ environment when it is imported. ``tests/conftest.py`` gives each test in
 
 from __future__ import annotations
 
-import os
 import shutil
 import tempfile
 
-_SAVED = {}
+import pytest
 
 
 def pytest_configure(config):
-    _SAVED["XDG_CACHE_HOME"] = os.environ.get("XDG_CACHE_HOME")
-    os.environ["XDG_CACHE_HOME"] = _SAVED["session"] = tempfile.mkdtemp(prefix="stylokit-cache-")
-
-
-def pytest_unconfigure(config):
-    shutil.rmtree(_SAVED.pop("session"), ignore_errors=True)
-    saved = _SAVED.pop("XDG_CACHE_HOME")
-    if saved is None:
-        os.environ.pop("XDG_CACHE_HOME", None)
-    else:
-        os.environ["XDG_CACHE_HOME"] = saved
+    directory = tempfile.mkdtemp(prefix="stylokit-cache-")
+    patch = pytest.MonkeyPatch()
+    patch.setenv("XDG_CACHE_HOME", directory)
+    config.add_cleanup(lambda: shutil.rmtree(directory, ignore_errors=True))
+    config.add_cleanup(patch.undo)
