@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import one_line_per_type, snapshot, write_manifest
-from stylokit import corpus as corpus_module
+from stylokit import cache, corpus as corpus_module
 from stylokit.cli import main
 from stylokit.corpus import load_manifest, parse_corpus
 from stylokit.errors import CorpusFormatError
@@ -184,6 +184,7 @@ def test_no_usable_cache_directory_loads_as_with_no_cache(
 ):
     if where == "no_home":
         _no_home(monkeypatch)
+        assert cache._directory() is None
     else:
         corpus_cache.write_bytes(b"")
     out = tmp_path / "out"
@@ -195,7 +196,7 @@ def test_no_usable_cache_directory_loads_as_with_no_cache(
         assert [p.name for p in corpus_cache.parent.iterdir()] == ["stylokit"]
         assert corpus_cache.read_bytes() == b""
     else:
-        assert not corpus_cache.parent.exists() or not any(corpus_cache.parent.iterdir())
+        assert not any(corpus_cache.parent.iterdir())
 
 
 def test_a_malformed_file_raises_the_same_error_again_and_is_never_stored(tmp_path, corpus_cache):
