@@ -9,11 +9,11 @@ corpus keys the same. ``zlib``, not ``hashlib``: importing hashlib loads
 OpenSSL, +3.5 MB of RSS per process.
 
 An entry is no pickle, so a file dropped into the directory cannot run code:
-the key line; one JSON header line (the id dtype, ``corpus._heads`` and a
-CRC-32 over the rest of the header and the payload); then the payload, every
+the key line; one JSON header line (the id dtype, ``_heads`` and a CRC-32
+over the rest of the header and the payload); then the payload, every
 document's ids and then every document's verse ends. A hit reads each of the
-two arrays whole and returns the corpus a parse builds, its documents views
-into them as ``corpus._receive`` makes them. An entry whose key line, header
+two arrays whole and builds the corpus through ``corpus._assemble``, as a
+parse does, its documents views into them. An entry whose key line, header
 or CRC does not check out is a miss. A miss parses and stores the corpus,
 unless a token file changed during the parse; the 16 entries used last are
 kept.
@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus as _corpus
-from .corpus import Corpus
+from .corpus import AnnotatedToken, Corpus
 from .errors import StylokitError
 
 _KEPT = 16
@@ -48,17 +48,18 @@ def load(rows: list[tuple[str, str, Path]]) -> Corpus:
     directory = _directory()
     key = directory and _key(rows)
     if not key:
-        return _corpus._parse_runs(rows)
+        return _corpus.parse_corpus(_corpus._token_files(rows))
     path = directory / f"{zlib.crc32(key):08x}{zlib.adler32(key):08x}.corpus"
     try:
         corpus = _read(path, key)
-    except (OSError, ValueError, TypeError, KeyError, AttributeError, MemoryError, StylokitError):
+    except (OSError, ValueError, TypeError, KeyError, AttributeError, MemoryError,
+            RecursionError, StylokitError):
         corpus = None  # what a missing, damaged or foreign entry raises is a miss
     if corpus is not None:
         with suppress(OSError):
             os.utime(path)  # most recently used
         return corpus
-    corpus = _corpus._parse_runs(rows)
+    corpus = _corpus.parse_corpus(_corpus._token_files(rows))
     with suppress(OSError):  # a store that fails leaves the parse's corpus as it is
         if _key(rows) == key:
             _write(path, key, corpus)
@@ -101,7 +102,8 @@ def _read(path: Path, key: bytes) -> Corpus | None:
             return None
         head = json.loads(fh.readline())
         crc = head.pop("crc")
-        dtype, heads, types = np.dtype(head["dtype"]), head["heads"], head["types"]
+        dtype, heads = np.dtype(head["dtype"]), head["heads"]
+        types = tuple(AnnotatedToken(*line.split("\t")) for line in head["types"].split("\n"))
         if dtype != _corpus._id_dtype(len(types)):  # written on a machine of the other byte order
             return None
         type_ids = np.empty(sum(n_ids for *_, n_ids, _ in heads), dtype)
@@ -112,6 +114,12 @@ def _read(path: Path, key: bytes) -> Corpus | None:
     if _crc(json.dumps(head), type_ids, verse_ends) != crc:
         return None
     return _corpus._assemble(heads, type_ids, verse_ends, types)
+
+
+def _heads(corpus: Corpus) -> tuple[list, str]:
+    """(id, author, id count, verse count) per document and a form/lemma/pos line per type."""
+    heads = [(d.id, d.alleged_author, len(d.type_ids), len(d.verse_ends)) for d in corpus]
+    return heads, "\n".join(f"{t.form}\t{t.lemma}\t{t.pos}" for t in corpus.types)
 
 
 def _crc(head: str, *arrays: np.ndarray) -> int:
@@ -126,7 +134,7 @@ def _write(path: Path, key: bytes, corpus: Corpus) -> None:
     drop all but the entries used last. The arrays are never concatenated:
     that copy raised a cold `wide` benchmark op's peak RSS from 35.1 to 37.0 MB."""
     payload = [d.type_ids for d in corpus] + [d.verse_ends for d in corpus]
-    heads, types = _corpus._heads(corpus)
+    heads, types = _heads(corpus)
     head = {"dtype": corpus.documents[0].type_ids.dtype.str, "heads": heads, "types": types}
     head["crc"] = _crc(json.dumps(head), *payload)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -9,24 +9,21 @@ A corpus is parsed as a whole over one vocabulary: ``Corpus.types``
 holds each distinct normalized token once, and a ``Document`` is an
 array of ids into it, in reading order, plus the exclusive int32 end
 offset of each verse. The ids are uint16 up to 2**16 types and int32
-beyond (``_id_dtype``), narrowed as each document is read, serial or
-forked alike. One line table local to the parse maps every distinct
-raw line to its type id: a dict whose ``__missing__`` normalizes
+beyond (``_id_dtype``). One line table local to the parse maps every
+distinct raw line to its type id: a dict whose ``__missing__`` normalizes
 and registers a line on first sight, so ``normalize_token`` runs once per
 distinct line and a document is read in one C-level pass,
 ``np.fromiter(map(table.__getitem__, lines))``. Proper-name tokens (POS
 prefix ``NOMpro``) keep their types -- POS n-grams need them -- and the
-lexical families skip those types. The documents are sorted by doc id,
-the one row order of everything after.
+lexical families skip those types. Each document's ids and verse ends
+are appended, in reading order, to one ids array and one verse-ends array
+per corpus, and its two arrays are views into them: per-document arrays
+left ~0.5 MB more RSS. The ids array is widened to int32 once, when the
+vocabulary passes 2**16 types. The documents are sorted by doc id, the
+one row order of everything after.
 
 ``load_manifest`` reads a corpus parsed before from the same bytes back
-from ``stylokit.cache``. Otherwise it cuts the manifest's rows, in
-order, into runs of equal row count, one per usable CPU. Run 1 is parsed
-here, each later run by a forked helper over its own line table, which
-sends back one pickle. Each later run adds its types not yet in the
-vocabulary, in its own order: a serial parse's first-sight order, so
-every type id and output byte is a serial parse's. The first run in
-order that fails raises the serial error.
+from ``stylokit.cache``, which builds it through the same ``_assemble``.
 
 Every input may start with a UTF-8 byte-order mark, which is dropped.
 Token files are streamed, never held whole; on a read error,
@@ -41,16 +38,11 @@ from __future__ import annotations
 import codecs
 import csv
 import io
-import os
-import pickle
-import signal
-import threading
 import unicodedata
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -199,7 +191,7 @@ def parse_corpus(sources: Iterable[tuple]) -> Corpus:
     to the document id.
     """
     table = _LineTable()
-    documents = []
+    heads, type_ids, verse_ends = [], np.empty(0, np.uint16), np.empty(0, np.int32)
     for doc_id, author, lines, *label in sources:
         where = label[0] if label else doc_id
         start = lines.tell() if hasattr(lines, "seek") else 0  # past a skipped byte-order mark
@@ -214,21 +206,36 @@ def parse_corpus(sources: Iterable[tuple]) -> Corpus:
                 f"{where}: line {lineno}: expected FORM<TAB>LEMMA<TAB>POS, got {n_fields} field(s)"
             ) from None
         others = np.flatnonzero(codes < 0)
-        dtype = _id_dtype(len(table.vocabulary))
-        # Narrowed first: the line ids below 0 wrap, but they are the ones deleted.
-        type_ids = np.delete(codes.astype(dtype, copy=False), others)
-        if not len(type_ids):
+        n_ids = len(codes) - len(others)
+        if not n_ids:
             raise CorpusFormatError(f"{where}: empty document")
         # The i-th non-token line, at index p, has p - i tokens before it. A
         # verse ends at each blank line after a token, and after the last token.
         ends = (others - np.arange(len(others)))[codes[others] == _VERSE_BREAK]
-        ends = np.append(ends, len(type_ids))
-        verse_ends = ends[np.diff(ends, prepend=0) > 0].astype(np.int32)
-        if documents and documents[0].type_ids.dtype != dtype:  # the vocabulary just passed 2**16
-            documents = [replace(doc, type_ids=doc.type_ids.astype(dtype)) for doc in documents]
-        documents.append(Document(doc_id, author, type_ids, verse_ends))
+        ends = np.append(ends, n_ids)
+        ends = ends[np.diff(ends, prepend=0) > 0]
+        ids = np.delete(codes, others)
+        del codes, others  # freed before the corpus arrays grow: ~0.1 MB less peak RSS
+        if type_ids.dtype != _id_dtype(len(table.vocabulary)):  # it just passed 2**16 types
+            type_ids = type_ids.astype(np.int32)
+        i, j = len(type_ids), len(verse_ends)
+        type_ids.resize(i + n_ids, refcheck=False)
+        verse_ends.resize(j + len(ends), refcheck=False)
+        type_ids[i:], verse_ends[j:] = ids, ends
+        heads.append((doc_id, author, n_ids, len(ends)))
+    return _assemble(heads, type_ids, verse_ends, tuple(table.vocabulary))
+
+
+def _assemble(heads: list, type_ids: np.ndarray, verse_ends: np.ndarray, types: tuple) -> Corpus:
+    """The corpus of the (id, author, id count, verse count) heads, sorted by id, whose
+    documents' arrays are views, in the heads' order, into the two arrays."""
+    documents, i, j = [], 0, 0
+    for doc_id, author, n_ids, n_ends in heads:
+        ids, ends = type_ids[i : i + n_ids], verse_ends[j : j + n_ends]
+        documents.append(Document(doc_id, author, ids, ends))
+        i, j = i + n_ids, j + n_ends
     documents.sort(key=lambda doc: doc.id)
-    return Corpus(documents=tuple(documents), types=tuple(table.vocabulary))
+    return Corpus(tuple(documents), types)
 
 
 def read_utf8(path: str | Path) -> str:
@@ -311,12 +318,10 @@ def load_manifest(manifest_path: str | Path) -> Corpus:
     with paths resolved relative to the manifest location. Every row is
     checked before the first token file is opened; a doc id seen twice
     raises CorpusFormatError naming its line. The token files are parsed in
-    contiguous runs of equal row count, one per usable CPU, all but the
-    first by forked helpers that each send back one pickle. The corpus, or
-    the error, is a serial parse's in manifest order: the same vocabulary
-    and ids, or the path of the first file that fails. The corpus holds the
-    documents sorted by doc id. A corpus parsed before from the same ids,
-    authors and token-file bytes is read from the corpus cache instead.
+    manifest order by one ``parse_corpus``, so an error names the first file
+    that fails. The corpus holds the documents sorted by doc id. A corpus
+    parsed before from the same ids, authors and token-file bytes is read
+    from the corpus cache instead.
     """
     manifest_path = Path(manifest_path)
     reader = csv.DictReader(io.StringIO(read_utf8(manifest_path), newline=""))
@@ -354,124 +359,6 @@ def _token_files(rows: list[tuple[str, str, Path]]) -> Iterator[tuple]:
             if fh.buffer.peek(3)[:3] == codecs.BOM_UTF8:
                 fh.buffer.read(3)
             yield doc_id, author, fh, path
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where fork or the affinity mask is missing."""
-    usable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    return len(os.sched_getaffinity(0)) if usable else 1
-
-
-def _parse_runs(rows: list) -> Corpus:
-    """Parse the rows cut, in order, into one run per usable CPU (at most one per
-    row) whose row counts differ by at most 1: run 1 here, each later run in a
-    forked helper, merged as the module docstring says. A helper that ends
-    without a result has its run parsed here; every helper is reaped before return.
-    """
-    n, r = len(rows), min(_usable_cpus(), len(rows))
-    runs = [rows[k * n // r : (k + 1) * n // r] for k in range(r)]
-    helpers, vocabulary, parsed = [None], {}, []  # run 1 has no helper
-    try:
-        for run in runs[1:]:
-            helpers.append(_fork_helper(run))
-        for run, helper in zip(runs, helpers):
-            corpus = _receive(helper[1]) if helper else None
-            if corpus is None:
-                corpus = parse_corpus(_token_files(run))
-            ids = [vocabulary.setdefault(token, len(vocabulary)) for token in corpus.types]
-            parsed.append((ids, corpus.documents))
-    finally:
-        for pid, reader in filter(None, helpers):
-            reader.close()
-            os.kill(pid, signal.SIGKILL)  # one still parsing after an error elsewhere
-            os.waitpid(pid, 0)
-    dtype, documents = _id_dtype(len(vocabulary)), []
-    for ids, docs in parsed:
-        remap = np.array(ids, dtype)
-        for doc in docs:
-            if doc.type_ids.dtype == dtype:
-                np.take(remap, doc.type_ids, out=doc.type_ids)
-            else:  # the runs together pass 2**16 types, this one alone does not
-                doc = replace(doc, type_ids=remap[doc.type_ids])
-            documents.append(doc)
-    documents.sort(key=lambda doc: doc.id)
-    return Corpus(documents=tuple(documents), types=tuple(vocabulary))
-
-
-def _fork_helper(run: list) -> tuple[int, BinaryIO] | None:
-    """(pid, read end of its pipe) of a helper parsing ``run``; None if none can start.
-    Forked, not spawned: a fresh interpreter imports numpy slower than a run parses."""
-    try:
-        read_end, write_end = os.pipe()
-    except OSError:
-        return None
-    with warnings.catch_warnings():
-        # Python 3.12+ warns on fork with a second OS thread. With one Python
-        # thread, the rest are native, such as numpy's BLAS, which a helper never calls.
-        if threading.active_count() == 1:
-            warnings.filterwarnings("ignore", "This process .* multi-threaded", DeprecationWarning)
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_end)
-            os.close(write_end)
-            return None
-    if pid == 0:  # the helper: it never returns into the caller's frames
-        try:
-            os.close(read_end)
-            with open(write_end, "wb") as out:
-                _send(out, run)
-        finally:
-            os._exit(0)  # the parent reads the pipe, not the exit status
-    os.close(write_end)
-    return pid, open(read_end, "rb")
-
-
-def _send(out: BinaryIO, run: list) -> None:
-    """Write for ``_receive`` one protocol-5 pickle: (the parse's exception or
-    None, ``_heads``' documents, the run's type ids and verse ends as two
-    arrays of the documents' dtypes, ``_heads``' types)."""
-    try:
-        corpus = parse_corpus(_token_files(run))
-    except Exception as exc:  # forwarded, so the caller raises it in manifest order
-        pickle.dump((exc, (), None, None, ()), out, 5)
-        return
-    docs = corpus.documents
-    type_ids = np.concatenate([d.type_ids for d in docs])
-    verse_ends = np.concatenate([d.verse_ends for d in docs])
-    heads, types = _heads(corpus)
-    pickle.dump((None, heads, type_ids, verse_ends, types), out, 5)
-
-
-def _heads(corpus: Corpus) -> tuple[list, list]:
-    """(id, author, id count, verse count) per document and (form, lemma, pos) per type."""
-    heads = [(d.id, d.alleged_author, len(d.type_ids), len(d.verse_ends)) for d in corpus]
-    return heads, [(t.form, t.lemma, t.pos) for t in corpus.types]
-
-
-def _receive(reader: BinaryIO) -> Corpus | None:
-    """The corpus a helper sent, None if it ended before sending all of it; its error is raised.
-
-    Its documents' arrays are writable views into the run's two arrays: two
-    per run, not per document, as per-document arrays left ~0.1 MB more RSS.
-    """
-    try:
-        error, heads, type_ids, verse_ends, types = pickle.load(reader)
-    except (EOFError, pickle.UnpicklingError):  # all a truncated pickle raises
-        return None
-    if error is not None:
-        raise error
-    return _assemble(heads, type_ids, verse_ends, types)
-
-
-def _assemble(heads: list, type_ids: np.ndarray, verse_ends: np.ndarray, types: list) -> Corpus:
-    """The corpus of ``_heads`` whose documents' arrays are views, in order, into two arrays."""
-    documents, i, j = [], 0, 0
-    for doc_id, author, n_ids, n_ends in heads:
-        ids, ends = type_ids[i : i + n_ids], verse_ends[j : j + n_ends]
-        documents.append(Document(doc_id, author, ids, ends))
-        i, j = i + n_ids, j + n_ends
-    return Corpus(tuple(documents), tuple(AnnotatedToken(*t) for t in types))
 
 
 def filter_corpus(corpus: Corpus, min_tokens: int, min_plays_per_author: int) -> Corpus:

@@ -32,20 +32,20 @@ def corpus_cache(tmp_path_factory, monkeypatch):
 def every_load_parses():
     """Each load_manifest inside starts from an empty corpus cache; yields a list
     that gets one entry per load, and asserts on leaving that every load parsed."""
-    load, parse_runs, loads = cache.load, corpus_module._parse_runs, []
+    load, parse, loads = cache.load, corpus_module.parse_corpus, []
 
     def emptied_first(rows):
         shutil.rmtree(cache._directory(), ignore_errors=True)
         loads.append(False)
         return load(rows)
 
-    def parsing(rows):
+    def parsing(sources):
         loads[-1] = True
-        return parse_runs(rows)
+        return parse(sources)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cache, "load", emptied_first)
-        patch.setattr(corpus_module, "_parse_runs", parsing)
+        patch.setattr(corpus_module, "parse_corpus", parsing)
         yield loads
     assert all(loads), f"{loads.count(False)} of {len(loads)} loads read the corpus cache"
 

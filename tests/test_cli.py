@@ -11,13 +11,12 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
-from unittest.mock import patch
 
 import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings, strategies as st
 
 from conftest import every_load_parses
-from stylokit import corpus, features
+from stylokit import features
 from stylokit.cli import _FEATURE_FLAGS, main
 from stylokit.synth import SynthConfig, generate_corpus
 
@@ -174,10 +173,7 @@ def test_duplicate_manifest_id_exits_2_naming_the_line_before_any_token_file(tmp
     assert capsys.readouterr().err == f"error: {manifest}: line 4: duplicate document id 'x'\n"
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_nul_byte_in_a_manifest_path_exits_2_naming_the_line(tmp_path, capsys, monkeypatch, cpus):
-    """With two CPUs the row falls in a forked helper's run."""
-    monkeypatch.setattr(corpus, "_usable_cpus", lambda: cpus)
+def test_nul_byte_in_a_manifest_path_exits_2_naming_the_line(tmp_path, capsys):
     (tmp_path / "x.tsv").write_text("a\ta\tNOMcom\n", encoding="utf-8")
     manifest = tmp_path / "manifest.csv"
     rows = ["x,t,a,g,verse,5,1660,x.tsv\n", "y,t,a,g,verse,5,1660,x.tsv\0\n"]
@@ -658,7 +654,7 @@ def short_corpus(tmp_path_factory):
     return out
 
 
-# The first token file is parsed here, the last by a forked helper under 2 CPUs.
+# The first token file in manifest order and the last.
 MUTATION_TARGETS = (
     "manifest.csv", "function_words.txt", "tokens/auth00_doc00.tsv", "tokens/auth01_doc02.tsv",
 )
@@ -691,21 +687,20 @@ def _mutate(data: bytes, kind: str, arg, at: float) -> bytes:
     command=st.sampled_from(["extract", "select", "cluster", "eta", "sweep"]),
     family=st.sampled_from(sorted(_FEATURE_FLAGS)),
     measure=st.sampled_from(["delta", "minmax"]),
-    cpus=st.sampled_from([1, 2]),
 )
-# A NUL byte at the end of the last row's path, which a helper reads under 2 CPUs.
+# A NUL byte at the end of the last row's path.
 @example(target="manifest.csv", mutation=("insert", b"\0"), at=1.0, command="extract",
-         family="fw", measure="delta", cpus=2)
+         family="fw", measure="delta")
 @example(target="manifest.csv", mutation=("insert", b"\0"), at=1.0, command="cluster",
-         family="fw", measure="delta", cpus=1)
+         family="fw", measure="delta")
 # A quote that opens the path field of a row mid-file, so the field runs on over line breaks.
 @example(target="manifest.csv", mutation=("insert", b'"'), at=0.49609375, command="extract",
-         family="affix", measure="delta", cpus=1)
+         family="affix", measure="delta")
 # "tokens" cut from the start of a path, which leaves an absolute path outside the inputs.
 @example(target="manifest.csv", mutation=("delete", 6), at=0.341796875, command="extract",
-         family="fw", measure="delta", cpus=1)
+         family="fw", measure="delta")
 def test_a_mutated_input_ends_in_an_exit_code_and_one_error_line(
-    short_corpus, tmp_path_factory, capsys, target, mutation, at, command, family, measure, cpus
+    short_corpus, tmp_path_factory, capsys, target, mutation, at, command, family, measure
 ):
     """Exit 0, 1 or 2 and no traceback; a failure prints one error line and leaves no
     run.json, and an input fault names the input and, unless it is the whole file's, a line."""
@@ -721,7 +716,7 @@ def test_a_mutated_input_ends_in_an_exit_code_and_one_error_line(
     ]
     if command in ("cluster", "eta", "sweep"):
         argv += ["--distance", measure]
-    with patch.object(corpus, "_usable_cpus", lambda: cpus), every_load_parses() as loads:
+    with every_load_parses() as loads:
         code = main(argv)  # an exception escaping main fails the example
     assert len(loads) <= 1
     err = capsys.readouterr().err

@@ -2,12 +2,8 @@ from __future__ import annotations
 
 import codecs
 import io
-import os
 import re
 import shutil
-import signal
-import threading
-import warnings
 from contextlib import ExitStack
 
 import numpy as np
@@ -419,15 +415,9 @@ def test_malformed_first_line_after_a_byte_order_mark_is_line_1(tmp_path):
     )
 
 
-def _assert_no_child_process():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _load_in_runs(manifest, runs: int) -> Corpus:
-    """load_manifest as on a machine with ``runs`` usable CPUs, from an empty corpus cache."""
-    with pytest.MonkeyPatch.context() as patch, every_load_parses() as loads:
-        patch.setattr(corpus_module, "_usable_cpus", lambda: runs)
+def _load_parsed(manifest) -> Corpus:
+    """load_manifest from an empty corpus cache."""
+    with every_load_parses() as loads:
         corpus = load_manifest(manifest)
     assert loads == [True]
     return corpus
@@ -437,10 +427,10 @@ def _load_in_runs(manifest, runs: int) -> Corpus:
 @given(
     st.lists(st.one_of(DOC_LINES, st.just([]), st.just([("# only a comment", "\n")])),
              min_size=1, max_size=7),
-    st.integers(min_value=1, max_value=4),
 )
-def test_runs_parse_to_the_serial_corpus_or_its_first_error(tmp_path_factory, docs, runs):
-    """Malformed lines and empty documents may fall in several runs at once."""
+def test_runs_parse_to_the_serial_corpus_or_its_first_error(tmp_path_factory, docs):
+    """load_manifest is parse_corpus over the same lines: malformed lines and empty
+    documents may fall in several files, and the first one in manifest order is named."""
     directory = tmp_path_factory.mktemp("runs")
     texts = {f"{i}.tsv": "".join(line + end for line, end in lines) for i, lines in enumerate(docs)}
     manifest = write_manifest(directory, {name: t.encode() for name, t in texts.items()})
@@ -449,15 +439,13 @@ def test_runs_parse_to_the_serial_corpus_or_its_first_error(tmp_path_factory, do
         for i, (name, text) in enumerate(texts.items())
     ]
     expected = _outcome(parse_corpus, serial)
-    assert _outcome(lambda m: _load_in_runs(m, runs), manifest) == expected
-    _assert_no_child_process()
+    assert _outcome(_load_parsed, manifest) == expected
 
 
 @pytest.mark.parametrize("n_types, dtype", [(1 << 16, np.uint16), ((1 << 16) + 1, np.int32)])
 def test_ids_are_two_bytes_up_to_2_16_types_serial_or_forked(tmp_path, n_types, dtype):
-    """The vocabulary passes 2**16 types in the last play, in the second run: a
-    serial parse widens the three plays before it, the helper one, the merge
-    the first run's two."""
+    """The vocabulary passes 2**16 types in the last play, so the ids of the three
+    plays before it are widened with it."""
     files = {
         "a.tsv": one_line_per_type(range(10)),
         "b.tsv": one_line_per_type(range(10, 20)),
@@ -470,14 +458,12 @@ def test_ids_are_two_bytes_up_to_2_16_types_serial_or_forked(tmp_path, n_types, 
         for i, data in enumerate(files.values())
     )
     assert len(oracle.types) == n_types
-    serial = _load_in_runs(manifest, 1)
-    assert snapshot(_load_in_runs(manifest, 2)) == snapshot(serial)
-    _assert_no_child_process()
-    assert {doc.type_ids.dtype for doc in serial} == {np.dtype(dtype)}
-    assert serial.types == oracle.types
-    assert [d.type_ids.tolist() for d in serial] == [d.type_ids.tolist() for d in oracle]
+    corpus = _load_parsed(manifest)
+    assert {doc.type_ids.dtype for doc in corpus} == {np.dtype(dtype)}
+    assert corpus.types == oracle.types
+    assert [d.type_ids.tolist() for d in corpus] == [d.type_ids.tolist() for d in oracle]
     for kind in (FeatureKind.LEMMA, FeatureKind.RHYME_LEMMA, FeatureKind.POS_NGRAM):
-        got, want = (build_matrix(c, FeatureSpec(kind=kind)) for c in (serial, oracle))
+        got, want = (build_matrix(c, FeatureSpec(kind=kind)) for c in (corpus, oracle))
         assert got.feature_names == want.feature_names
         assert np.array_equal(got.values, want.values)
 
@@ -495,101 +481,13 @@ FAILING = {
 
 
 @pytest.mark.parametrize("first", list(FAILING))
-def test_a_helper_error_names_the_file_a_serial_parse_names(tmp_path, monkeypatch, first):
-    """With five runs, the first failing file is the first of a helper's, which
-    forwards its error: this process parses only its own run."""
-    parsed_here = []
-    monkeypatch.setattr(corpus_module, "parse_corpus",
-                        lambda sources: parsed_here.append(1) or parse_corpus(sources))
+def test_a_helper_error_names_the_file_a_serial_parse_names(tmp_path, first):
+    """However the first failing file fails, the error names it, not one after it."""
     files = {"ok.tsv": b"a\ta\tNOMcom\n", first: FAILING[first], **FAILING}
     manifest = write_manifest(tmp_path, files)
     (tmp_path / "missing.tsv").unlink()
     (tmp_path / "dir.tsv").unlink()
     (tmp_path / "dir.tsv").mkdir()
-    messages = set()
-    for runs in (1, 2, 5):
-        with pytest.raises(CorpusFormatError) as excinfo:
-            _load_in_runs(manifest, runs)
-        messages.add(str(excinfo.value))
-    assert len(messages) == 1
-    assert messages.pop().startswith(f"{tmp_path / first}: ")
-    assert len(parsed_here) == 3
-    _assert_no_child_process()
-
-
-def test_no_helper_outlives_an_error_in_the_first_run(tmp_path):
-    # The helper's run is long, so it is still parsing when the first run fails.
-    long_run = "".join(f"w{i}\tw{i}\tNOMcom\n" for i in range(20000)).encode() * 10
-    manifest = write_manifest(tmp_path, {"bad.tsv": b"a\tb\n", "long.tsv": long_run})
-    with pytest.raises(CorpusFormatError, match="bad.tsv: line 1"):
-        _load_in_runs(manifest, 2)
-    _assert_no_child_process()
-
-
-def test_a_helper_that_ends_without_a_result_has_its_run_parsed_here(tmp_path, monkeypatch, synth_dir):
-    expected = snapshot(_load_in_runs(synth_dir / "manifest.csv", 1))
-    monkeypatch.setattr(corpus_module, "_send", lambda out, run: os.kill(os.getpid(), signal.SIGKILL))
-    assert snapshot(_load_in_runs(synth_dir / "manifest.csv", 3)) == expected
-    _assert_no_child_process()
-
-
-@pytest.mark.parametrize("kept", [lambda n: n // 2, lambda n: n - 1], ids=["half", "all_but_the_last_byte"])
-def test_a_helper_that_sends_part_of_its_result_has_its_run_parsed_here(monkeypatch, synth_dir, kept):
-    """The helper writes the start of its real pickle and is killed: a truncated pickle
-    reads as no result, not as an error."""
-    send = corpus_module._send
-
-    def send_part_then_die(out, run):
-        whole = io.BytesIO()
-        send(whole, run)
-        out.write(whole.getvalue()[: kept(len(whole.getvalue()))])
-        out.flush()
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    expected = snapshot(_load_in_runs(synth_dir / "manifest.csv", 1))
-    monkeypatch.setattr(corpus_module, "_send", send_part_then_die)
-    assert snapshot(_load_in_runs(synth_dir / "manifest.csv", 3)) == expected
-    _assert_no_child_process()
-
-
-FORK_WARNING = "This process (pid={}) is multi-threaded, use of fork() may lead to deadlocks in the child."
-
-
-def _fork_warning_as_in_python_3_12(monkeypatch):
-    """os.fork warns in the parent as it does from Python 3.12 on with a second OS thread."""
-    fork = os.fork
-
-    def warning_fork():
-        pid = fork()
-        if pid:
-            warnings.warn(FORK_WARNING.format(os.getpid()), DeprecationWarning, stacklevel=2)
-        return pid
-
-    monkeypatch.setattr(os, "fork", warning_fork)
-
-
-def test_no_fork_warning_with_only_native_threads(tmp_path, monkeypatch):
-    """numpy's BLAS thread makes Python 3.12+ warn on fork; a helper never calls BLAS."""
-    _fork_warning_as_in_python_3_12(monkeypatch)
-    manifest = write_manifest(tmp_path, {"a.tsv": b"a\ta\tNOMcom\n", "b.tsv": b"b\tb\tNOMcom\n"})
-    with warnings.catch_warnings(record=True) as shown:
-        warnings.simplefilter("always")
-        assert len(_load_in_runs(manifest, 2)) == 2
-    assert [str(w.message) for w in shown] == []
-    _assert_no_child_process()
-
-
-def test_the_fork_warning_is_shown_to_a_caller_running_python_threads(tmp_path, monkeypatch):
-    _fork_warning_as_in_python_3_12(monkeypatch)
-    manifest = write_manifest(tmp_path, {"a.tsv": b"a\ta\tNOMcom\n", "b.tsv": b"b\tb\tNOMcom\n"})
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait, daemon=True)
-    thread.start()
-    try:
-        with pytest.warns(DeprecationWarning, match="multi-threaded"):
-            assert len(_load_in_runs(manifest, 2)) == 2
-    finally:
-        release.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    _assert_no_child_process()
+    with pytest.raises(CorpusFormatError) as excinfo:
+        _load_parsed(manifest)
+    assert str(excinfo.value).startswith(f"{tmp_path / first}: ")
