@@ -14,16 +14,13 @@ from __future__ import annotations
 
 import argparse
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 from stylokit.cli import SWEEP_CUTOFFS
-from stylokit.cluster import cut, ward_cluster
 from stylokit.corpus import filter_corpus, load_manifest
 from stylokit.evaluate import cluster_purity, eta_table, robustness_sweep
 from stylokit.features import FeatureKind, FeatureSpec, load_word_list
-from stylokit.metrics import compute_distance
-from stylokit.pipeline import run_pipeline
+from stylokit.pipeline import cluster_selected, run_pipeline
 from stylokit.synth import SynthConfig, generate_corpus
 
 FAMILIES = {
@@ -67,18 +64,16 @@ def main(argv: list[str] | None = None) -> None:
             f"{name:<16} {result.matrix.n_features:8d} {result.selected.n_features:5d}"
             f" {result.dendrogram.ac:5.3f} {purity:7.3f}"
         )
-    fw_delta = results["function words"]
+    fw = results["function words"]
 
     print("\nmost cluster-correlated function words (delta pipeline):")
-    names, values = eta_table(fw_delta.selected, fw_delta.assignment)
+    names, values = eta_table(fw.selected, fw.assignment)
     for name, (eta2, p) in zip(names, values[:5].tolist()):
         print(f"  {name:<8} eta2={eta2:.3f}  p={p:.3g}")
 
     # Reliable selection does not depend on the measure: re-cluster the selected fw matrix.
-    dist = compute_distance(fw_delta.selected, "minmax")
-    dend = ward_cluster(dist)
-    fw_minmax = replace(fw_delta, distance=dist, dendrogram=dend, assignment=cut(dend, fw_delta.k))
-    for distance, reference in (("delta", fw_delta), ("minmax", fw_minmax)):
+    fw_minmax = cluster_selected(fw.matrix, fw.selected, fw.selection_report, "minmax", fw.k)
+    for distance, reference in (("delta", fw), ("minmax", fw_minmax)):
         rows = robustness_sweep(reference, truth, SWEEP_CUTOFFS)
         print(f"\nfunction-word sweep under {distance}:")
         print("  cutoff  features  P-A    P-R")

@@ -136,8 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_record(args: argparse.Namespace) -> dict:
-    config = {key: list(value) if isinstance(value, tuple) else value
-              for key, value in vars(args).items() if key != "command"}
+    config = {key: value for key, value in vars(args).items() if key != "command"}
     return {"command": args.command, "config": config, "tool": "stylokit", "version": __version__}
 
 

@@ -6,8 +6,10 @@ feature's variance the clustering explains, with a one-way ANOVA F test
 supplying the p-value through a hand-rolled regularized incomplete beta
 (continued fraction, relative error around 1e-10 down to p = 1e-300).
 
-``eta_table`` sums one block of features at a time (``by_feature``), one
-cluster at a time; a feature whose values are all equal scores (0, 1).
+``eta_table``, the one eta entry point, sums one block of features at a
+time (``by_feature``), one cluster at a time; a feature whose values are
+all equal scores (0, 1). The sweep selects and clusters through
+``pipeline`` alone: ``top_columns``, then ``cluster_selected``.
 """
 
 from __future__ import annotations
@@ -20,12 +22,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cluster import ClusterAssignment, cut, ward_cluster
+from .cluster import ClusterAssignment
 from .errors import AnalysisError
 from .features import FLOAT_FORMAT, FeatureMatrix, degenerate, write_table
-from .metrics import compute_distance
-from .pipeline import PipelineResult
-from .selection import select_top_frequency
+from .pipeline import PipelineResult, cluster_selected, top_columns
 
 P_VALUE_FLOOR = 1e-300
 
@@ -156,21 +156,6 @@ def _eta_rows(columns: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.n
     return np.column_stack([eta2, p]), flat
 
 
-def eta_squared(values: Sequence[float] | np.ndarray, labels: Sequence[int]) -> tuple[float, float, bool]:
-    """Correlation ratio and ANOVA p-value of one feature against groups.
-
-    Returns (eta^2, p, degenerate): a feature whose values are all equal
-    yields (0, 1, True); groups that are internally constant but distinct
-    give eta^2 = 1, p = 0.
-    """
-    y = np.asarray(values, dtype=float)
-    labs = np.asarray(labels)
-    if y.shape != labs.shape:
-        raise ValueError("values and labels must have identical length")
-    values, flat = _eta_rows(y[None, :], labs)
-    return (*values[0].tolist(), bool(flat[0]))
-
-
 def eta_table(
     matrix: FeatureMatrix, assignment: ClusterAssignment
 ) -> tuple[tuple[str, ...], np.ndarray]:
@@ -208,28 +193,28 @@ def robustness_sweep(
     """Re-cluster the reference run's matrix at frequency-rank cutoffs.
 
     Every row reuses the reference's feature matrix, distance measure
-    and k, so only the selection differs. Each row carries
-    purity against the alleged authors (P-A) and against the reference
-    clustering (P-R). A cutoff leaving fewer than 2 usable features is not
-    fatal: its row has no purities (None).
+    and k, so only the selection differs: the cutoff's usable columns, as
+    ``--select top:`` keeps them. Each row carries purity against the
+    alleged authors (P-A) and against the reference clustering (P-R). A
+    cutoff leaving fewer than 2 usable features is not fatal: its row has
+    no purities (None).
     """
     if not cutoffs:
         raise AnalysisError("sweep needs at least one cutoff")
     matrix = reference.matrix
     reference_labels = {doc: str(label) for doc, label in reference.assignment.items()}
-    flat = degenerate(matrix.values.T)
     rows: list[SweepRow] = []
     for cutoff in cutoffs:
-        columns = select_top_frequency(matrix, cutoff)
-        usable = columns[~flat[columns]]
-        if len(usable) < 2:
-            rows.append(SweepRow(cutoff, len(columns), None, None))
+        n_kept, usable = top_columns(matrix, cutoff)
+        if usable is None:
+            rows.append(SweepRow(cutoff, n_kept, None, None))
             continue
-        dist = compute_distance(matrix.subset(usable), reference.distance.measure)
-        assignment = cut(ward_cluster(dist), reference.k)
+        assignment = cluster_selected(
+            matrix, matrix.subset(usable), None, reference.distance.measure, reference.k
+        ).assignment
         purity_authors = cluster_purity(assignment, truth).purity
         purity_reference = cluster_purity(assignment, reference_labels).purity
-        rows.append(SweepRow(cutoff, len(columns), purity_authors, purity_reference))
+        rows.append(SweepRow(cutoff, n_kept, purity_authors, purity_reference))
     return rows
 
 

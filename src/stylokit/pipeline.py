@@ -1,4 +1,7 @@
-"""End-to-end wiring: matrix -> selection -> distance -> dendrogram -> cut."""
+"""End-to-end wiring: matrix -> selection -> distance -> dendrogram -> cut.
+
+``cluster_selected`` is the one path from a selected matrix to its clusters.
+"""
 
 from __future__ import annotations
 
@@ -7,9 +10,9 @@ from dataclasses import dataclass
 from .cluster import ClusterAssignment, Dendrogram, cut, ward_cluster
 from .corpus import Corpus
 from .errors import AnalysisError
-from .features import FeatureMatrix, FeatureSpec, build_matrix, degenerate
+from .features import FeatureMatrix, FeatureSpec, build_matrix
 from .metrics import DistanceMatrix, Measure, compute_distance
-from .selection import SelectionReport, select_reliable, select_top_frequency
+from .selection import SelectionReport, select_reliable, top_columns
 
 RELIABLE = "reliable"
 
@@ -36,21 +39,30 @@ def apply_selection(
 ) -> tuple[FeatureMatrix, SelectionReport | None]:
     """Reduce the matrix by reliability ("reliable") or by ("top", fraction).
 
-    The frequency-rank path additionally drops degenerate (constant)
-    columns, which the reliability path excludes by construction.
+    The frequency-rank path keeps ``top_columns``' usable columns, and fails
+    where it finds fewer than 2.
     """
     if mode == RELIABLE:
         report = select_reliable(matrix, min_doc_len)
         return matrix.subset(report.retained), report
     if isinstance(mode, tuple) and len(mode) == 2 and mode[0] == "top":
-        columns = select_top_frequency(matrix, mode[1])
-        usable = columns[~degenerate(matrix.values.T)[columns]]
-        if len(usable) < 2:
+        usable = top_columns(matrix, mode[1])[1]
+        if usable is None:
             raise AnalysisError(
                 f"frequency cutoff {mode[1]} leaves fewer than 2 usable features"
             )
         return matrix.subset(usable), None
     raise ValueError(f"unknown selection mode: {mode!r}")
+
+
+def cluster_selected(
+    matrix: FeatureMatrix, selected: FeatureMatrix, report: SelectionReport | None,
+    distance: Measure | str, k: int,
+) -> PipelineResult:
+    """Distances between the selected matrix's documents, Ward over them and the cut at k."""
+    dist = compute_distance(selected, distance)
+    dend = ward_cluster(dist)
+    return PipelineResult(matrix, selected, report, dist, dend, cut(dend, k), k)
 
 
 def run_pipeline(
@@ -62,15 +74,4 @@ def run_pipeline(
 ) -> PipelineResult:
     matrix = build_matrix(corpus, spec)
     selected, report = apply_selection(matrix, selection_mode, shortest_document_length(corpus))
-    dist = compute_distance(selected, distance)
-    dend = ward_cluster(dist)
-    assignment = cut(dend, k)
-    return PipelineResult(
-        matrix=matrix,
-        selected=selected,
-        selection_report=report,
-        distance=dist,
-        dendrogram=dend,
-        assignment=assignment,
-        k=k,
-    )
+    return cluster_selected(matrix, selected, report, distance, k)

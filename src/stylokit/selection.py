@@ -106,6 +106,14 @@ def select_top_frequency(matrix: FeatureMatrix, fraction: float) -> np.ndarray:
     return np.array(sorted(ranked[:n_keep]), dtype=np.intp)
 
 
+def top_columns(matrix: FeatureMatrix, fraction: float) -> tuple[int, np.ndarray | None]:
+    """The top-frequency cutoff: how many columns it keeps, and which of them are usable,
+    that is not degenerate; None where fewer than 2 are."""
+    columns = select_top_frequency(matrix, fraction)
+    usable = columns[~degenerate(matrix.values.T)[columns]]
+    return len(columns), usable if len(usable) >= 2 else None
+
+
 def write_selection_csv(report: SelectionReport, path: str | Path) -> None:
     """One row per feature: its three scores, then whether it is retained and whether degenerate."""
     words = ("false", "true")

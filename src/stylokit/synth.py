@@ -109,11 +109,10 @@ def generate_corpus(config: SynthConfig, out_dir: str | Path) -> Path:
         for d in range(config.docs_per_author):
             doc_id = f"auth{a:02d}_doc{d:02d}"
             target = int(rng.integers(config.min_tokens + 200, config.min_tokens + 1800))
-            indices: list[int] = []
-            verse_lengths: list[int] = []
-            while sum(verse_lengths) < target:
+            verse_lengths, total = [], 0
+            while total < target:
                 verse_lengths.append(int(rng.integers(6, 13)))
-            total = sum(verse_lengths)
+                total += verse_lengths[-1]
             draws = rng.choice(len(words), size=total, p=author_probs[a])
             plural = rng.random(total) < PLURAL_RATE
             indices = draws.tolist()

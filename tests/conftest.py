@@ -15,6 +15,7 @@ from stylokit.corpus import (
     load_manifest,
     parse_corpus,
 )
+from stylokit.evaluate import _eta_rows
 from stylokit.synth import SynthConfig, generate_corpus
 
 SYNTH_SEED = 1234
@@ -77,6 +78,12 @@ def random_sources(
         verses = [[words[w] for w in draws[s : s + 8]] for s in range(0, n_tokens, 8)]
         sources.append(make_doc(f"d{i:03d}", verses, author=f"a{i % 3}"))
     return sources
+
+
+def eta_of_feature(values, labels) -> tuple[float, float, bool]:
+    """One feature's (eta^2, p, degenerate) against the labels, as eta_table scores its rows."""
+    rows, flat = _eta_rows(np.asarray(values, dtype=float)[None, :], np.asarray(labels))
+    return (*rows[0].tolist(), bool(flat[0]))
 
 
 def parsed_both_ways(rng: np.random.Generator, sources: list) -> tuple[Corpus, Corpus]:

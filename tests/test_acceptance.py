@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from _oracles import anova_by_sums, leaf_members, naive_ward
-from conftest import SYNTH_SEED, SYNTH_SEPARATION
+from conftest import SYNTH_SEED, SYNTH_SEPARATION, eta_of_feature
 from stylokit.cli import main
 from stylokit.cluster import Dendrogram, Merge, agglomerative_coefficient, cut, ward_cluster
-from stylokit.evaluate import cluster_purity, eta_squared, robustness_sweep
+from stylokit.evaluate import cluster_purity, robustness_sweep
 from stylokit.features import FeatureKind, FeatureMatrix, FeatureSpec, affixes_of
 from stylokit.metrics import DistanceMatrix, Measure, _minmax_row, compute_distance
 from stylokit.pipeline import run_pipeline
@@ -113,7 +113,7 @@ def test_criterion_5_eta_anova_oracle():
             size = int(rng.integers(3, 11))
             values.extend(rng.normal(loc=g * rng.uniform(0, 2), size=size).tolist())
             labels.extend([g] * size)
-        eta2, p, _ = eta_squared(values, labels)
+        eta2, p, _ = eta_of_feature(values, labels)
         oracle_eta2, oracle_p = anova_by_sums(values, labels)
         assert abs(eta2 - oracle_eta2) <= 1e-8
         assert abs(p - oracle_p) <= 1e-8

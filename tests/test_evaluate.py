@@ -7,11 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _oracles import anova_by_sums, eta_per_feature, f_tail_quadrature, naive_write_eta_csv
-from conftest import parsed_both_ways, random_sources
+from conftest import eta_of_feature, parsed_both_ways, random_sources
 from stylokit.errors import AnalysisError
 from stylokit.evaluate import (
     cluster_purity,
-    eta_squared,
     eta_table,
     f_pvalue,
     format_p_value,
@@ -20,8 +19,9 @@ from stylokit.evaluate import (
     write_eta_csv,
     write_sweep_csv,
 )
-from stylokit.features import FeatureKind, FeatureMatrix, FeatureSpec, build_matrix
-from stylokit.pipeline import run_pipeline
+from stylokit.features import FeatureKind, FeatureMatrix, FeatureSpec, build_matrix, load_word_list
+from stylokit.pipeline import apply_selection, cluster_selected, run_pipeline
+from stylokit.selection import select_top_frequency
 from stylokit.synth import function_word_forms
 
 
@@ -69,28 +69,28 @@ def test_purity_bounds(pairs):
 
 
 def test_eta_identical_group_means_is_zero():
-    eta2, p, flag = eta_squared([1.0, 2.0, 3.0, 1.0, 2.0, 3.0], [1, 1, 1, 2, 2, 2])
+    eta2, p, flag = eta_of_feature([1.0, 2.0, 3.0, 1.0, 2.0, 3.0], [1, 1, 1, 2, 2, 2])
     assert eta2 == pytest.approx(0.0, abs=1e-15)
     assert p == pytest.approx(1.0, abs=1e-12)
     assert not flag
 
 
 def test_eta_internally_constant_groups_is_one():
-    eta2, p, flag = eta_squared([1.0, 1.0, 5.0, 5.0, 9.0, 9.0], [1, 1, 2, 2, 3, 3])
+    eta2, p, flag = eta_of_feature([1.0, 1.0, 5.0, 5.0, 9.0, 9.0], [1, 1, 2, 2, 3, 3])
     assert eta2 == 1.0
     assert p == 0.0
     assert not flag
 
 
 def test_eta_constant_feature_flagged():
-    eta2, p, flag = eta_squared([2.0, 2.0, 2.0, 2.0], [1, 1, 2, 2])
+    eta2, p, flag = eta_of_feature([2.0, 2.0, 2.0, 2.0], [1, 1, 2, 2])
     assert (eta2, p, flag) == (0.0, 1.0, True)
 
 
 def test_eta_frozen_example():
     values = [0.12, 0.15, 0.11, 0.34, 0.30, 0.37, 0.22, 0.20]
     labels = [1, 1, 1, 2, 2, 2, 3, 3]
-    eta2, p, _ = eta_squared(values, labels)
+    eta2, p, _ = eta_of_feature(values, labels)
     assert eta2 == pytest.approx(0.9498016930089385, abs=1e-12)
     assert p == pytest.approx(0.0005645763419590196, rel=1e-9)
 
@@ -105,7 +105,7 @@ def test_eta_matches_brute_force_oracle():
         for g, size in enumerate(sizes):
             values.extend(rng.normal(loc=g * rng.uniform(0, 2), size=size).tolist())
             labels.extend([g] * int(size))
-        eta2, p, _ = eta_squared(values, labels)
+        eta2, p, _ = eta_of_feature(values, labels)
         oracle_eta2, oracle_p = anova_by_sums(values, labels)
         assert eta2 == pytest.approx(oracle_eta2, abs=1e-8)
         assert p == pytest.approx(oracle_p, abs=1e-8)
@@ -120,7 +120,7 @@ def test_eta_identity_with_within_share():
     groups = [y[labels == g] for g in np.unique(labels)]
     ss_within = sum(float(((g - g.mean()) ** 2).sum()) for g in groups)
     ss_total = float(((y - grand) ** 2).sum())
-    eta2, _, _ = eta_squared(values, labels)
+    eta2, _, _ = eta_of_feature(values, labels)
     assert eta2 + ss_within / ss_total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -131,16 +131,16 @@ def test_eta_identity_with_within_share():
 def test_eta_affine_invariance(b, a):
     values = np.array([0.3, 0.1, 0.9, 0.4, 0.7, 0.2])
     labels = [1, 1, 2, 2, 3, 3]
-    base, _, _ = eta_squared(values, labels)
-    shifted, _, _ = eta_squared(a * values + b, labels)
+    base, _, _ = eta_of_feature(values, labels)
+    shifted, _, _ = eta_of_feature(a * values + b, labels)
     assert shifted == pytest.approx(base, rel=1e-9, abs=1e-9)
 
 
 def test_eta_validation():
     with pytest.raises(AnalysisError):
-        eta_squared([1.0, 2.0], [1, 1])
+        eta_of_feature([1.0, 2.0], [1, 1])
     with pytest.raises(AnalysisError):
-        eta_squared([1.0, 2.0], [1, 2])
+        eta_of_feature([1.0, 2.0], [1, 2])
 
 
 def test_f_pvalue_boundaries():
@@ -206,7 +206,7 @@ def test_eta_table_sorted_descending():
 
 def test_eta_constant_non_representable_feature_flagged():
     # The sample sd of a constant 0.1 column is rounding noise, not zero.
-    assert eta_squared([0.1] * 7, [1, 1, 2, 2, 3, 3, 3]) == (0.0, 1.0, True)
+    assert eta_of_feature([0.1] * 7, [1, 1, 2, 2, 3, 3, 3]) == (0.0, 1.0, True)
 
 
 def _clustered_matrix(rng, sizes, n_features) -> tuple[FeatureMatrix, dict[str, int]]:
@@ -229,7 +229,7 @@ def test_eta_table_rows_equal_per_column_loop():
         names, values = eta_table(matrix, assignment)
         for name, row in zip(names, values.tolist()):
             column = matrix.values[:, matrix.feature_names.index(name)]
-            assert tuple(row) == eta_squared(column, labels)[:2]
+            assert tuple(row) == eta_of_feature(column, labels)[:2]
             eta2, f_stat = eta_per_feature(column, labels)
             assert tuple(row) == (eta2, f_pvalue(f_stat, *df))
 
@@ -305,6 +305,45 @@ def test_sweep_flags_insufficient_features(synth_corpus):
     reference = run_pipeline(synth_corpus, spec, "reliable", "delta", 5)
     rows = robustness_sweep(reference, truth, [0.001])
     assert rows[0].purity_authors is None and rows[0].purity_reference is None
+
+
+@pytest.mark.parametrize("measure", ["delta", "minmax"])
+def test_sweep_drops_a_degenerate_column_as_top_selection_does(measure):
+    rng = np.random.default_rng(17)
+    values = np.column_stack([rng.uniform(0.01, 0.1, size=(12, 5)), np.full(12, 0.5)])
+    matrix = FeatureMatrix(
+        tuple(f"d{i:02d}" for i in range(12)), tuple(f"f{j}" for j in range(6)), values
+    )
+    truth = {doc: f"a{i % 3}" for i, doc in enumerate(matrix.doc_ids)}
+    reference = cluster_selected(matrix, *apply_selection(matrix, ("top", 1.0), 1), measure, 3)
+    reference_labels = {doc: str(label) for doc, label in reference.assignment.items()}
+    cutoffs = (1.0, 0.5, 0.3, 0.1)  # 6, 3, 2 and 1 columns, the constant f5 ranked first
+    rows = robustness_sweep(reference, truth, cutoffs)
+    for cutoff, row in zip(cutoffs, rows):
+        columns = select_top_frequency(matrix, cutoff)
+        assert 5 in columns and row.n_features == len(columns)
+        if len(columns) <= 2:  # the constant column leaves at most one usable
+            assert row.purity_authors is None and row.purity_reference is None
+            with pytest.raises(AnalysisError, match="fewer than 2 usable"):
+                apply_selection(matrix, ("top", cutoff), 1)
+            continue
+        selected, report = apply_selection(matrix, ("top", cutoff), 1)
+        assert "f5" not in selected.feature_names
+        assignment = cluster_selected(matrix, selected, report, measure, 3).assignment
+        assert row.purity_authors == cluster_purity(assignment, truth).purity
+        assert row.purity_reference == cluster_purity(assignment, reference_labels).purity
+
+
+def test_demo_minmax_reference_equals_the_minmax_pipeline(synth_dir, synth_corpus):
+    words = load_word_list(synth_dir / "function_words.txt")
+    spec = FeatureSpec(kind=FeatureKind.FUNCTION_WORD, function_words=words)
+    fw = run_pipeline(synth_corpus, spec, "reliable", "delta", 5)
+    minmax = cluster_selected(fw.matrix, fw.selected, fw.selection_report, "minmax", fw.k)
+    want = run_pipeline(synth_corpus, spec, "reliable", "minmax", 5)
+    assert minmax.selected.feature_names == want.selected.feature_names
+    assert minmax.distance.values.tobytes() == want.distance.values.tobytes()
+    assert minmax.dendrogram.merges == want.dendrogram.merges
+    assert minmax.assignment == want.assignment
 
 
 def test_sweep_csv_layout(tmp_path):

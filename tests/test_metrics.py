@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from _oracles import delta_by_hand
 from conftest import parsed_both_ways, random_sources
@@ -254,15 +254,24 @@ def test_distance_csv_is_square_with_header(tmp_path):
     column=st.integers(0, 9),
     factor=st.floats(1e-3, 1e3),
 )
+@example(seed=385, n_docs=3, n_features=2, column=0, factor=3.0)
+@example(seed=3720296, n_docs=3, n_features=2, column=0, factor=0.001)
 def test_delta_and_minmax_ignore_one_column_scaled(seed, n_docs, n_features, column, factor):
+    """Scaling a column changes the z-scores only by the rounding of x - mean, ~1e-16.
+    Delta divides each z-score row by its norm, so a document near the column means
+    (norm 2e-4 in the first example) grows that rounding by 1/norm: delta's bound is
+    1e-12 / min(1, smallest z-row norm), 1e-12 where every norm is at least 1.
+    Min/max divides by no row norm, and its bound is 1e-12."""
     matrix = _random_relfreq(np.random.default_rng(seed), n_docs, n_features)
     values = matrix.values.copy()
     values[:, column % n_features] *= factor
     scaled = _matrix(values)
-    for measure in ("delta", "minmax"):
+    z = (matrix.values - matrix.values.mean(axis=0)) / matrix.values.std(axis=0, ddof=1)
+    smallest_norm = np.sqrt((z * z).sum(axis=1)).min()
+    for measure, atol in (("delta", 1e-12 / min(1.0, smallest_norm)), ("minmax", 1e-12)):
         assert np.allclose(
             compute_distance(scaled, measure).values,
             compute_distance(matrix, measure).values,
             rtol=0,
-            atol=1e-12,
+            atol=atol,
         )
