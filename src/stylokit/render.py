@@ -29,19 +29,12 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def dendrogram_svg(
-    dend: Dendrogram,
-    truth: Mapping[str, str] | None = None,
-    caption: str = "",
-) -> str:
-    """Horizontal dendrogram; leaf labels colored by truth label when given.
+def dendrogram_svg(dend: Dendrogram, truth: Mapping[str, str], caption: str) -> str:
+    """Horizontal dendrogram under a caption line, leaf labels colored by truth label.
 
     Leaf labels and the caption are XML-escaped, so any doc id gives a well-formed file.
     """
     n = dend.n_leaves
-    order = leaf_order(dend)
-    row_of = {leaf: i for i, leaf in enumerate(order)}
-
     max_height = dend.merges[-1].height or 1.0
     width = LABEL_ZONE + PLOT_WIDTH + 2 * MARGIN
     height = CAPTION_HEIGHT + n * ROW_HEIGHT + 2 * MARGIN
@@ -49,47 +42,37 @@ def dendrogram_svg(
     def x_of(h: float) -> float:
         return MARGIN + LABEL_ZONE + (h / max_height) * PLOT_WIDTH
 
-    def y_of_leaf(leaf: int) -> float:
-        return CAPTION_HEIGHT + MARGIN + (row_of[leaf] + 0.5) * ROW_HEIGHT
+    labels = sorted(set(truth.values()))
+    colors = {label: PALETTE[i % len(PALETTE)] for i, label in enumerate(labels)}
 
-    colors: dict[str, str] = {}
-    if truth:
-        for i, label in enumerate(sorted(set(truth.values()))):
-            colors[label] = PALETTE[i % len(PALETTE)]
-
-    # Position of every node: leaves sit at height 0, merges at their height.
-    pos: dict[int, tuple[float, float]] = {}
-    for leaf in range(n):
-        pos[leaf] = (x_of(0.0), y_of_leaf(leaf))
+    # (x, y) of node i: leaf i at height 0 in its leaf_order row, merge t at n + t.
+    pos = [(x_of(0.0), 0.0)] * n
+    for row, leaf in enumerate(leaf_order(dend)):
+        pos[leaf] = (x_of(0.0), CAPTION_HEIGHT + MARGIN + (row + 0.5) * ROW_HEIGHT)
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{MARGIN}" y="{CAPTION_HEIGHT - 8}" font-family="monospace" '
+        f'font-size="12">{_escape(caption)}</text>',
     ]
-    if caption:
-        lines.append(
-            f'<text x="{MARGIN}" y="{CAPTION_HEIGHT - 8}" font-family="monospace" '
-            f'font-size="12">{_escape(caption)}</text>'
-        )
-    for leaf in range(n):
-        doc = dend.leaves[leaf]
-        color = colors.get(truth.get(doc, ""), "#000000") if truth else "#000000"
-        _, y = pos[leaf]
+    for doc, (_, y) in zip(dend.leaves, pos):
+        color = colors.get(truth.get(doc, ""), "#000000")
         lines.append(
             f'<text x="{MARGIN + LABEL_ZONE - 6}" y="{_fmt(y + 4)}" text-anchor="end" '
             f'font-family="monospace" font-size="11" fill="{color}">{_escape(doc)}</text>'
         )
 
     path_bits = []
-    for t, merge in enumerate(dend.merges):
+    for merge in dend.merges:
         xl, yl = pos[merge.left]
         xr, yr = pos[merge.right]
         xm = x_of(merge.height)
         path_bits.append(
             f"M {_fmt(xl)} {_fmt(yl)} H {_fmt(xm)} V {_fmt(yr)} H {_fmt(xr)}"
         )
-        pos[n + t] = (xm, (yl + yr) / 2.0)
+        pos.append((xm, (yl + yr) / 2.0))
     lines.append(
         f'<path d="{" ".join(path_bits)}" fill="none" stroke="#333333" stroke-width="1"/>'
     )

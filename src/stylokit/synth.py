@@ -102,6 +102,12 @@ def generate_corpus(config: SynthConfig, out_dir: str | Path) -> Path:
     author_probs = _author_distributions(config, rng, base)
     out_dir = Path(out_dir)
     tokens_dir = make_output_dir(out_dir / "tokens")
+    # Each word's token line, singular then plural: only content words take an "s".
+    content = range(N_FUNCTION_WORDS, N_FUNCTION_WORDS + N_CONTENT_WORDS)
+    token_lines = [
+        (f"{w}\t{w}\t{t}\n", f"{w}s\t{w}\t{t}\n" if k in content else f"{w}\t{w}\t{t}\n")
+        for k, (w, t) in enumerate(zip(words, tags))
+    ]
 
     manifest_rows = []
     for a in range(config.n_authors):
@@ -109,30 +115,15 @@ def generate_corpus(config: SynthConfig, out_dir: str | Path) -> Path:
         for d in range(config.docs_per_author):
             doc_id = f"auth{a:02d}_doc{d:02d}"
             target = int(rng.integers(config.min_tokens + 200, config.min_tokens + 1800))
-            verse_lengths, total = [], 0
-            while total < target:
-                verse_lengths.append(int(rng.integers(6, 13)))
-                total += verse_lengths[-1]
-            draws = rng.choice(len(words), size=total, p=author_probs[a])
-            plural = rng.random(total) < PLURAL_RATE
-            indices = draws.tolist()
-
-            content_lo = N_FUNCTION_WORDS
-            content_hi = N_FUNCTION_WORDS + N_CONTENT_WORDS
-            path = tokens_dir / f"{doc_id}.tsv"
-            with open_output(path) as fh:
-                pos = 0
-                for length in verse_lengths:
-                    for t in range(pos, pos + length):
-                        w = indices[t]
-                        lemma = words[w]
-                        tag = tags[w]
-                        form = lemma
-                        if content_lo <= w < content_hi and plural[t]:
-                            form = lemma + "s"
-                        fh.write(f"{form}\t{lemma}\t{tag}\n")
-                    fh.write("\n")
-                    pos += length
+            ends = [0]  # verse i is tokens ends[i]:ends[i + 1]
+            while ends[-1] < target:
+                ends.append(ends[-1] + int(rng.integers(6, 13)))
+            draws = rng.choice(len(words), size=ends[-1], p=author_probs[a])
+            plural = rng.random(ends[-1]) < PLURAL_RATE
+            lines = [token_lines[w][p] for w, p in zip(draws.tolist(), plural.tolist())]
+            with open_output(tokens_dir / f"{doc_id}.tsv") as fh:
+                for start, end in zip(ends, ends[1:]):
+                    fh.write("".join(lines[start:end]) + "\n")
             manifest_rows.append((
                 doc_id, f"Synthetic play {d} of {author}", author, "comedy", "verse", "5",
                 str(1660 + d), f"tokens/{doc_id}.tsv",

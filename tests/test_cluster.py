@@ -351,5 +351,6 @@ def test_deep_caterpillar_tree_renders_without_recursion(leaf_first):
     assert f"d{n - 1:04d}:{n - 1}" in newick  # the last leaf joins at the root's height
     order = leaf_order(dend)
     assert order == (list(range(n))[::-1] if leaf_first else list(range(n)))
-    rows = ET.fromstring(dendrogram_svg(dend)).findall("{http://www.w3.org/2000/svg}text")
-    assert [row.text for row in rows] == list(dend.leaves)
+    svg = dendrogram_svg(dend, {}, "caterpillar")
+    rows = ET.fromstring(svg).findall("{http://www.w3.org/2000/svg}text")
+    assert [row.text for row in rows] == ["caterpillar", *dend.leaves]

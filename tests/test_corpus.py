@@ -166,6 +166,11 @@ def test_filter_author_rule_applies_after_length_rule():
     assert kept.doc_ids == ("a1", "a2", "a3")
 
 
+def test_filter_keeps_a_document_of_exactly_min_tokens():
+    corpus = make_corpus(_sized_doc("a", "A", 100), _sized_doc("b", "A", 90))
+    assert filter_corpus(corpus, 100, 1).doc_ids == ("a",)
+
+
 @given(
     st.lists(
         st.tuples(st.sampled_from("ABC"), st.integers(min_value=1, max_value=30)),
@@ -428,22 +433,22 @@ def _load_parsed(manifest) -> Corpus:
     st.lists(st.one_of(DOC_LINES, st.just([]), st.just([("# only a comment", "\n")])),
              min_size=1, max_size=7),
 )
-def test_runs_parse_to_the_serial_corpus_or_its_first_error(tmp_path_factory, docs):
+def test_load_manifest_is_parse_corpus_or_its_first_error(tmp_path_factory, docs):
     """load_manifest is parse_corpus over the same lines: malformed lines and empty
     documents may fall in several files, and the first one in manifest order is named."""
     directory = tmp_path_factory.mktemp("runs")
     texts = {f"{i}.tsv": "".join(line + end for line, end in lines) for i, lines in enumerate(docs)}
     manifest = write_manifest(directory, {name: t.encode() for name, t in texts.items()})
-    serial = [
+    sources = [
         (f"play{i}", "a", list(io.StringIO(text, newline=None)), str(directory / name))
         for i, (name, text) in enumerate(texts.items())
     ]
-    expected = _outcome(parse_corpus, serial)
+    expected = _outcome(parse_corpus, sources)
     assert _outcome(_load_parsed, manifest) == expected
 
 
 @pytest.mark.parametrize("n_types, dtype", [(1 << 16, np.uint16), ((1 << 16) + 1, np.int32)])
-def test_ids_are_two_bytes_up_to_2_16_types_serial_or_forked(tmp_path, n_types, dtype):
+def test_ids_are_two_bytes_up_to_2_16_types(tmp_path, n_types, dtype):
     """The vocabulary passes 2**16 types in the last play, so the ids of the three
     plays before it are widened with it."""
     files = {
@@ -481,7 +486,7 @@ FAILING = {
 
 
 @pytest.mark.parametrize("first", list(FAILING))
-def test_a_helper_error_names_the_file_a_serial_parse_names(tmp_path, first):
+def test_the_error_names_the_first_failing_file(tmp_path, first):
     """However the first failing file fails, the error names it, not one after it."""
     files = {"ok.tsv": b"a\ta\tNOMcom\n", first: FAILING[first], **FAILING}
     manifest = write_manifest(tmp_path, files)

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from _oracles import naive_write_selection_csv
 from conftest import parsed_both_ways, random_sources
+from stylokit import selection
 from stylokit.errors import AnalysisError
 from stylokit.features import FeatureKind, FeatureMatrix, FeatureSpec, build_matrix
 from stylokit.pipeline import apply_selection
@@ -106,6 +107,13 @@ def test_select_reliable_example_thresholds():
     values = np.array([[0.4], [0.6], [0.5], [0.5]])
     with pytest.raises(AnalysisError, match="eliminated all features"):
         select_reliable(_matrix(values), 10)
+
+
+def test_select_reliable_keeps_a_feature_whose_required_n_is_min_doc_len(monkeypatch):
+    # Patched to whole numbers, so one feature's required n is exactly min_doc_len.
+    monkeypatch.setattr(selection, "required_sample_size", lambda p_bar, sigma: np.array([9, 10, 11]))
+    values = np.array([[0.1, 0.2, 0.3], [0.3, 0.4, 0.5], [0.2, 0.1, 0.4]])
+    assert select_reliable(_matrix(values), 10).retained.tolist() == [0, 1]
 
 
 def test_top_frequency_whole_matrix():
