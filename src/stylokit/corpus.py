@@ -39,6 +39,7 @@ import codecs
 import csv
 import io
 import unicodedata
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -49,22 +50,6 @@ import numpy as np
 from .errors import AnalysisError, CorpusFormatError
 
 PROPER_NOUN_PREFIX = "NOMpro"
-
-# Apostrophes are the one punctuation mark that stays: French elision
-# ("l'", "c'", "s'") is a high-frequency stylistic signal.
-_KEPT_PUNCT = {"'"}
-_APOSTROPHE_VARIANTS = {"’": "'"}
-
-
-def _strip_punctuation(text: str) -> str:
-    out = []
-    for ch in text:
-        ch = _APOSTROPHE_VARIANTS.get(ch, ch)
-        if unicodedata.category(ch).startswith("P") and ch not in _KEPT_PUNCT:
-            continue
-        out.append(ch)
-    return "".join(out)
-
 
 @dataclass(frozen=True)
 class AnnotatedToken:
@@ -122,8 +107,10 @@ class Corpus:
 
 
 def normalize_form(text: str) -> str:
-    """Lowercased, ``’`` read as ``'``, and every punctuation mark but the apostrophe stripped."""
-    return _strip_punctuation(text.lower())
+    """Lowercased, ``’`` read as ``'``, and every code point but ``'`` whose Unicode category
+    starts with P dropped: French elision (``l'``, ``c'``, ``s'``) is a frequent style signal."""
+    text = text.lower().replace("’", "'")
+    return "".join([ch for ch in text if ch == "'" or not unicodedata.category(ch).startswith("P")])
 
 
 def normalize_token(raw_form: str, lemma: str, pos: str) -> AnnotatedToken | None:
@@ -362,11 +349,12 @@ def _token_files(rows: list[tuple[str, str, Path]]) -> Iterator[tuple]:
 
 
 def filter_corpus(corpus: Corpus, min_tokens: int, min_plays_per_author: int) -> Corpus:
-    """Apply the length rule, then the plays-per-author rule to a fixed point.
+    """Apply the length rule, then the plays-per-author rule, once each.
 
-    Documents shorter than ``min_tokens`` go first; afterwards every author
-    with fewer than ``min_plays_per_author`` surviving documents loses all
-    of them, repeated until stable. The vocabulary is kept whole.
+    Documents shorter than ``min_tokens`` go first. Then every author left
+    with fewer than ``min_plays_per_author`` documents loses all of them:
+    dropping an author changes no other author's count. The vocabulary is
+    kept whole.
     """
     if min_tokens < 0:
         raise ValueError("min_tokens must be >= 0")
@@ -374,14 +362,8 @@ def filter_corpus(corpus: Corpus, min_tokens: int, min_plays_per_author: int) ->
         raise ValueError("min_plays_per_author must be >= 1")
 
     docs = [d for d in corpus.documents if d.token_count >= min_tokens]
-    while True:
-        counts: dict[str, int] = {}
-        for d in docs:
-            counts[d.alleged_author] = counts.get(d.alleged_author, 0) + 1
-        kept = [d for d in docs if counts[d.alleged_author] >= min_plays_per_author]
-        if len(kept) == len(docs):
-            break
-        docs = kept
+    plays = Counter(d.alleged_author for d in docs)
+    docs = [d for d in docs if plays[d.alleged_author] >= min_plays_per_author]
     if not docs:
         raise AnalysisError("no documents survive filtering")
     return replace(corpus, documents=tuple(docs))

@@ -176,7 +176,7 @@ def _columns(corpus: Corpus, spec: FeatureSpec) -> tuple[int, Callable[[int], li
             codes = codes * len(tag_ids) + tags[k : k + len(codes)]
         per_doc.append(np.unique(codes, return_counts=True))
     all_codes = np.array(sorted(set().union(*(codes.tolist() for codes, _ in per_doc))), np.int64)
-    tags = list(tag_ids)
+    tags = [tag.replace("\\", "\\\\").replace(".", "\\.") for tag in tag_ids]
     places = [len(tags) ** (POS_NGRAM_N - 1 - k) for k in range(POS_NGRAM_N)]
     names = [[".".join(tags[code // p % len(tags)] for p in places)] for code in all_codes.tolist()]
     doc_columns = [(np.searchsorted(all_codes, codes), n) for codes, n in per_doc]

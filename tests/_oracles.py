@@ -10,13 +10,15 @@ from __future__ import annotations
 import csv
 import io
 import math
+import unicodedata
+from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import quad
 
 from stylokit.cluster import _newick_label
 from stylokit.corpus import Corpus, Document, normalize_token
-from stylokit.errors import CorpusFormatError
+from stylokit.errors import AnalysisError, CorpusFormatError
 
 
 def naive_ward(values: np.ndarray, ids: tuple[str, ...]):
@@ -228,9 +230,10 @@ def naive_family_counts(verses, kind: str, function_words=()) -> tuple[dict[str,
     """One document's counts for a feature family, token by token, and its denominator.
 
     ``verses`` is a list of verses of (form, lemma, pos) triples. Proper
-    names (POS prefix NOMpro) count only in POS 3-grams. The denominator
-    is the family's own event total, except for function words, which are
-    divided by the number of non-proper tokens.
+    names (POS prefix NOMpro) count only in POS 3-grams, each named by its
+    three tags joined with ``.``, with ``\\`` and ``.`` in a tag escaped by
+    a ``\\``. The denominator is the family's own event total, except for
+    function words, which are divided by the number of non-proper tokens.
     """
     tokens = [tok for verse in verses for tok in verse]
     lexical = [(form, lemma) for form, lemma, pos in tokens if not pos.startswith("NOMpro")]
@@ -264,7 +267,7 @@ def naive_family_counts(verses, kind: str, function_words=()) -> tuple[dict[str,
     elif kind == "pos":
         tags = [pos for _, _, pos in tokens]
         for i in range(len(tags) - 2):
-            add(".".join(tags[i : i + 3]))
+            add(".".join(tag.replace("\\", "\\\\").replace(".", "\\.") for tag in tags[i : i + 3]))
     else:
         raise ValueError(kind)
     denominator = len(lexical) if kind == "fw" else sum(counts.values())
@@ -280,6 +283,38 @@ def naive_family_matrix(docs, kind: str, function_words=()) -> tuple[tuple[str, 
         for counts, denominator in per_doc
     ]
     return tuple(names), np.array(rows, dtype=float).reshape(len(docs), len(names))
+
+
+# The apostrophe is the one punctuation mark kept; its typographic variant is read as it.
+_KEPT_PUNCT = {"'"}
+_APOSTROPHE_VARIANTS = {"’": "'"}
+
+
+def naive_normalize_form(text: str) -> str:
+    """normalize_form as a per-character loop over the lowercased text."""
+    out = []
+    for ch in text.lower():
+        ch = _APOSTROPHE_VARIANTS.get(ch, ch)
+        if unicodedata.category(ch).startswith("P") and ch not in _KEPT_PUNCT:
+            continue
+        out.append(ch)
+    return "".join(out)
+
+
+def naive_filter_corpus(corpus: Corpus, min_tokens: int, min_plays_per_author: int) -> Corpus:
+    """filter_corpus with the plays-per-author rule repeated until no document goes."""
+    docs = [d for d in corpus.documents if d.token_count >= min_tokens]
+    while True:
+        counts: dict[str, int] = {}
+        for d in docs:
+            counts[d.alleged_author] = counts.get(d.alleged_author, 0) + 1
+        kept = [d for d in docs if counts[d.alleged_author] >= min_plays_per_author]
+        if len(kept) == len(docs):
+            break
+        docs = kept
+    if not docs:
+        raise AnalysisError("no documents survive filtering")
+    return replace(corpus, documents=tuple(docs))
 
 
 def naive_parse_corpus(sources):

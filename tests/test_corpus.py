@@ -4,13 +4,14 @@ import codecs
 import io
 import re
 import shutil
+import sys
 from contextlib import ExitStack
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from _oracles import naive_parse_corpus
+from _oracles import naive_filter_corpus, naive_normalize_form, naive_parse_corpus
 from conftest import (
     every_load_parses,
     make_corpus,
@@ -26,6 +27,7 @@ from stylokit.corpus import (
     Corpus,
     filter_corpus,
     load_manifest,
+    normalize_form,
     normalize_token,
     parse_corpus,
 )
@@ -131,6 +133,13 @@ def test_normalized_tokens_are_lowercase_and_punctuation_free(form, lemma, pos):
             assert ch == "'" or not unicodedata.category(ch).startswith("P")
 
 
+def test_normalize_form_is_the_per_character_loop_on_every_code_point():
+    text = "".join(map(chr, range(sys.maxunicode + 1)))
+    if normalize_form(text) != naive_normalize_form(text):
+        bad = [hex(ord(ch)) for ch in text if normalize_form(ch) != naive_normalize_form(ch)]
+        pytest.fail(f"normalized unlike the per-character loop: {bad[:20]}")
+
+
 def _sized_doc(doc_id: str, author: str, tokens: int):
     verse = [("mot", "mot", "NOMcom")] * 10
     return make_doc(doc_id, [verse] * (tokens // 10), author=author)
@@ -171,7 +180,8 @@ def test_filter_keeps_a_document_of_exactly_min_tokens():
     assert filter_corpus(corpus, 100, 1).doc_ids == ("a",)
 
 
-@given(
+# (author, length / 10) of each play, min_tokens and min_plays_per_author.
+FILTER_DRAWS = (
     st.lists(
         st.tuples(st.sampled_from("ABC"), st.integers(min_value=1, max_value=30)),
         min_size=1,
@@ -180,17 +190,37 @@ def test_filter_keeps_a_document_of_exactly_min_tokens():
     st.integers(min_value=0, max_value=200),
     st.integers(min_value=1, max_value=4),
 )
+
+
+def _plays(spec) -> Corpus:
+    return make_corpus(
+        *(_sized_doc(f"d{i:02d}", author, 10 * size) for i, (author, size) in enumerate(spec))
+    )
+
+
+@given(*FILTER_DRAWS)
 def test_filter_is_idempotent(spec, min_tokens, min_plays):
-    docs = [
-        _sized_doc(f"d{i:02d}", author, 10 * size)
-        for i, (author, size) in enumerate(spec)
-    ]
-    corpus = make_corpus(*docs)
+    corpus = _plays(spec)
     try:
         once = filter_corpus(corpus, min_tokens, min_plays)
     except AnalysisError:
         return
     assert filter_corpus(once, min_tokens, min_plays) == once
+
+
+# The length rule leaves an author short: A of three plays, then A and C of two.
+@example([("A", 5), ("A", 20), ("A", 20), ("B", 20), ("B", 20), ("B", 20)], 100, 3)
+@example([("A", 5), ("A", 20), ("B", 20), ("B", 20), ("C", 20), ("C", 2)], 100, 2)
+@given(*FILTER_DRAWS)
+def test_filter_is_the_fixed_point_loop(spec, min_tokens, min_plays):
+    corpus = _plays(spec)
+    try:
+        expected = naive_filter_corpus(corpus, min_tokens, min_plays)
+    except AnalysisError:
+        with pytest.raises(AnalysisError, match="no documents survive"):
+            filter_corpus(corpus, min_tokens, min_plays)
+        return
+    assert filter_corpus(corpus, min_tokens, min_plays).documents == expected.documents
 
 
 def _round_trip(corpus: Corpus, path):

@@ -112,6 +112,18 @@ def test_pos_ngrams_keep_proper_names():
     assert _family(FeatureKind.POS_NGRAM, verses) == {"NOMcom.NOMpro.NOMpro": 1.0}
 
 
+def test_pos_ngram_names_escape_a_dot_or_backslash_in_a_tag():
+    # Joined with bare dots, d1's and d2's windows would both be "A.B.C.C".
+    corpus = make_corpus(
+        make_doc("d1", [[_tok("x", pos="A.B"), _tok("y", pos="C"), _tok("z", pos="C")]]),
+        make_doc("d2", [[_tok("x", pos="A"), _tok("y", pos="B.C"), _tok("z", pos="C")]]),
+        make_doc("d3", [[_tok("x", pos="A\\"), _tok("y", pos="B"), _tok("z", pos="C")]]),
+    )
+    matrix = build_matrix(corpus, FeatureSpec(kind=FeatureKind.POS_NGRAM))
+    assert matrix.feature_names == ("A.B\\.C.C", "A\\.B.C.C", "A\\\\.B.C")
+    assert matrix.values.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+
+
 @given(st.integers(min_value=1, max_value=30))
 def test_pos_ngram_total_is_window_count(k):
     # Every tag is distinct, so each of the k - 2 windows is its own feature.
@@ -152,7 +164,7 @@ VOCABULARY = [
     ("ab", "ab", "NOMpro"),
 ]
 TOKENS = st.sampled_from(VOCABULARY) | st.tuples(
-    WORDS, WORDS, st.sampled_from(["NOMcom", "NOMpro", "VERcjg"])
+    WORDS, WORDS, st.sampled_from(["NOMcom", "NOMpro", "VERcjg", "VER.ppe", "PRE\\"])
 )
 VERSES = st.lists(st.lists(TOKENS, min_size=1, max_size=5), min_size=1, max_size=4)
 FW_LIST = ("le", "et", "ab", "mais")
