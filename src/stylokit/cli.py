@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .cluster import to_dot, to_newick, write_text
-from .corpus import Corpus, filter_corpus, load_manifest, make_output_dir
+from .corpus import filter_corpus, load_manifest, make_output_dir
 from .errors import AnalysisError, CorpusFormatError
 from .evaluate import (
     cluster_purity,
@@ -28,17 +28,11 @@ from .evaluate import (
     write_eta_csv,
     write_sweep_csv,
 )
-from .features import (
-    FeatureKind,
-    FeatureSpec,
-    build_matrix,
-    default_function_words,
-    load_word_list,
-    write_matrix_csv,
-    write_table,
-)
+from .features import (FeatureKind, FeatureMatrix, FeatureSpec, build_matrix,
+                       default_function_words, load_word_list, write_matrix_csv, write_table)
 from .metrics import Measure, write_distance_csv
-from .pipeline import RELIABLE, PipelineResult, run_pipeline, shortest_document_length
+from .pipeline import (RELIABLE, PipelineResult, apply_selection, cluster_selected,
+                       shortest_document_length)
 from .render import dendrogram_svg, write_svg
 from .selection import select_reliable, write_selection_csv
 from .synth import SynthConfig, generate_corpus
@@ -157,11 +151,6 @@ def _write_run_record(args: argparse.Namespace, out_dir: Path) -> None:
     write_text(record, out_dir / "run.json")
 
 
-def _load_corpus(args: argparse.Namespace) -> Corpus:
-    corpus = load_manifest(args.manifest)
-    return filter_corpus(corpus, args.min_tokens, args.min_plays)
-
-
 def _feature_spec(args: argparse.Namespace) -> FeatureSpec:
     kind = _FEATURE_FLAGS[args.features]
     if kind is FeatureKind.FUNCTION_WORD:
@@ -170,27 +159,34 @@ def _feature_spec(args: argparse.Namespace) -> FeatureSpec:
     return FeatureSpec(kind=kind)
 
 
+def _load_matrix(args: argparse.Namespace) -> tuple[dict[str, str], FeatureMatrix, int]:
+    """Load and filter the corpus and build its matrix. Returns the alleged-author map, the
+    matrix and the shortest document's length: the corpus dies here, before any later stage."""
+    corpus = filter_corpus(load_manifest(args.manifest), args.min_tokens, args.min_plays)
+    spec = _feature_spec(args)
+    return corpus.alleged_authors(), build_matrix(corpus, spec), shortest_document_length(corpus)
+
+
 def _run(
     args: argparse.Namespace, select: str | tuple[str, float]
 ) -> tuple[dict[str, str], PipelineResult]:
-    """Load, filter and run the pipeline; k defaults to the number of authors. Returns the
-    alleged-author map, not the corpus, so the corpus is freed before writing or sweeping."""
-    corpus = _load_corpus(args)
-    truth = corpus.alleged_authors()
+    """run_pipeline's stages on the matrix from _load_matrix, so the corpus is already freed
+    when selection starts; k defaults to the number of authors."""
+    truth, matrix, min_doc_len = _load_matrix(args)
     k = args.k if args.k is not None else len(set(truth.values()))
-    return truth, run_pipeline(corpus, _feature_spec(args), select, args.distance, k)
+    selected, report = apply_selection(matrix, select, min_doc_len)
+    return truth, cluster_selected(matrix, selected, report, args.distance, k)
 
 
 def _cmd_extract(args: argparse.Namespace, out: Path) -> None:
-    matrix = build_matrix(_load_corpus(args), _feature_spec(args))
+    matrix = _load_matrix(args)[1]
     write_matrix_csv(matrix, out / "matrix.csv")
     print(f"{matrix.n_docs} docs, {matrix.n_features} features")
 
 
 def _cmd_select(args: argparse.Namespace, out: Path) -> None:
-    corpus = _load_corpus(args)
-    matrix = build_matrix(corpus, _feature_spec(args))
-    report = select_reliable(matrix, shortest_document_length(corpus))
+    _, matrix, min_doc_len = _load_matrix(args)
+    report = select_reliable(matrix, min_doc_len)
     write_selection_csv(report, out / "selection.csv")
     print(f"{len(report.retained)} of {matrix.n_features} features retained")
 

@@ -31,7 +31,10 @@ def test_each_mutated_line_occurs_exactly_once_in_its_file():
         if (count := lines.count(mutant["line"])) != 1:
             problems.append(f"entry {n}: {mutant['file']} holds its line {count} times")
         status = mutant["status"]
-        if status != "survives":
+        if status.startswith("survives"):
+            if not status.partition("survives: ")[2].strip():
+                problems.append(f"entry {n}: a survivor needs its reason")
+        else:
             test_file, _, name = status.removeprefix("killed by ").partition("::")
             test_source = (ROOT / test_file).read_text(encoding="utf-8")
             if f"def {name.partition('[')[0]}(" not in test_source:

@@ -1,8 +1,10 @@
 """What the analysis leaves out of a process's peak memory.
 
 No analysis step imports ``numpy.ma``; a selection that keeps every column
-is the matrix itself, so nothing downstream may write into it; the CLI
-frees the corpus once the pipeline has run.
+is the matrix itself, so nothing downstream may write into it; a CLI
+command holds the corpus only through the matrix build, so its peak is one
+load plus one build, and the corpus is gone before selection, distances,
+Ward, the sweep and the writers run.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stylokit import cli
+from stylokit import cli, pipeline
 from stylokit.evaluate import eta_table, robustness_sweep
 from stylokit.features import FeatureKind, FeatureMatrix, FeatureSpec, build_matrix
 from stylokit.pipeline import apply_selection, run_pipeline
@@ -80,9 +82,12 @@ def test_keep_all_pipeline_leaves_the_matrix_unwritten(synth_corpus, measure):
     assert result.matrix.values.view(np.int64).tolist() == fresh.values.view(np.int64).tolist()
 
 
-def test_cli_frees_the_corpus_before_the_sweep(synth_dir, tmp_path, monkeypatch):
-    """Freed by its reference count, with no garbage collection, when the sweep starts."""
-    filter_corpus, corpora = cli.filter_corpus, []
+@pytest.mark.parametrize("command", ["select", "cluster", "eta", "sweep"])
+def test_cli_frees_the_corpus_before_selection(synth_dir, tmp_path, monkeypatch, command):
+    """Every filtered corpus is freed by its reference count, with no garbage collection,
+    when selection starts: a command holds the corpus only through the matrix build."""
+    filter_corpus, select_reliable = cli.filter_corpus, cli.select_reliable
+    corpora, selections = [], []
 
     def remembering(*args, **kwargs):
         corpus = filter_corpus(*args, **kwargs)
@@ -90,12 +95,15 @@ def test_cli_frees_the_corpus_before_the_sweep(synth_dir, tmp_path, monkeypatch)
         return corpus
 
     def checking(*args, **kwargs):
-        assert corpora and all(ref() is None for ref in corpora), "the corpus is still alive"
-        return robustness_sweep(*args, **kwargs)
+        selections.append([ref() is None for ref in corpora])
+        return select_reliable(*args, **kwargs)
 
     monkeypatch.setattr(cli, "filter_corpus", remembering)
-    monkeypatch.setattr(cli, "robustness_sweep", checking)
+    for module in (cli, pipeline):  # select runs select_reliable itself, the rest through pipeline
+        monkeypatch.setattr(module, "select_reliable", checking)
     assert cli.main([
-        "sweep", "--manifest", str(synth_dir / "manifest.csv"), "--features", "fw",
+        command, "--manifest", str(synth_dir / "manifest.csv"), "--features", "fw",
         "--fw-list", str(synth_dir / "function_words.txt"), "--out", str(tmp_path / "run"),
     ]) == 0
+    assert corpora and selections, "no corpus was filtered or no selection ran"
+    assert all(all(dead) for dead in selections), f"a corpus was still alive: {selections}"
