@@ -171,9 +171,12 @@ def _run(
     args: argparse.Namespace, select: str | tuple[str, float]
 ) -> tuple[dict[str, str], PipelineResult]:
     """run_pipeline's stages on the matrix from _load_matrix, so the corpus is already freed
-    when selection starts; k defaults to the number of authors."""
+    when selection starts; k defaults to the number of authors, and more than the documents
+    left after filtering is refused before any analysis runs."""
     truth, matrix, min_doc_len = _load_matrix(args)
     k = args.k if args.k is not None else len(set(truth.values()))
+    if k > matrix.n_docs:
+        raise AnalysisError(f"--k {k} exceeds the {matrix.n_docs} documents left after filtering")
     selected, report = apply_selection(matrix, select, min_doc_len)
     return truth, cluster_selected(matrix, selected, report, args.distance, k)
 

@@ -1,9 +1,9 @@
 """Document dissimilarities from a relative-frequency matrix.
 
 ``compute_distance(matrix, measure)`` is the one entry point. Each
-measure is a transform of the matrix followed by a row function applied
-to every pair of documents, one document against a block of at most
-``BLOCK_FLOATS`` values of later ones at a time:
+measure is a transform of the matrix, applied to one block of at most
+``BLOCK_FLOATS`` values of rows at a time, never to the whole matrix,
+followed by a row function applied to every pair of documents:
 
 - delta: z-score every feature column (sample standard deviation, n-1),
   length-normalize each document vector, take Manhattan distances;
@@ -59,43 +59,62 @@ def _column_stats(matrix: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
     return matrix.values.mean(axis=0), matrix.values.std(axis=0, ddof=1)
 
 
-def _zscore(matrix: FeatureMatrix) -> np.ndarray:
+def _blocks(n_docs: int, n_features: int) -> list[tuple[int, int]]:
+    """Row ranges of at most BLOCK_FLOATS values (or one row), aligned on the last row."""
+    step = max(1, BLOCK_FLOATS // max(1, n_features))
+    edges = [0, *range(n_docs % step or step, n_docs + 1, step)]
+    return list(zip(edges, edges[1:]))
+
+
+def _zscore_rows(matrix: FeatureMatrix):
     mean, sd = _column_stats(matrix)
-    z = matrix.values - mean
-    return np.divide(z, sd, out=z)
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        z = matrix.values[lo:hi] - mean
+        return np.divide(z, sd, out=z)
+
+    return rows
 
 
-def _unit_rows(values: np.ndarray, doc_ids: tuple[str, ...]) -> np.ndarray:
-    """values, which the caller gives up, with each row divided by its Euclidean norm in place."""
-    # np.linalg.norm(values, axis=1) bit for bit, but one row squared at a time.
-    norms = np.sqrt([np.add.reduce(row * row) for row in values])
+def _unit_rows(rows, matrix: FeatureMatrix):
+    """rows(lo, hi), a fresh array each call, with each row divided in place by its Euclidean
+    norm; the norms are taken once, block by block, and the first document with none raises."""
+    # np.linalg.norm(rows, axis=1) bit for bit, but one row squared at a time.
+    blocks = _blocks(matrix.n_docs, matrix.n_features)
+    norms = np.concatenate([np.sqrt([np.add.reduce(r * r) for r in rows(*bl)]) for bl in blocks])
     dead = np.flatnonzero(norms == 0.0)
     if dead.size:
-        raise AnalysisError(
-            f"document has no signal under selected features: {doc_ids[dead[0]]}"
-        )
-    return np.divide(values, norms[:, None], out=values)
+        name = matrix.doc_ids[dead[0]]
+        raise AnalysisError(f"document has no signal under selected features: {name}")
+
+    def unit(lo: int, hi: int) -> np.ndarray:
+        z = rows(lo, hi)
+        return np.divide(z, norms[lo:hi, None], out=z)
+
+    return unit
 
 
-def _delta_vectors(matrix: FeatureMatrix) -> np.ndarray:
-    return _unit_rows(_zscore(matrix), matrix.doc_ids)
-
-
-def _tfsd(matrix: FeatureMatrix) -> np.ndarray:
+def _tfsd_rows(matrix: FeatureMatrix):
     if np.any(matrix.values < 0):
         raise AnalysisError("min/max distance requires non-negative values")
-    return matrix.values / _column_stats(matrix)[1]
+    sd = _column_stats(matrix)[1]
+    return lambda lo, hi: matrix.values[lo:hi] / sd
 
 
-def _pairwise(values: np.ndarray, row_fn) -> np.ndarray:
-    """Symmetric matrix from row_fn(a, rows): one row against later rows, at most BLOCK_FLOATS
-    values (or one row) of them per call; each pair reduces along its own row, as in one call."""
-    n, n_features = values.shape
-    step = max(1, BLOCK_FLOATS // max(1, n_features))
+def _pairwise(rows, blocks: list[tuple[int, int]], row_fn) -> np.ndarray:
+    """Symmetric matrix from row_fn(a, rest): each row of a block of rows(lo, hi) against the
+    block's later rows, then against each later block, transformed again for each block;
+    each pair reduces along its own row, as in one call."""
+    n = blocks[-1][1]
     out = np.zeros((n, n), dtype=float)
-    for i in range(n - 1):
-        for lo in range(i + 1, n, step):
-            out[i, lo:lo + step] = out[lo:lo + step, i] = row_fn(values[i], values[lo:lo + step])
+    for b, (lo, hi) in enumerate(blocks):
+        mine = rows(lo, hi)
+        for i in range(lo, hi - 1):
+            out[i, i + 1:hi] = out[i + 1:hi, i] = row_fn(mine[i - lo], mine[i - lo + 1:])
+        for lo2, hi2 in blocks[b + 1:]:
+            theirs = rows(lo2, hi2)
+            for i in range(lo, hi):
+                out[i, lo2:hi2] = out[lo2:hi2, i] = row_fn(mine[i - lo], theirs)
     return out
 
 
@@ -110,10 +129,10 @@ def _minmax_row(a: np.ndarray, rest: np.ndarray) -> np.ndarray:
     return 1.0 - np.minimum(rest, a).sum(axis=1) / denom
 
 
-# Per measure: the transform of the matrix, then the row function over pairs.
+# Per measure: the row transform of the matrix, then the row function over pairs.
 _MEASURES = {
-    Measure.BURROWS_DELTA: (_delta_vectors, _manhattan_row),
-    Measure.MINMAX: (_tfsd, _minmax_row),
+    Measure.BURROWS_DELTA: (lambda m: _unit_rows(_zscore_rows(m), m), _manhattan_row),
+    Measure.MINMAX: (_tfsd_rows, _minmax_row),
 }
 
 
@@ -123,7 +142,8 @@ def compute_distance(matrix: FeatureMatrix, measure: Measure | str) -> DistanceM
     if matrix.n_docs < 2:
         raise AnalysisError(f"{measure.value} distance needs at least 2 documents")
     transform, row_fn = _MEASURES[measure]
-    return DistanceMatrix(matrix.doc_ids, _pairwise(transform(matrix), row_fn), measure)
+    values = _pairwise(transform(matrix), _blocks(matrix.n_docs, matrix.n_features), row_fn)
+    return DistanceMatrix(matrix.doc_ids, values, measure)
 
 
 def write_distance_csv(dist: DistanceMatrix, path: str | Path) -> None:

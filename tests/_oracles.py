@@ -19,6 +19,7 @@ from scipy.integrate import quad
 from stylokit.cluster import _newick_label
 from stylokit.corpus import Corpus, Document, normalize_token
 from stylokit.errors import AnalysisError, CorpusFormatError
+from stylokit.metrics import Measure, _column_stats, _manhattan_row, _minmax_row
 
 
 def naive_ward(values: np.ndarray, ids: tuple[str, ...]):
@@ -415,12 +416,39 @@ def naive_write_table(path, header, heads, floats, tails) -> None:
 
 
 def whole_pairwise(values: np.ndarray, row_fn) -> np.ndarray:
-    """metrics._pairwise with no blocks: each row against all later rows in one call."""
+    """metrics._pairwise with no blocks: each row of the transformed matrix against all later
+    rows in one call."""
     n = values.shape[0]
     out = np.zeros((n, n), dtype=float)
     for i in range(n - 1):
         out[i, i + 1:] = out[i + 1:, i] = row_fn(values[i], values[i + 1:])
     return out
+
+
+def whole_distance(matrix, measure) -> np.ndarray:
+    """compute_distance's values from the whole transformed matrix, with its errors.
+
+    Delta z-scores every column of the matrix and divides each row by its
+    norm, in place; min/max divides every column by its sd. Each row then
+    goes against all later rows in one call.
+    """
+    measure = Measure(measure)
+    if matrix.n_docs < 2:
+        raise AnalysisError(f"{measure.value} distance needs at least 2 documents")
+    if measure is Measure.MINMAX:
+        if np.any(matrix.values < 0):
+            raise AnalysisError("min/max distance requires non-negative values")
+        return whole_pairwise(matrix.values / _column_stats(matrix)[1], _minmax_row)
+    mean, sd = _column_stats(matrix)
+    z = matrix.values - mean
+    np.divide(z, sd, out=z)
+    norms = np.sqrt([np.add.reduce(row * row) for row in z])
+    dead = np.flatnonzero(norms == 0.0)
+    if dead.size:
+        raise AnalysisError(
+            f"document has no signal under selected features: {matrix.doc_ids[dead[0]]}"
+        )
+    return whole_pairwise(np.divide(z, norms[:, None], out=z), _manhattan_row)
 
 
 def whole_by_feature(matrix):

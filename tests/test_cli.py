@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings, strategies as st
 
 from conftest import every_load_parses
-from stylokit import features
+from stylokit import features, metrics
 from stylokit.cli import _FEATURE_FLAGS, main
 from stylokit.synth import SynthConfig, generate_corpus
 
@@ -323,6 +323,26 @@ def test_unfilterable_corpus_exits_1(corpus_dir, tmp_path, capsys):
     ])
     assert code == 1
     assert "survive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["cluster", "eta", "sweep"])
+def test_k_above_the_filtered_documents_exits_1_naming_it_before_any_distance(
+    corpus_dir, tmp_path, capsys, monkeypatch, command
+):
+    original = metrics.compute_distance
+
+    def no_distance(*args, **kwargs):
+        raise AssertionError("compute_distance ran")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("stylokit") and getattr(module, "compute_distance", None) is original:
+            monkeypatch.setattr(module, "compute_distance", no_distance)
+    out = tmp_path / "o"
+    code = main([command, "--manifest", str(corpus_dir / "manifest.csv"), "--k", "31",
+                 "--out", str(out)])
+    error = "error: --k 31 exceeds the 30 documents left after filtering\n"
+    assert (code, capsys.readouterr().err) == (1, error)
+    assert not (out / "run.json").exists()
 
 
 def test_cluster_outputs(corpus_dir, tmp_path, capsys):

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +14,10 @@ from stylokit.features import FeatureKind, FeatureMatrix, FeatureSpec, build_mat
 from stylokit.metrics import (
     DistanceMatrix,
     Measure,
-    _delta_vectors,
     _minmax_row,
-    _tfsd,
+    _tfsd_rows,
     _unit_rows,
-    _zscore,
+    _zscore_rows,
     compute_distance,
     write_distance_csv,
 )
@@ -59,15 +57,21 @@ def test_subset_distances_equal_those_of_a_c_ordered_copy(measure):
     assert np.array_equal(got.values, want.values)
 
 
+def _unit(values) -> np.ndarray:
+    """_unit_rows on copies of the rows of values, as it divides in place, all in one block."""
+    matrix = _matrix(values)
+    return _unit_rows(lambda lo, hi: matrix.values[lo:hi].copy(), matrix)(0, matrix.n_docs)
+
+
 def test_zscore_standardizes_columns():
-    z = _zscore(_matrix([[1.0], [2.0], [3.0]]))
+    z = _zscore_rows(_matrix([[1.0], [2.0], [3.0]]))(0, 3)
     assert z.mean() == pytest.approx(0.0, abs=1e-12)
     assert z.std(ddof=1) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zscore_two_document_convention():
     # Sample (n-1) standard deviation puts a two-point column at +-1/sqrt(2).
-    z = _zscore(_matrix([[0.2, 0.7], [0.6, 0.1]]))
+    z = _zscore_rows(_matrix([[0.2, 0.7], [0.6, 0.1]]))(0, 2)
     s = 1.0 / math.sqrt(2.0)
     assert np.allclose(z, [[-s, s], [s, -s]])
 
@@ -76,7 +80,7 @@ def test_zscore_idempotent_on_standardized_data():
     rng = np.random.default_rng(3)
     values = rng.normal(size=(6, 4))
     values = (values - values.mean(axis=0)) / values.std(axis=0, ddof=1)
-    z = _zscore(_matrix(values))
+    z = _zscore_rows(_matrix(values))(0, 6)
     assert np.allclose(z, values, atol=1e-12)
 
 
@@ -86,26 +90,13 @@ def test_zscore_rejects_constant_column():
 
 
 def test_l2_three_four_five():
-    assert np.allclose(_unit_rows(np.array([[3.0, 4.0]]), ("d0",)), [[0.6, 0.8]])
+    assert np.allclose(_unit([[3.0, 4.0]]), [[0.6, 0.8]])
 
 
 def test_l2_unit_row_unchanged_and_scale_invariant():
     row = np.array([[0.6, 0.8]])
-    assert np.allclose(_unit_rows(row.copy(), ("d0",)), row)  # a copy, as it divides in place
-    assert np.allclose(_unit_rows(7.0 * row, ("d0",)), row)
-
-
-def test_delta_vectors_hold_one_matrix_sized_array():
-    """The z-scores are unit-normed in place, the norms taken a row at a time."""
-    values = np.random.default_rng(8).uniform(0.05, 1.0, size=(200, 300))
-    matrix = FeatureMatrix(tuple(f"d{i:03d}" for i in range(200)), tuple(map(str, range(300))), values)
-    tracemalloc.start()
-    try:
-        _delta_vectors(matrix)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * matrix.values.nbytes
+    assert np.allclose(_unit(row), row)
+    assert np.allclose(_unit(7.0 * row), row)
 
 
 def test_l2_zero_row_is_an_error():
@@ -182,7 +173,7 @@ def test_constant_column_raises_naming_the_feature(measure):
 
 def test_tfsd_scales_columns_without_centering():
     m = _matrix([[0.2, 0.1], [0.4, 0.7]])
-    t = _tfsd(m)
+    t = _tfsd_rows(m)(0, 2)
     assert np.all(t > 0.0)
     assert np.allclose(t.std(axis=0, ddof=1), 1.0)
 
