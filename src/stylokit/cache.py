@@ -13,10 +13,10 @@ the key line; one JSON header line (the id dtype, ``_heads`` and a CRC-32
 over the rest of the header and the payload); then the payload, every
 document's ids and then every document's verse ends. A hit reads each of the
 two arrays whole and builds the corpus through ``corpus._assemble``, as a
-parse does, its documents views into them. An entry whose key line, header
-or CRC does not check out is a miss. A miss parses and stores the corpus,
-unless a token file changed during the parse; the 16 entries used last are
-kept.
+parse does, its documents views into them. An entry whose key line, header,
+payload length or CRC does not check out is a miss. A miss parses and stores
+the corpus, unless a token file changed during the parse; the 16 entries used
+last are kept.
 
 A directory that cannot be found, read or written, or a token file that
 cannot be read for the key, leaves the corpus parsed as with no cache: the
@@ -108,9 +108,9 @@ def _read(path: Path, key: bytes) -> Corpus | None:
             return None
         type_ids = np.empty(sum(n_ids for *_, n_ids, _ in heads), dtype)
         verse_ends = np.empty(sum(n_ends for *_, n_ends in heads), np.int32)
-        for array in (type_ids, verse_ends):
-            fh.readinto(array)
-    # The header written again, as _write wrote it: a short read fails here too.
+        if any(fh.readinto(a) != a.nbytes for a in (type_ids, verse_ends)) or fh.read(1):
+            return None  # a short payload, or bytes past its end
+    # The header written again, as _write wrote it.
     if _crc(json.dumps(head), type_ids, verse_ends) != crc:
         return None
     return _corpus._assemble(heads, type_ids, verse_ends, types)

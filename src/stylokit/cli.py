@@ -31,8 +31,7 @@ from .evaluate import (
 from .features import (FeatureKind, FeatureMatrix, FeatureSpec, build_matrix,
                        default_function_words, load_word_list, write_matrix_csv, write_table)
 from .metrics import Measure, write_distance_csv
-from .pipeline import (RELIABLE, PipelineResult, apply_selection, cluster_selected,
-                       shortest_document_length)
+from .pipeline import RELIABLE, PipelineResult, analyse, shortest_document_length
 from .render import dendrogram_svg, write_svg
 from .selection import select_reliable, write_selection_csv
 from .synth import SynthConfig, generate_corpus
@@ -159,26 +158,24 @@ def _feature_spec(args: argparse.Namespace) -> FeatureSpec:
     return FeatureSpec(kind=kind)
 
 
-def _load_matrix(args: argparse.Namespace) -> tuple[dict[str, str], FeatureMatrix, int]:
-    """Load and filter the corpus and build its matrix. Returns the alleged-author map, the
-    matrix and the shortest document's length: the corpus dies here, before any later stage."""
+def _load_matrix(args: argparse.Namespace) -> tuple[dict[str, str], FeatureMatrix]:
+    """Load and filter the corpus and build its matrix. Returns the alleged-author map and
+    the matrix, sample sizes included: the corpus dies here, before any later stage."""
     corpus = filter_corpus(load_manifest(args.manifest), args.min_tokens, args.min_plays)
-    spec = _feature_spec(args)
-    return corpus.alleged_authors(), build_matrix(corpus, spec), shortest_document_length(corpus)
+    return corpus.alleged_authors(), build_matrix(corpus, _feature_spec(args))
 
 
 def _run(
     args: argparse.Namespace, select: str | tuple[str, float]
 ) -> tuple[dict[str, str], PipelineResult]:
-    """run_pipeline's stages on the matrix from _load_matrix, so the corpus is already freed
-    when selection starts; k defaults to the number of authors, and more than the documents
-    left after filtering is refused before any analysis runs."""
-    truth, matrix, min_doc_len = _load_matrix(args)
+    """The one pipeline path, analyse, on the matrix from _load_matrix, so the corpus is
+    already freed when selection starts; k defaults to the number of authors, and more than
+    the documents left after filtering is refused before any analysis runs."""
+    truth, matrix = _load_matrix(args)
     k = args.k if args.k is not None else len(set(truth.values()))
     if k > matrix.n_docs:
         raise AnalysisError(f"--k {k} exceeds the {matrix.n_docs} documents left after filtering")
-    selected, report = apply_selection(matrix, select, min_doc_len)
-    return truth, cluster_selected(matrix, selected, report, args.distance, k)
+    return truth, analyse(matrix, select, args.distance, k)
 
 
 def _cmd_extract(args: argparse.Namespace, out: Path) -> None:
@@ -188,8 +185,8 @@ def _cmd_extract(args: argparse.Namespace, out: Path) -> None:
 
 
 def _cmd_select(args: argparse.Namespace, out: Path) -> None:
-    _, matrix, min_doc_len = _load_matrix(args)
-    report = select_reliable(matrix, min_doc_len)
+    matrix = _load_matrix(args)[1]
+    report = select_reliable(matrix, shortest_document_length(matrix))
     write_selection_csv(report, out / "selection.csv")
     print(f"{len(report.retained)} of {matrix.n_features} features retained")
 

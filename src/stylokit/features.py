@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import io
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -96,6 +96,8 @@ class FeatureMatrix:
     # Always relative frequencies: every transform lives inside compute_distance.
     # The field stays only for callers that still pass it positionally.
     scale: Scale = Scale.RELATIVE_FREQUENCY
+    # Per document, the sample size reliable selection compares with; build_matrix sets it.
+    sizes: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.values.shape != (len(self.doc_ids), len(self.feature_names)):
@@ -129,7 +131,7 @@ class FeatureMatrix:
             return self
         names = tuple(self.feature_names[j] for j in columns)
         # One C-ordered copy keeps compute_distance's column reductions bit-identical.
-        return FeatureMatrix(self.doc_ids, names, np.take(self.values, columns, axis=1))
+        return replace(self, feature_names=names, values=np.take(self.values, columns, axis=1))
 
 
 def degenerate(columns: np.ndarray) -> np.ndarray:
@@ -215,13 +217,14 @@ def build_matrix(corpus: Corpus, spec: FeatureSpec) -> FeatureMatrix:
 
     Columns are the lexicographically sorted names with a positive count
     in some document; rows hold relative frequencies. A document with no
-    extractable features keeps an all-zero row.
+    extractable features keeps an all-zero row. Sample sizes are token counts.
     """
     if len(corpus) == 0:
         raise AnalysisError("cannot build a matrix from an empty corpus")
     names, counts, denoms = _count(corpus, spec)
     counts /= np.where(denoms > 0, denoms, 1)[:, None]
-    return FeatureMatrix(corpus.doc_ids, names, counts)
+    sizes = np.array([doc.token_count for doc in corpus])
+    return FeatureMatrix(corpus.doc_ids, names, counts, sizes=sizes)
 
 
 # The one on-disk float format: a decimal with 12 significant digits.

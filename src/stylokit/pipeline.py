@@ -1,6 +1,7 @@
 """End-to-end wiring: matrix -> selection -> distance -> dendrogram -> cut.
 
-``cluster_selected`` is the one path from a selected matrix to its clusters.
+``analyse`` is the one path from a built matrix, which carries its documents'
+sample sizes, to its clusters; the sweep reuses its last stages, ``cluster_selected``.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ class PipelineResult:
     k: int
 
 
-def shortest_document_length(corpus: Corpus) -> int:
-    return min(doc.token_count for doc in corpus)
+def shortest_document_length(matrix: FeatureMatrix) -> int:
+    """The n that reliable selection compares each feature's required sample size with."""
+    return int(matrix.sizes.min())
 
 
 def apply_selection(
@@ -65,6 +67,13 @@ def cluster_selected(
     return PipelineResult(matrix, selected, report, dist, dend, cut(dend, k), k)
 
 
+def analyse(matrix: FeatureMatrix, selection_mode: str | tuple[str, float],
+            distance: Measure | str, k: int) -> PipelineResult:
+    """Selection, then distances, Ward and the cut at k, on a matrix from build_matrix."""
+    selected, report = apply_selection(matrix, selection_mode, shortest_document_length(matrix))
+    return cluster_selected(matrix, selected, report, distance, k)
+
+
 def run_pipeline(
     corpus: Corpus,
     spec: FeatureSpec,
@@ -72,6 +81,4 @@ def run_pipeline(
     distance: Measure | str,
     k: int,
 ) -> PipelineResult:
-    matrix = build_matrix(corpus, spec)
-    selected, report = apply_selection(matrix, selection_mode, shortest_document_length(corpus))
-    return cluster_selected(matrix, selected, report, distance, k)
+    return analyse(build_matrix(corpus, spec), selection_mode, distance, k)

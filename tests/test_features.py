@@ -185,6 +185,8 @@ def test_build_matrix_matches_per_token_oracle(docs):
         names, values = naive_family_matrix(docs, kind.value, words)
         assert matrix.feature_names == names, kind
         assert np.array_equal(matrix.values, values), kind
+        assert matrix.sizes.tolist() == [doc.token_count for doc in corpus], kind
+        assert matrix.subset(np.arange(matrix.n_features)[1:]).sizes is matrix.sizes, kind
 
 
 def test_build_matrix_single_doc_relative_frequencies():
