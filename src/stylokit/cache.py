@@ -9,14 +9,16 @@ corpus keys the same. ``zlib``, not ``hashlib``: importing hashlib loads
 OpenSSL, +3.5 MB of RSS per process.
 
 An entry is no pickle, so a file dropped into the directory cannot run code:
-the key line; one JSON header line (the id dtype, ``_heads`` and a CRC-32
-over the rest of the header and the payload); then the payload, every
-document's ids and then every document's verse ends. A hit reads each of the
-two arrays whole and builds the corpus through ``corpus._assemble``, as a
-parse does, its documents views into them. An entry whose key line, header,
-payload length or CRC does not check out is a miss. A miss parses and stores
-the corpus, unless a token file changed during the parse; the 16 entries used
-last are kept.
+the key line; one JSON header line (per document its id, author, token
+count and cell count per table; the types; each array's dtype and shape;
+and a CRC-32 over the rest of the header and the payload); then the
+payload, the corpus's arrays: each count table's columns and counts, in
+the parse's document order, then the POS window rows. A hit reads each array
+whole and builds the corpus through ``corpus._assemble``, as a parse does.
+An entry whose key line, header, dtypes (native uint16 or int32: an object
+array would read pointers), payload length or CRC does not check out is a
+miss. A miss parses and stores the corpus, unless a token file changed
+during the parse; the 16 entries used last are kept.
 
 A directory that cannot be found, read or written, or a token file that
 cannot be read for the key, leaves the corpus parsed as with no cache: the
@@ -102,24 +104,16 @@ def _read(path: Path, key: bytes) -> Corpus | None:
             return None
         head = json.loads(fh.readline())
         crc = head.pop("crc")
-        dtype, heads = np.dtype(head["dtype"]), head["heads"]
         types = tuple(AnnotatedToken(*line.split("\t")) for line in head["types"].split("\n"))
-        if dtype != _corpus._id_dtype(len(types)):  # written on a machine of the other byte order
+        arrays = [np.empty(shape, dtype) for dtype, shape in head["arrays"]]
+        if not all(a.dtype in (np.uint16, np.int32) for a in arrays):  # in native byte order
             return None
-        type_ids = np.empty(sum(n_ids for *_, n_ids, _ in heads), dtype)
-        verse_ends = np.empty(sum(n_ends for *_, n_ends in heads), np.int32)
-        if any(fh.readinto(a) != a.nbytes for a in (type_ids, verse_ends)) or fh.read(1):
+        if any(fh.readinto(a) != a.nbytes for a in arrays) or fh.read(1):
             return None  # a short payload, or bytes past its end
     # The header written again, as _write wrote it.
-    if _crc(json.dumps(head), type_ids, verse_ends) != crc:
+    if _crc(json.dumps(head), *arrays) != crc:
         return None
-    return _corpus._assemble(heads, type_ids, verse_ends, types)
-
-
-def _heads(corpus: Corpus) -> tuple[list, str]:
-    """(id, author, id count, verse count) per document and a form/lemma/pos line per type."""
-    heads = [(d.id, d.alleged_author, len(d.type_ids), len(d.verse_ends)) for d in corpus]
-    return heads, "\n".join(f"{t.form}\t{t.lemma}\t{t.pos}" for t in corpus.types)
+    return _corpus._assemble(head["heads"], arrays, types)
 
 
 def _crc(head: str, *arrays: np.ndarray) -> int:
@@ -133,9 +127,13 @@ def _write(path: Path, key: bytes, corpus: Corpus) -> None:
     """Store the entry through a temporary file, one array at a time, and
     drop all but the entries used last. The arrays are never concatenated:
     that copy raised a cold `wide` benchmark op's peak RSS from 35.1 to 37.0 MB."""
-    payload = [d.type_ids for d in corpus] + [d.verse_ends for d in corpus]
-    heads, types = _heads(corpus)
-    head = {"dtype": corpus.documents[0].type_ids.dtype.str, "heads": heads, "types": types}
+    payload = [*(array for table in corpus.tables for array in table), corpus.windows]
+    head = {  # the heads in the arrays' order, the parse's
+        "heads": [(d.id, d.alleged_author, d.token_count, *(c.stop - c.start for c in d.cells))
+                  for d in sorted(corpus, key=lambda doc: doc.cells[_corpus.TYPES].start)],
+        "types": "\n".join(f"{t.form}\t{t.lemma}\t{t.pos}" for t in corpus.types),
+        "arrays": [(array.dtype.str, array.shape) for array in payload],
+    }
     head["crc"] = _crc(json.dumps(head), *payload)
     path.parent.mkdir(parents=True, exist_ok=True)
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")

@@ -6,21 +6,19 @@ forms and lemmas are lowercased and stripped of punctuation on the way
 in; tokens that vanish under that normalization are dropped entirely.
 
 A corpus is parsed as a whole over one vocabulary: ``Corpus.types``
-holds each distinct normalized token once, and a ``Document`` is an
-array of ids into it, in reading order, plus the exclusive int32 end
-offset of each verse. The ids are uint16 up to 2**16 types and int32
-beyond (``_id_dtype``). One line table local to the parse maps every
-distinct raw line to its type id: a dict whose ``__missing__`` normalizes
-and registers a line on first sight, so ``normalize_token`` runs once per
-distinct line and a document is read in one C-level pass,
-``np.fromiter(map(table.__getitem__, lines))``. Proper-name tokens (POS
-prefix ``NOMpro``) keep their types -- POS n-grams need them -- and the
-lexical families skip those types. Each document's ids and verse ends
-are appended, in reading order, to one ids array and one verse-ends array
-per corpus, and its two arrays are views into them: per-document arrays
-left ~0.5 MB more RSS. The ids array is widened to int32 once, when the
-vocabulary passes 2**16 types. The documents are sorted by doc id, the
-one row order of everything after.
+holds each distinct normalized token once. One line table local to the
+parse maps every distinct raw line to its type id: a dict whose
+``__missing__`` normalizes and registers a line on first sight, so
+``normalize_token`` runs once per distinct line and a document is read
+in one C-level pass, ``np.fromiter(map(table.__getitem__, lines))``.
+Each document is then reduced to its token count and three count tables
+of (column, count) cells: its types, its verse-final types, and its POS
+windows, which cross verse breaks and keep proper names (POS ``NOMpro``;
+the lexical families skip them); a window column is a row of tag ids in
+``Corpus.windows``. A table is one pair of corpus-wide arrays; a document
+holds the slice of its cells: per-document arrays left ~0.5 MB more RSS.
+Columns are uint16 up to 2**16 and int32 beyond (``_id_dtype``); counts
+are int32. The documents are sorted by doc id, the one row order of all.
 
 ``load_manifest`` reads a corpus parsed before from the same bytes back
 from ``stylokit.cache``, which builds it through the same ``_assemble``.
@@ -36,12 +34,12 @@ naming it.
 from __future__ import annotations
 
 import codecs
-import csv
 import io
 import unicodedata
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -64,27 +62,27 @@ class AnnotatedToken:
 
 @dataclass(frozen=True, eq=False)
 class Document:
-    """One play as ids into its corpus's ``types``, with verse end offsets.
-
-    The ids are uint16, or int32 past 2**16 types (``_id_dtype``); the verse
-    ends are int32. Documents compare by identity: their ids mean something
-    only against the vocabulary of the corpus that parsed them.
-    """
+    """One play: its token count and the slice of its cells in each count table. Documents
+    compare by identity: their cells mean something only in the corpus that parsed them."""
 
     id: str
     alleged_author: str
-    type_ids: np.ndarray
-    verse_ends: np.ndarray
+    token_count: int
+    cells: tuple[slice, slice, slice]
 
-    @property
-    def token_count(self) -> int:
-        return len(self.type_ids)
+
+# The count tables, in the order of Corpus.tables and Document.cells.
+TYPES, RHYMES, WINDOWS = range(3)
+POS_NGRAM_N = 3
+_TAG_BITS = 21  # per tag id in a window's code: three fit in an int64
 
 
 @dataclass(frozen=True)
 class Corpus:
-    documents: tuple[Document, ...] = ()
-    types: tuple[AnnotatedToken, ...] = ()
+    documents: tuple[Document, ...]
+    types: tuple[AnnotatedToken, ...]
+    windows: np.ndarray = field(compare=False)  # per window column, a row of tag ids (tags)
+    tables: tuple = field(compare=False)  # per count table, its (columns, counts) arrays
 
     def __post_init__(self) -> None:
         ids = [d.id for d in self.documents]
@@ -104,6 +102,15 @@ class Corpus:
 
     def alleged_authors(self) -> dict[str, str]:
         return {d.id: d.alleged_author for d in self.documents}
+
+    @property
+    def tags(self) -> tuple[str, ...]:
+        """Each POS tag once, in the order of its first type: a tag id indexes it."""
+        return tuple(dict.fromkeys(tok.pos for tok in self.types))
+
+    def cells(self, doc: Document, table: int) -> tuple[np.ndarray, ...]:
+        """The document's (columns, counts) in one count table: views into its arrays."""
+        return tuple(array[doc.cells[table]] for array in self.tables[table])
 
 
 def normalize_form(text: str) -> str:
@@ -132,9 +139,9 @@ def normalize_token(raw_form: str, lemma: str, pos: str) -> AnnotatedToken | Non
 _SKIPPED, _VERSE_BREAK = -1, -2
 
 
-def _id_dtype(n_types: int) -> np.dtype:
-    """The dtype of every document's ids over a vocabulary of n_types: two bytes while they fit."""
-    return np.dtype(np.uint16 if n_types <= 1 << 16 else np.int32)
+def _id_dtype(n_columns: int) -> np.dtype:
+    """The dtype of a count table's columns over n_columns: two bytes while they fit."""
+    return np.dtype(np.uint16 if n_columns <= 1 << 16 else np.int32)
 
 
 class _MalformedLine(Exception):
@@ -165,6 +172,20 @@ class _LineTable(dict):
         return line_id
 
 
+def _cells(codes: np.ndarray, type_tags: np.ndarray, window_ids: dict[int, int]) -> list:
+    """A document's (columns, counts) per count table, from its type ids and verse breaks: a
+    token closes a verse when a break or the end comes next; a window's column is its code's
+    index in ``window_ids``, the code its tag ids."""
+    is_id = codes >= 0
+    ids, finals = codes[is_id], codes[is_id & (np.append(codes[1:], _VERSE_BREAK) < 0)]
+    tag_ids, windows = type_tags[ids], np.zeros(max(len(ids) - POS_NGRAM_N + 1, 0), np.int64)
+    for k in range(POS_NGRAM_N):
+        windows = windows << _TAG_BITS | tag_ids[k : k + len(windows)]
+    cells = [a for x in (ids, finals, windows) for a in np.unique(x, return_counts=True)]
+    cells[4] = [window_ids.setdefault(code, len(window_ids)) for code in cells[4].tolist()]
+    return cells
+
+
 def parse_corpus(sources: Iterable[tuple]) -> Corpus:
     """Parse each (doc id, author, FORM/LEMMA/POS lines[, label]) source over one vocabulary.
 
@@ -172,13 +193,16 @@ def parse_corpus(sources: Iterable[tuple]) -> Corpus:
     within and across documents, get one type id. A trailing verse without
     a closing blank line is accepted. Sources are read in the order given,
     but the corpus holds its documents sorted by doc id: that is the one
-    row order of every matrix and output. Raises CorpusFormatError on a
-    malformed line (naming the source's label and the line number) or when
-    no token of a document survives (naming the label). The label defaults
-    to the document id.
+    row order of every matrix and output. Raises CorpusFormatError, naming
+    the source's label (by default the doc id), on a malformed line (and its
+    number), when no token of a document survives, or past 2**21 POS tags.
     """
-    table = _LineTable()
-    heads, type_ids, verse_ends = [], np.empty(0, np.uint16), np.empty(0, np.int32)
+    table, heads, tags, type_tags, window_ids = _LineTable(), [], {}, np.empty(0, np.int64), {}
+    # Per table its columns and counts, made 0.5-1 MiB, then emptied: glibc maps a block that
+    # large apart and grows it by mremap, so they leave no holes in the heap (-0.5 MB RSS).
+    arrays = [np.empty(1 << 18, dtype) for dtype in (np.uint16, np.int32) * 3]
+    for array in arrays:
+        array.resize(0, refcheck=False)
     for doc_id, author, lines, *label in sources:
         where = label[0] if label else doc_id
         start = lines.tell() if hasattr(lines, "seek") else 0  # past a skipped byte-order mark
@@ -192,37 +216,37 @@ def parse_corpus(sources: Iterable[tuple]) -> Corpus:
             raise CorpusFormatError(
                 f"{where}: line {lineno}: expected FORM<TAB>LEMMA<TAB>POS, got {n_fields} field(s)"
             ) from None
-        others = np.flatnonzero(codes < 0)
-        n_ids = len(codes) - len(others)
-        if not n_ids:
+        new = islice(table.vocabulary, len(type_tags), None)  # this document's new types
+        new = np.fromiter((tags.setdefault(tok.pos, len(tags)) for tok in new), np.int64)
+        if len(tags) > 1 << _TAG_BITS:
+            raise CorpusFormatError(f"{where}: more than 2**{_TAG_BITS} POS tags")
+        type_tags = np.append(type_tags, new)
+        cells = _cells(codes[codes != _SKIPPED], type_tags, window_ids)
+        if not len(cells[0]):
             raise CorpusFormatError(f"{where}: empty document")
-        # The i-th non-token line, at index p, has p - i tokens before it. A
-        # verse ends at each blank line after a token, and after the last token.
-        ends = (others - np.arange(len(others)))[codes[others] == _VERSE_BREAK]
-        ends = np.append(ends, n_ids)
-        ends = ends[np.diff(ends, prepend=0) > 0]
-        ids = np.delete(codes, others)
-        del codes, others  # freed before the corpus arrays grow: ~0.1 MB less peak RSS
-        if type_ids.dtype != _id_dtype(len(table.vocabulary)):  # it just passed 2**16 types
-            type_ids = type_ids.astype(np.int32)
-        i, j = len(type_ids), len(verse_ends)
-        type_ids.resize(i + n_ids, refcheck=False)
-        verse_ends.resize(j + len(ends), refcheck=False)
-        type_ids[i:], verse_ends[j:] = ids, ends
-        heads.append((doc_id, author, n_ids, len(ends)))
-    return _assemble(heads, type_ids, verse_ends, tuple(table.vocabulary))
+        heads.append((doc_id, author, int(cells[1].sum()), *map(len, cells[::2])))
+        for t, n_columns in enumerate((len(table.vocabulary),) * 2 + (len(window_ids),)):
+            if arrays[2 * t].dtype != _id_dtype(n_columns):  # it just passed 2**16 columns
+                arrays[2 * t] = arrays[2 * t].astype(np.int32)
+        for array, values in zip(arrays, cells):
+            n = len(array)
+            array.resize(n + len(values), refcheck=False)
+            array[n:] = values
+    shifts = _TAG_BITS * np.arange(POS_NGRAM_N - 1, -1, -1)
+    windows = np.fromiter(window_ids, np.int64)[:, None] >> shifts & (1 << _TAG_BITS) - 1
+    return _assemble(heads, [*arrays, windows.astype(np.int32)], tuple(table.vocabulary))
 
 
-def _assemble(heads: list, type_ids: np.ndarray, verse_ends: np.ndarray, types: tuple) -> Corpus:
-    """The corpus of the (id, author, id count, verse count) heads, sorted by id, whose
-    documents' arrays are views, in the heads' order, into the two arrays."""
-    documents, i, j = [], 0, 0
-    for doc_id, author, n_ids, n_ends in heads:
-        ids, ends = type_ids[i : i + n_ids], verse_ends[j : j + n_ends]
-        documents.append(Document(doc_id, author, ids, ends))
-        i, j = i + n_ids, j + n_ends
+def _assemble(heads: list, arrays: list, types: tuple) -> Corpus:
+    """The corpus of the (id, author, token count, cell count per table) heads, sorted by id:
+    the arrays are each table's columns and counts, in the heads' order, then the windows."""
+    documents, starts = [], (0, 0, 0)
+    for doc_id, author, n_tokens, *n_cells in heads:
+        cells = tuple(slice(i, i + n) for i, n in zip(starts, n_cells))
+        documents.append(Document(doc_id, author, n_tokens, cells))
+        starts = tuple(c.stop for c in cells)
     documents.sort(key=lambda doc: doc.id)
-    return Corpus(tuple(documents), types)
+    return Corpus(tuple(documents), types, arrays[6], tuple(zip(arrays[0:6:2], arrays[1:6:2])))
 
 
 def read_utf8(path: str | Path) -> str:
@@ -310,6 +334,7 @@ def load_manifest(manifest_path: str | Path) -> Corpus:
     parsed before from the same ids, authors and token-file bytes is read
     from the corpus cache instead.
     """
+    import csv  # here, as the cache below: a process that loads no corpus never imports it
     manifest_path = Path(manifest_path)
     reader = csv.DictReader(io.StringIO(read_utf8(manifest_path), newline=""))
     if reader.fieldnames is None or tuple(reader.fieldnames) != MANIFEST_FIELDS:

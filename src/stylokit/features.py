@@ -1,14 +1,13 @@
 """The six feature families and the document-by-feature matrix.
 
-Every family is a count over the corpus's one token stream, made by one
-counter over count columns that each carry feature names. The lexical
-families count types, each non-proper type carrying its lemma, form,
-affixes or listed function word; rhyme counts only the types closing a
-verse. POS 3-grams count integer trigram codes over each type's tag id,
-each code carrying its tag names. Per document, one bincount gives the
-column counts and a second sums them onto the features, so no docs x
-columns array is made. A family's features are the names with a positive
-total in the corpus, in sorted name order; rows hold relative
+Every family is a count over one of the corpus's three count tables, whose
+columns each carry feature names. The lexical families count the type
+table, each non-proper type carrying its lemma, form, affixes or listed
+function word; rhyme counts the verse-final types, and POS 3-grams the
+windows, each carrying its tag names. Per document, one bincount gives
+the column counts and a second sums them onto the features, so no docs x
+columns array is made. A family's features are the names of the columns
+with a cell in the corpus, in sorted name order; rows hold relative
 frequencies. Denominators are per family: the event total of the family
 itself (tokens, rhyme positions, affix occurrences, n-gram windows),
 except for function words, whose counts are divided by the document's
@@ -33,7 +32,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import AnnotatedToken, Corpus, normalize_form, open_output, read_utf8
+from .corpus import RHYMES, TYPES, WINDOWS, AnnotatedToken, Corpus
+from .corpus import normalize_form, open_output, read_utf8
 from .errors import AnalysisError, CorpusFormatError
 
 
@@ -50,7 +50,6 @@ class Scale(str, Enum):
     RELATIVE_FREQUENCY = "relative_frequency"
 
 
-POS_NGRAM_N = 3
 AFFIX_MIN_WORD_LEN = 4
 BLOCK_FLOATS = 1 << 14  # 128 KiB: the most values one block of per-feature or per-pair work holds
 
@@ -148,56 +147,32 @@ def _type_features(tok: AnnotatedToken, spec: FeatureSpec, words: set[str]) -> l
     return affixes_of(tok.form) if spec.kind is FeatureKind.AFFIX else [tok.form]
 
 
-def _columns(corpus: Corpus, spec: FeatureSpec) -> tuple[int, Callable[[int], list[str]], list]:
-    """A family's count columns: how many, each one's feature names, and per
-    document the (column ids, weights or None) to bincount.
-
-    The lexical families count types: every token, or for rhyme the token
-    closing each verse. POS n-grams (n = ``POS_NGRAM_N``) count the
-    distinct window codes: verse boundaries do not break the window, and
-    proper-name tokens stay in, as their tag is part of the sequence
-    signal. A window is coded as a base-(number of tags) integer over the
-    tag ids of its types; the corpus's codes are the union of each document's
-    distinct codes, taken as Python ints, since a plain ``np.unique`` imports
-    ``numpy.ma`` on numpy >= 2.3.
-    """
+def _columns(corpus: Corpus, spec: FeatureSpec) -> tuple[int, Callable[[int], list[str]], int]:
+    """A family's count columns: how many, each one's feature names, and their count table."""
     if spec.kind is not FeatureKind.POS_NGRAM:
         types, words = corpus.types, set(spec.function_words)
-        rhyme = spec.kind is FeatureKind.RHYME_LEMMA
-        ids = [doc.type_ids[doc.verse_ends - 1] if rhyme else doc.type_ids for doc in corpus]
-        return len(types), lambda c: _type_features(types[c], spec, words), [(i, None) for i in ids]
-    tag_ids: dict[str, int] = {}
-    type_tags = np.array(
-        [tag_ids.setdefault(tok.pos, len(tag_ids)) for tok in corpus.types], dtype=np.int64
-    )
-    per_doc = []
-    for doc in corpus:
-        tags = type_tags[doc.type_ids]
-        codes = np.zeros(max(len(tags) - POS_NGRAM_N + 1, 0), dtype=np.int64)
-        for k in range(POS_NGRAM_N):
-            codes = codes * len(tag_ids) + tags[k : k + len(codes)]
-        per_doc.append(np.unique(codes, return_counts=True))
-    all_codes = np.array(sorted(set().union(*(codes.tolist() for codes, _ in per_doc))), np.int64)
-    tags = [tag.replace("\\", "\\\\").replace(".", "\\.") for tag in tag_ids]
-    places = [len(tags) ** (POS_NGRAM_N - 1 - k) for k in range(POS_NGRAM_N)]
-    names = [[".".join(tags[code // p % len(tags)] for p in places)] for code in all_codes.tolist()]
-    doc_columns = [(np.searchsorted(all_codes, codes), n) for codes, n in per_doc]
-    return len(names), names.__getitem__, doc_columns
+        table = RHYMES if spec.kind is FeatureKind.RHYME_LEMMA else TYPES
+        return len(types), lambda c: _type_features(types[c], spec, words), table
+    tags = [tag.replace("\\", "\\\\").replace(".", "\\.") for tag in corpus.tags]
+    names = [[".".join(tags[t] for t in window)] for window in corpus.windows.tolist()]
+    return len(names), names.__getitem__, WINDOWS
 
 
 def _count(corpus: Corpus, spec: FeatureSpec) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     """docs x features counts of a family, and each document's denominator.
 
-    Each document's columns are bincounted into one row of column counts,
+    Each document's cells are bincounted into one row of column counts,
     which is gathered onto the (column, name) pairs and bincounted into
-    feature counts: float sums of integer counts, exact below 2**53. Only
-    columns with a positive corpus total get their names, and the features
-    are those names in sorted order. The denominator is the row's total,
-    or for function words the document's count of non-proper tokens.
+    feature counts: float sums of integer counts, exact below 2**53. The
+    denominator is the row's total, or for function words the document's
+    count of non-proper tokens.
     """
-    n, names_of, doc_columns = _columns(corpus, spec)
-    totals = sum(np.bincount(ids, weights, n) for ids, weights in doc_columns)
-    pairs = [(name, c) for c in np.flatnonzero(totals).tolist() for name in names_of(c)]
+    n, names_of, table = _columns(corpus, spec)
+    cells = [corpus.cells(doc, table) for doc in corpus]
+    used = np.zeros(n, bool)  # marked one document at a time: no all-cells index array
+    for columns, _ in cells:
+        used[columns] = True
+    pairs = [(name, c) for c in np.flatnonzero(used).tolist() for name in names_of(c)]
     index = {name: j for j, name in enumerate(sorted({name for name, _ in pairs}))}
     feature = np.array([index[name] for name, _ in pairs], dtype=np.intp)
     owner = np.array([c for _, c in pairs], dtype=np.intp)
@@ -205,8 +180,8 @@ def _count(corpus: Corpus, spec: FeatureSpec) -> tuple[tuple[str, ...], np.ndarr
     if spec.kind is FeatureKind.FUNCTION_WORD:
         lexical = np.array([not tok.is_proper_noun for tok in corpus.types], dtype=np.int64)
     counts, denoms = np.zeros((len(corpus), len(index))), np.zeros(len(corpus))
-    for d, (ids, weights) in enumerate(doc_columns):
-        column_counts = np.bincount(ids, weights, n)
+    for d, (columns, weights) in enumerate(cells):
+        column_counts = np.bincount(columns, weights, n)
         counts[d] = np.bincount(feature, column_counts[owner], len(index))
         denoms[d] = counts[d].sum() if lexical is None else column_counts @ lexical
     return tuple(index), counts, denoms

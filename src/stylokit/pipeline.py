@@ -31,6 +31,8 @@ class PipelineResult:
 
 def shortest_document_length(matrix: FeatureMatrix) -> int:
     """The n that reliable selection compares each feature's required sample size with."""
+    if matrix.sizes is None:
+        raise ValueError("reliable selection needs the matrix's sizes, as build_matrix sets them")
     return int(matrix.sizes.min())
 
 
@@ -70,8 +72,8 @@ def cluster_selected(
 def analyse(matrix: FeatureMatrix, selection_mode: str | tuple[str, float],
             distance: Measure | str, k: int) -> PipelineResult:
     """Selection, then distances, Ward and the cut at k, on a matrix from build_matrix."""
-    selected, report = apply_selection(matrix, selection_mode, shortest_document_length(matrix))
-    return cluster_selected(matrix, selected, report, distance, k)
+    n = shortest_document_length(matrix) if selection_mode == RELIABLE else 0
+    return cluster_selected(matrix, *apply_selection(matrix, selection_mode, n), distance, k)
 
 
 def run_pipeline(

@@ -11,13 +11,14 @@ import csv
 import io
 import math
 import unicodedata
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import quad
 
 from stylokit.cluster import _newick_label
-from stylokit.corpus import Corpus, Document, normalize_token
+from stylokit.corpus import AnnotatedToken, Corpus, normalize_token
 from stylokit.errors import AnalysisError, CorpusFormatError
 from stylokit.metrics import Measure, _column_stats, _manhattan_row, _minmax_row
 
@@ -321,7 +322,9 @@ def naive_filter_corpus(corpus: Corpus, min_tokens: int, min_plays_per_author: i
 def naive_parse_corpus(sources):
     """parse_corpus as a per-line loop: look up each raw line, normalize it on first sight.
 
-    Returns the Corpus, or raises CorpusFormatError with the same message.
+    Returns the vocabulary, each distinct type in the order first seen, and
+    per document, sorted by id, (id, author, its verses of types); or raises
+    CorpusFormatError with the same message.
     """
     skipped, verse_break = -1, -2
     line_ids: dict = {}
@@ -329,8 +332,7 @@ def naive_parse_corpus(sources):
     documents = []
     for doc_id, author, lines, *label in sources:
         where = label[0] if label else doc_id
-        ids: list[int] = []
-        ends: list[int] = []
+        verses: list[list] = [[]]
         for lineno, raw in enumerate(lines, start=1):
             if raw not in line_ids:
                 line = raw.rstrip("\r\n")
@@ -346,23 +348,33 @@ def naive_parse_corpus(sources):
                             f"got {len(fields)} field(s)"
                         )
                     token = normalize_token(*fields)
-                    line_ids[raw] = (
-                        skipped if token is None else vocabulary.setdefault(token, len(vocabulary))
-                    )
-            tid = line_ids[raw]
-            if tid >= 0:
-                ids.append(tid)
-            elif tid == verse_break and len(ids) > (ends[-1] if ends else 0):
-                ends.append(len(ids))
-        if not ids:
+                    line_ids[raw] = skipped if token is None else vocabulary.setdefault(token, token)
+            token = line_ids[raw]
+            if isinstance(token, AnnotatedToken):
+                verses[-1].append(token)
+            elif token == verse_break and verses[-1]:
+                verses.append([])
+        verses = [verse for verse in verses if verse]
+        if not verses:
             raise CorpusFormatError(f"{where}: empty document")
-        if len(ids) > (ends[-1] if ends else 0):
-            ends.append(len(ids))
-        documents.append(
-            Document(doc_id, author, np.array(ids, np.int32), np.array(ends, np.int32))
-        )
-    documents.sort(key=lambda doc: doc.id)
-    return Corpus(documents=tuple(documents), types=tuple(vocabulary))
+        documents.append((doc_id, author, verses))
+    documents.sort(key=lambda doc: doc[0])
+    return tuple(vocabulary), documents
+
+
+def naive_count_tables(parsed) -> list[tuple]:
+    """Per document of a naive_parse_corpus result: its id, author and token count, and one
+    Counter each of its types, of the types closing a verse, and of its POS 3-gram windows
+    as tuples of tag names, taken over the whole token sequence, verse breaks and proper
+    names included."""
+    tables = []
+    for doc_id, author, verses in parsed[1]:
+        tokens = [tok for verse in verses for tok in verse]
+        tags = [tok.pos for tok in tokens]
+        windows = Counter(tuple(tags[i : i + 3]) for i in range(len(tags) - 2))
+        tables.append((doc_id, author, len(tokens), Counter(tokens),
+                       Counter(verse[-1] for verse in verses), windows))
+    return tables
 
 
 def naive_write_rows(path, header, rows) -> None:

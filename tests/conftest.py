@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import shutil
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 
 from stylokit import cache, corpus as corpus_module
 from stylokit.corpus import (
-    AnnotatedToken,
+    RHYMES,
+    TYPES,
+    WINDOWS,
     Corpus,
-    Document,
     filter_corpus,
     load_manifest,
     parse_corpus,
@@ -92,21 +94,25 @@ def parsed_both_ways(rng: np.random.Generator, sources: list) -> tuple[Corpus, C
     return parse_corpus(sources), parse_corpus([sources[i] for i in perm])
 
 
-def verses_of(corpus: Corpus, doc: Document) -> list[list[AnnotatedToken]]:
-    """The types behind a document's ids, split at its verse ends."""
-    starts = [0, *doc.verse_ends[:-1].tolist()]
+def tables_of(corpus: Corpus) -> list[tuple]:
+    """Per document, as naive_count_tables gives it: id, author, token count and a Counter
+    of each count table, over types, verse-final types and POS windows as tag-name tuples."""
+    tags = corpus.tags
+    windows = [tuple(tags[t] for t in window) for window in corpus.windows.tolist()]
+    names = (corpus.types, corpus.types, windows)
     return [
-        [corpus.types[t] for t in doc.type_ids[s:e].tolist()]
-        for s, e in zip(starts, doc.verse_ends.tolist())
+        (d.id, d.alleged_author, d.token_count, *(
+            Counter({names[t][c]: n for c, n in zip(*(a.tolist() for a in corpus.cells(d, t)))})
+            for t in (TYPES, RHYMES, WINDOWS)
+        ))
+        for d in corpus
     ]
 
 
-def write_token_file(corpus: Corpus, doc: Document, path) -> None:
+def write_token_file(verses: list[list[tuple[str, str, str]]], path) -> None:
+    """A token file of (form, lemma, pos) triples, one list per verse, as make_doc's lines."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for verse in verses_of(corpus, doc):
-            for tok in verse:
-                fh.write(f"{tok.form}\t{tok.lemma}\t{tok.pos}\n")
-            fh.write("\n")
+        fh.writelines(make_doc("", verses)[2])
 
 
 def write_manifest(directory, token_files: dict[str, bytes]):
@@ -121,10 +127,10 @@ def write_manifest(directory, token_files: dict[str, bytes]):
 
 
 def snapshot(corpus: Corpus):
-    """Everything a corpus holds, in a form that compares by value."""
-    return corpus.types, [
-        (d.id, d.alleged_author, d.type_ids.dtype, d.type_ids.tolist(),
-         d.verse_ends.dtype, d.verse_ends.tolist())
+    """Everything a corpus holds, dtypes included, in a form that compares by value."""
+    return corpus.types, corpus.windows.dtype, corpus.windows.tolist(), [
+        (d.id, d.alleged_author, d.token_count,
+         [(a.dtype, a.tolist()) for t in (TYPES, RHYMES, WINDOWS) for a in corpus.cells(d, t)])
         for d in corpus
     ]
 

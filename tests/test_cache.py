@@ -18,7 +18,7 @@ import pytest
 from conftest import one_line_per_type, snapshot, write_manifest
 from stylokit import cache, corpus as corpus_module
 from stylokit.cli import main
-from stylokit.corpus import load_manifest, parse_corpus
+from stylokit.corpus import TYPES, load_manifest, parse_corpus
 from stylokit.errors import CorpusFormatError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -63,21 +63,23 @@ def test_a_hit_is_the_corpus_a_parse_builds_and_parses_nothing(
     hit = load_manifest(manifest)
     assert snapshot(hit) == snapshot(parsed)
     dtype = np.uint16 if corpus == "synth" else np.int32
-    assert {doc.type_ids.dtype for doc in hit} == {np.dtype(dtype)}
-    assert all(doc.type_ids.flags.writeable and doc.verse_ends.flags.writeable for doc in hit)
+    assert {hit.cells(doc, TYPES)[0].dtype for doc in hit} == {np.dtype(dtype)}
+    arrays = [hit.windows, *(array for table in hit.tables for array in table)]
+    assert all(array.flags.writeable for array in arrays)
 
 
-def test_a_parse_and_a_hit_hold_the_documents_as_views_into_two_arrays(synth_dir, parses):
-    """One ids array and one verse-ends array per corpus, each exactly as long as
-    its documents' arrays together: per-document arrays left more RSS."""
+def test_a_parse_and_a_hit_hold_each_table_in_two_corpus_wide_arrays(synth_dir, parses):
+    """A count table is one columns array and one counts array per corpus, and each
+    document's cells are a slice of both, the slices tiling them: per-document arrays
+    left more RSS."""
     manifest = synth_dir / "manifest.csv"
     for corpus in (load_manifest(manifest), load_manifest(manifest)):
-        for field in ("type_ids", "verse_ends"):
-            arrays = [getattr(doc, field) for doc in corpus]
-            [base] = {id(array.base): array.base for array in arrays}.values()
-            assert base is not None and base.base is None
-            assert len(base) == sum(len(array) for array in arrays)
-            assert all(array.flags.writeable for array in arrays)
+        for table, (columns, counts) in enumerate(corpus.tables):
+            assert columns.base is None and counts.base is None
+            spans = sorted((doc.cells[table].start, doc.cells[table].stop) for doc in corpus)
+            assert [start for start, _ in spans] == [0, *(stop for _, stop in spans[:-1])]
+            assert spans[-1][1] == len(columns) == len(counts)
+            assert all(corpus.cells(doc, table)[0].base is columns for doc in corpus)
     assert len(parses) == 1  # the second load was a hit
 
 
@@ -136,7 +138,8 @@ def test_a_reversed_manifest_gives_the_same_outputs(corpus_copy, tmp_path, corpu
 
 DAMAGES = {
     # The arrays a read fills start zeroed (see the test), so the lost byte, the zero high
-    # byte of the last verse end, reads back as it was: only the byte count tells the read short.
+    # byte of the last window's last tag id, reads back as it was: only the byte count tells
+    # the read short.
     "last_zero_byte": lambda data: data[:-1],
     "trailing_byte": lambda data: data + b"\0",
     "truncated": lambda data: data[:-7],
@@ -144,6 +147,9 @@ DAMAGES = {
     "foreign_key_line": lambda data: data.replace(b'"author00"', b'"author99"', 1),
     "header_type_renamed": lambda data: data.replace(b'"types": "', b'"types": "x', 1),
     "garbage": lambda data: bytes(range(256)) * 8,
+    # Read into an object array, the payload's bytes would be taken for pointers.
+    "object_dtype": lambda data: data.replace(
+        b'"%s", [' % np.dtype(np.int32).str.encode(), b'"|O", [', 1),
     # The key line checks out; decoding the header overflows the recursion limit.
     "nested_header": lambda data: data[: data.index(b"\n") + 1] + b"[" * 100000 + b"\n",
 }
@@ -262,8 +268,8 @@ def test_the_16_entries_used_last_are_kept(tmp_path, corpus_cache):
 
 
 def test_importing_the_cli_and_clustering_a_matrix_never_import_the_cache():
-    """The cache is imported by the first load_manifest, so a process that loads no
-    corpus never compiles it (each compiled module adds to the peak RSS)."""
+    """The cache and csv are imported by the first load_manifest, so a process that loads
+    no corpus never loads them (each module adds to the peak RSS)."""
     script = textwrap.dedent("""
         import sys
         import numpy as np
@@ -277,6 +283,7 @@ def test_importing_the_cli_and_clustering_a_matrix_never_import_the_cache():
         matrix = FeatureMatrix(tuple(f"d{i:02d}" for i in range(12)), tuple("abcde"), values)
         ward_cluster(compute_distance(matrix, "delta"))
         assert "stylokit.cache" not in sys.modules, "stylokit.cache was imported"
+        assert "csv" not in sys.modules, "csv was imported"
     """)
     paths = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}

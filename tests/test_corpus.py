@@ -5,25 +5,35 @@ import io
 import re
 import shutil
 import sys
+from collections import Counter
 from contextlib import ExitStack
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from _oracles import naive_filter_corpus, naive_normalize_form, naive_parse_corpus
+from _oracles import (
+    naive_count_tables,
+    naive_family_matrix,
+    naive_filter_corpus,
+    naive_normalize_form,
+    naive_parse_corpus,
+)
 from conftest import (
     every_load_parses,
     make_corpus,
     make_doc,
     one_line_per_type,
     snapshot,
-    verses_of,
+    tables_of,
     write_manifest,
     write_token_file,
 )
 from stylokit import corpus as corpus_module
 from stylokit.corpus import (
+    RHYMES,
+    TYPES,
+    WINDOWS,
     Corpus,
     filter_corpus,
     load_manifest,
@@ -40,17 +50,19 @@ def _parse(lines):
     return corpus, corpus.documents[0]
 
 
+def _forms(lines) -> tuple[int, dict[str, int], dict[str, int], Counter]:
+    """The one document's token count, type and rhyme counts by form, and window counts."""
+    [(_, _, n_tokens, types, rhymes, windows)] = tables_of(_parse(lines)[0])
+    return n_tokens, *({tok.form: n for tok, n in c.items()} for c in (types, rhymes)), windows
+
+
 def test_parse_two_tokens_one_verse():
-    corpus, doc = _parse(["Je\tje\tPROper\n", "pense\tpenser\tVERcjg\n", "\n"])
-    verses = verses_of(corpus, doc)
-    assert len(verses) == 1
-    assert [t.form for t in verses[0]] == ["je", "pense"]
-    assert doc.token_count == 2
+    lines = ["Je\tje\tPROper\n", "pense\tpenser\tVERcjg\n", "\n"]
+    assert _forms(lines) == (2, {"je": 1, "pense": 1}, {"pense": 1}, Counter())
 
 
 def test_parse_trailing_unterminated_verse():
-    _, doc = _parse(["a\ta\tNOMcom", "", "b\tb\tNOMcom"])
-    assert doc.verse_ends.tolist() == [1, 2]
+    assert _forms(["a\ta\tNOMcom", "", "b\tb\tNOMcom"])[2] == {"a": 1, "b": 1}
 
 
 def test_parse_empty_stream_is_an_error():
@@ -75,9 +87,17 @@ def test_parse_sorts_documents_by_id_but_reads_them_in_the_order_given():
 
 
 def test_parse_ignores_comment_lines():
-    _, doc = _parse(["# header\n", "a\ta\tNOMcom\n", "# note\n", "b\tb\tNOMcom\n"])
-    assert doc.token_count == 2
-    assert doc.verse_ends.tolist() == [2]
+    lines = ["# header\n", "a\ta\tNOMcom\n", "# note\n", "b\tb\tNOMcom\n"]
+    assert _forms(lines)[:3] == (2, {"a": 1, "b": 1}, {"b": 1})
+
+
+def test_pos_windows_cross_verse_breaks_and_comments_but_not_documents():
+    lines = ["a\ta\tDET\n", "\n", "# note\n", "b\tb\tNOMpro\n", "c\tc\tVER\n", "d\td\tDET\n"]
+    corpus = parse_corpus([("d1", "", lines), ("d2", "", lines[3:])])
+    [one, two] = [windows for *_, windows in tables_of(corpus)]
+    assert one == Counter({("DET", "NOMpro", "VER"): 1, ("NOMpro", "VER", "DET"): 1})
+    assert two == Counter({("NOMpro", "VER", "DET"): 1})
+    assert corpus.tags == ("DET", "NOMpro", "VER")
 
 
 def test_normalize_lowercases():
@@ -223,24 +243,20 @@ def test_filter_is_the_fixed_point_loop(spec, min_tokens, min_plays):
     assert filter_corpus(corpus, min_tokens, min_plays).documents == expected.documents
 
 
-def _round_trip(corpus: Corpus, path):
-    """Write the corpus's one document out and parse the file back in."""
-    doc = corpus.documents[0]
-    write_token_file(corpus, doc, path)
+def _round_trip(verses, path) -> tuple[Corpus, Corpus]:
+    """The corpus of one document of the verses parsed from lists, and from a token file."""
+    write_token_file(verses, path)
     with open(path, encoding="utf-8") as fh:
-        return parse_corpus([(doc.id, doc.alleged_author, fh)])
+        return make_corpus(make_doc("d", verses)), parse_corpus([("d", "", fh)])
 
 
 def test_token_file_round_trip(tmp_path):
-    corpus = make_corpus(make_doc(
-        "d",
-        [
-            [("l'", "le", "DETdef"), ("amour", "amour", "NOMcom")],
-            [("alcandre", "alcandre", "NOMpro"), ("dort", "dormir", "VERcjg")],
-        ],
-    ))
-    again = _round_trip(corpus, tmp_path / "d.tsv")
-    assert verses_of(again, again.documents[0]) == verses_of(corpus, corpus.documents[0])
+    verses = [
+        [("l'", "le", "DETdef"), ("amour", "amour", "NOMcom")],
+        [("alcandre", "alcandre", "NOMpro"), ("dort", "dormir", "VERcjg")],
+    ]
+    corpus, again = _round_trip(verses, tmp_path / "d.tsv")
+    assert snapshot(again) == snapshot(corpus)
     assert again.documents[0].token_count == 4
 
 
@@ -258,12 +274,10 @@ PRE_NORMALIZED = st.text(alphabet="abcdefgh'", min_size=1, max_size=8)
         max_size=5,
     )
 )
-def test_token_file_round_trip_keeps_tokens_and_verse_ends(tmp_path_factory, verses):
-    corpus = make_corpus(make_doc("d", verses))
-    again = _round_trip(corpus, tmp_path_factory.mktemp("round_trip") / "d.tsv")
-    doc, again_doc = corpus.documents[0], again.documents[0]
-    assert [again.types[t] for t in again_doc.type_ids] == [corpus.types[t] for t in doc.type_ids]
-    assert np.array_equal(again_doc.verse_ends, doc.verse_ends)
+def test_token_file_round_trip_keeps_the_count_tables(tmp_path_factory, verses):
+    corpus, again = _round_trip(verses, tmp_path_factory.mktemp("round_trip") / "d.tsv")
+    assert snapshot(again) == snapshot(corpus)
+    assert tables_of(again) == naive_count_tables(naive_parse_corpus([make_doc("d", verses)]))
 
 
 def test_identical_lines_share_one_type_id(monkeypatch):
@@ -276,9 +290,9 @@ def test_identical_lines_share_one_type_id(monkeypatch):
     monkeypatch.setattr(corpus_module, "normalize_token", counting)
     lines = ["Gloire,\tgloire\tNOMcom\n", "et\tet\tCONcoo\n", "\n", "Gloire,\tgloire\tNOMcom\n"]
     corpus = parse_corpus([("doc1", "", lines), ("doc2", "", lines)])
-    first, second = corpus.documents
-    assert first.verse_ends.tolist() == [2, 3]
-    assert first.type_ids.tolist() == second.type_ids.tolist() == [0, 1, 0]
+    for doc in corpus:  # types 0, 1, 0 in verses [0, 1] and [0]
+        assert [a.tolist() for a in corpus.cells(doc, TYPES)] == [[0, 1], [2, 1]]
+        assert [a.tolist() for a in corpus.cells(doc, RHYMES)] == [[0, 1], [1, 1]]
     assert [t.form for t in corpus.types] == ["gloire", "et"]
     assert len(calls) == 2  # once per distinct token line
 
@@ -395,22 +409,12 @@ DOC_LINES = st.lists(
 )
 
 
-def _outcome(parse, sources):
-    """A parse's corpus snapshot, or the message of the CorpusFormatError it raised."""
+def _outcome(parse, sources, view=snapshot):
+    """The view of a parse's result, or the message of the CorpusFormatError it raised."""
     try:
-        return snapshot(parse(sources))
+        return view(parse(sources))
     except CorpusFormatError as exc:
         return str(exc)
-
-
-def _assert_agrees_with_the_oracle(got, expected):
-    """The ids compare by value, as the oracle's are int32; a vocabulary this small gets uint16."""
-    if isinstance(got, str) or isinstance(expected, str):
-        assert got == expected
-        return
-    assert got[0] == expected[0]
-    assert [doc[:2] + doc[3:] for doc in got[1]] == [doc[:2] + doc[3:] for doc in expected[1]]
-    assert {doc[2] for doc in got[1]} == {np.dtype(np.uint16)}
 
 
 @settings(max_examples=60, deadline=None)
@@ -430,15 +434,48 @@ def test_parse_agrees_over_files_lists_and_the_per_line_oracle(tmp_path_factory,
             text = text[: -len(lines[-1][1])]
         (directory / f"{i}.tsv").write_text(text, encoding="utf-8", newline="")
         from_lists.append((doc_id, "", list(io.StringIO(text, newline="")), f"doc {i}"))
-    expected = _outcome(naive_parse_corpus, from_lists)
-    _assert_agrees_with_the_oracle(_outcome(parse_corpus, from_lists), expected)
+    expected = _outcome(naive_parse_corpus, from_lists, naive_count_tables)
+    assert _outcome(parse_corpus, from_lists, tables_of) == expected
     with ExitStack() as stack:
         from_files = [
             (doc_id, "", stack.enter_context(open(directory / f"{i}.tsv", encoding="utf-8")),
              f"doc {i}")
             for i, doc_id in enumerate(doc_ids)
         ]
-        _assert_agrees_with_the_oracle(_outcome(parse_corpus, from_files), expected)
+        assert _outcome(parse_corpus, from_files, tables_of) == expected
+
+
+def _no_parse(sources):
+    raise AssertionError("a cache hit parsed")
+
+
+# Lines that are never malformed: tokens, and blank, blank-looking and comment lines.
+VALID_DOC_LINES = st.lists(
+    st.tuples(st.one_of(TOKEN_LINE, TOKEN_LINE, st.sampled_from(["", " ", "\t\t", "# n", "#\t"])),
+              st.sampled_from(["\n", "\r\n", "\r"])),
+    min_size=1, max_size=12,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(VALID_DOC_LINES, min_size=1, max_size=3), st.booleans())
+def test_lists_files_and_a_cache_hit_hold_the_oracle_count_tables(tmp_path_factory, docs, bom):
+    """Every document's count tables are the per-token oracle's, whether the corpus is parsed
+    from lists, loaded from token files (lines ending in LF, CRLF or CR, maybe after a
+    byte-order mark) or read back from the entry that load stored."""
+    texts = ["".join(line + end for line, end in lines) for lines in docs]
+    sources = [(f"play{i}", "a", list(io.StringIO(t, newline=""))) for i, t in enumerate(texts)]
+    expected = _outcome(naive_parse_corpus, sources, naive_count_tables)
+    assume(not isinstance(expected, str))  # a document left without a token
+    mark = codecs.BOM_UTF8 if bom else b""
+    files = {f"{i}.tsv": mark + text.encode() for i, text in enumerate(texts)}
+    manifest = write_manifest(tmp_path_factory.mktemp("tables"), files)
+    parsed = _load_parsed(manifest)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus_module, "parse_corpus", _no_parse)
+        hit = load_manifest(manifest)
+    assert tables_of(parse_corpus(sources)) == tables_of(parsed) == tables_of(hit) == expected
+    assert snapshot(hit) == snapshot(parsed)
 
 
 def test_malformed_first_line_after_a_byte_order_mark_is_line_1(tmp_path):
@@ -492,19 +529,64 @@ def test_ids_are_two_bytes_up_to_2_16_types(tmp_path, n_types, dtype):
         (f"play{i}", "a", data.decode().splitlines(keepends=True))
         for i, data in enumerate(files.values())
     )
-    assert len(oracle.types) == n_types
+    assert len(oracle[0]) == n_types
     corpus = _load_parsed(manifest)
-    assert {doc.type_ids.dtype for doc in corpus} == {np.dtype(dtype)}
-    assert corpus.types == oracle.types
-    assert [d.type_ids.tolist() for d in corpus] == [d.type_ids.tolist() for d in oracle]
+    for table in (TYPES, RHYMES):
+        assert {corpus.cells(doc, table)[0].dtype for doc in corpus} == {np.dtype(dtype)}
+    assert corpus.types == oracle[0]
+    assert tables_of(corpus) == naive_count_tables(oracle)
+    docs = [[[(t.form, t.lemma, t.pos) for t in verse] for verse in verses]
+            for _, _, verses in oracle[1]]
     for kind in (FeatureKind.LEMMA, FeatureKind.RHYME_LEMMA, FeatureKind.POS_NGRAM):
-        got, want = (build_matrix(c, FeatureSpec(kind=kind)) for c in (corpus, oracle))
-        assert got.feature_names == want.feature_names
-        assert np.array_equal(got.values, want.values)
+        got = build_matrix(corpus, FeatureSpec(kind=kind))
+        names, values = naive_family_matrix(docs, kind.value)
+        assert got.feature_names == names
+        assert np.array_equal(got.values, values)
+
+
+def test_more_tags_than_a_window_code_holds_is_an_error(monkeypatch):
+    monkeypatch.setattr(corpus_module, "_TAG_BITS", 1)  # two tags at most
+    lines = ["a\ta\tA\n", "b\tb\tB\n", "c\tc\tC\n"]
+    assert len(parse_corpus([("d", "", lines[:2])]).tags) == 2
+    with pytest.raises(CorpusFormatError, match=re.escape("d: more than 2**1 POS tags")):
+        parse_corpus([("d", "", lines)])
+
+
+def _de_bruijn(k: int, n: int) -> list[int]:
+    """A cyclic sequence over range(k) holding every n-gram once (Fredricksen, Kessler, Maiorana)."""
+    a, sequence = [0] * (k * n), []
+
+    def grow(t: int, p: int) -> None:
+        if t > n:
+            if n % p == 0:
+                sequence.extend(a[1 : p + 1])
+            return
+        a[t] = a[t - p]
+        grow(t + 1, p)
+        for j in range(a[t - p] + 1, k):
+            a[t] = j
+            grow(t + 1, t)
+
+    grow(1, 1)
+    return sequence
+
+
+@pytest.mark.parametrize("n_windows, dtype", [(1 << 16, np.uint16), ((1 << 16) + 1, np.int32)])
+def test_window_columns_are_two_bytes_up_to_2_16_windows(n_windows, dtype):
+    """41 tags in a de Bruijn order: the first n_windows + 2 tokens hold n_windows windows."""
+    tags = _de_bruijn(41, 3)[: n_windows + 2]
+    sources = [("d", "", [f"w{t}\tw{t}\tT{t}\n" for t in tags])]
+    corpus = parse_corpus(sources)
+    assert len(corpus.windows) == n_windows
+    assert corpus.cells(corpus.documents[0], WINDOWS)[0].dtype == np.dtype(dtype)
+    assert tables_of(corpus) == naive_count_tables(naive_parse_corpus(sources))
 
 
 def test_the_synth_corpus_holds_two_bytes_per_id(synth_corpus):
-    assert {doc.type_ids.itemsize for doc in synth_corpus} == {2}
+    """Every table's columns take two bytes, and its counts four."""
+    for table in (TYPES, RHYMES, WINDOWS):
+        arrays = [synth_corpus.cells(doc, table) for doc in synth_corpus]
+        assert {(columns.itemsize, counts.itemsize) for columns, counts in arrays} == {(2, 4)}
 
 
 FAILING = {

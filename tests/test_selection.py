@@ -9,7 +9,7 @@ from conftest import parsed_both_ways, random_sources
 from stylokit import selection
 from stylokit.errors import AnalysisError
 from stylokit.features import FeatureKind, FeatureMatrix, FeatureSpec, build_matrix
-from stylokit.pipeline import apply_selection
+from stylokit.pipeline import analyse, apply_selection
 from stylokit.selection import (
     SelectionReport,
     corrected_mean,
@@ -217,6 +217,16 @@ def test_constant_column_is_degenerate_in_select_reliable():
 def test_constant_column_does_not_survive_top_selection():
     selected, _ = apply_selection(_with_constant_column(), ("top", 1.0), 1)
     assert selected.feature_names == ("f0", "f1")
+
+
+def test_a_matrix_without_sizes_clusters_by_top_selection_but_not_by_reliable():
+    """Only reliable selection reads the sample sizes, and without them it says so."""
+    values = np.random.default_rng(2).uniform(0.1, 1.0, size=(6, 4))
+    matrix = _matrix(values / values.sum(axis=1, keepdims=True))
+    assert matrix.sizes is None
+    assert analyse(matrix, ("top", 1.0), "delta", 2).selected.n_features == 4
+    with pytest.raises(ValueError, match="sizes"):
+        analyse(matrix, "reliable", "delta", 2)
 
 
 def test_select_reliable_bit_identical_under_row_permutation():

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stylokit.corpus import load_manifest
+from stylokit.corpus import RHYMES, load_manifest
 from stylokit.synth import (
     SynthConfig,
     _author_distributions,
@@ -51,8 +51,11 @@ def test_generated_documents_meet_length_and_verse_contracts(tmp_path):
     assert len(corpus) == 4
     for doc in corpus:
         assert doc.token_count >= 5000
-        verse_lengths = np.diff(doc.verse_ends, prepend=0)
+        text = (tmp_path / "tokens" / f"{doc.id}.tsv").read_text(encoding="utf-8")
+        verse_lengths = np.array([len(v.split("\n")) for v in text.strip("\n").split("\n\n")])
         assert np.all((6 <= verse_lengths) & (verse_lengths <= 12))
+        assert verse_lengths.sum() == doc.token_count
+        assert corpus.cells(doc, RHYMES)[1].sum() == len(verse_lengths)  # one rhyme a verse
 
 
 def test_function_word_list_matches_generated_core(tmp_path):
