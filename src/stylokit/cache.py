@@ -10,11 +10,12 @@ OpenSSL, +3.5 MB of RSS per process.
 
 An entry is no pickle, so a file dropped into the directory cannot run code:
 the key line; one JSON header line (per document its id, author, token
-count and cell count per table; the types; each array's dtype and shape;
-and a CRC-32 over the rest of the header and the payload); then the
-payload, the corpus's arrays: each count table's columns and counts, in
-the parse's document order, then the POS window rows. A hit reads each array
-whole and builds the corpus through ``corpus._assemble``, as a parse does.
+count and cell count per table; the types; the POS tags in the order of
+their ids; each array's dtype and shape; and a CRC-32 over the rest of the
+header and the payload); then the payload, the corpus's arrays: each count
+table's columns and counts, in the parse's document order, then the POS
+window rows. A hit reads each array whole and builds the corpus through
+``corpus._assemble``, as a parse does.
 An entry whose key line, header, dtypes (native uint16 or int32: an object
 array would read pointers), payload length or CRC does not check out is a
 miss. A miss parses and stores the corpus, unless a token file changed
@@ -113,7 +114,7 @@ def _read(path: Path, key: bytes) -> Corpus | None:
     # The header written again, as _write wrote it.
     if _crc(json.dumps(head), *arrays) != crc:
         return None
-    return _corpus._assemble(head["heads"], arrays, types)
+    return _corpus._assemble(head["heads"], arrays, types, head["tags"])
 
 
 def _crc(head: str, *arrays: np.ndarray) -> int:
@@ -132,6 +133,7 @@ def _write(path: Path, key: bytes, corpus: Corpus) -> None:
         "heads": [(d.id, d.alleged_author, d.token_count, *(c.stop - c.start for c in d.cells))
                   for d in sorted(corpus, key=lambda doc: doc.cells[_corpus.TYPES].start)],
         "types": "\n".join(f"{t.form}\t{t.lemma}\t{t.pos}" for t in corpus.types),
+        "tags": corpus.tags,
         "arrays": [(array.dtype.str, array.shape) for array in payload],
     }
     head["crc"] = _crc(json.dumps(head), *payload)

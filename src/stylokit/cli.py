@@ -128,11 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_record(args: argparse.Namespace) -> dict:
-    config = {key: value for key, value in vars(args).items() if key != "command"}
-    return {"command": args.command, "config": config, "tool": "stylokit", "version": __version__}
-
-
 def _output_dir(args: argparse.Namespace) -> Path:
     """--out, made if missing, less an earlier run.json: run.json marks a completed run."""
     out = make_output_dir(args.out)
@@ -146,8 +141,9 @@ def _output_dir(args: argparse.Namespace) -> Path:
 
 
 def _write_run_record(args: argparse.Namespace, out_dir: Path) -> None:
-    record = json.dumps(_config_record(args), sort_keys=True, indent=2) + "\n"
-    write_text(record, out_dir / "run.json")
+    config = {key: value for key, value in vars(args).items() if key != "command"}
+    record = {"command": args.command, "config": config, "tool": "stylokit", "version": __version__}
+    write_text(json.dumps(record, sort_keys=True, indent=2) + "\n", out_dir / "run.json")
 
 
 def _feature_spec(args: argparse.Namespace) -> FeatureSpec:
@@ -276,12 +272,9 @@ def main(argv: list[str] | None = None) -> int:
         out = _output_dir(args)
         command(args, out)
         _write_run_record(args, out)
-    except CorpusFormatError as exc:
+    except (CorpusFormatError, AnalysisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AnalysisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, CorpusFormatError) else 1
     return 0
 
 

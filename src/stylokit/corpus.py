@@ -15,8 +15,11 @@ Each document is then reduced to its token count and three count tables
 of (column, count) cells: its types, its verse-final types, and its POS
 windows, which cross verse breaks and keep proper names (POS ``NOMpro``;
 the lexical families skip them); a window column is a row of tag ids in
-``Corpus.windows``. A table is one pair of corpus-wide arrays; a document
-holds the slice of its cells: per-document arrays left ~0.5 MB more RSS.
+``Corpus.windows``. The parse numbers the POS tags in the order of their
+first types and keeps them in that order as ``Corpus.tags``, which the
+corpus cache stores beside the types. A table is one pair of corpus-wide
+arrays; a document holds the slice of its cells: per-document arrays
+left ~0.5 MB more RSS.
 Columns are uint16 up to 2**16 and int32 beyond (``_id_dtype``); counts
 are int32. The documents are sorted by doc id, the one row order of all.
 
@@ -81,6 +84,7 @@ _TAG_BITS = 21  # per tag id in a window's code: three fit in an int64
 class Corpus:
     documents: tuple[Document, ...]
     types: tuple[AnnotatedToken, ...]
+    tags: tuple[str, ...]  # each POS tag once, in the order of its first type: a tag id indexes it
     windows: np.ndarray = field(compare=False)  # per window column, a row of tag ids (tags)
     tables: tuple = field(compare=False)  # per count table, its (columns, counts) arrays
 
@@ -102,11 +106,6 @@ class Corpus:
 
     def alleged_authors(self) -> dict[str, str]:
         return {d.id: d.alleged_author for d in self.documents}
-
-    @property
-    def tags(self) -> tuple[str, ...]:
-        """Each POS tag once, in the order of its first type: a tag id indexes it."""
-        return tuple(dict.fromkeys(tok.pos for tok in self.types))
 
     def cells(self, doc: Document, table: int) -> tuple[np.ndarray, ...]:
         """The document's (columns, counts) in one count table: views into its arrays."""
@@ -234,10 +233,10 @@ def parse_corpus(sources: Iterable[tuple]) -> Corpus:
             array[n:] = values
     shifts = _TAG_BITS * np.arange(POS_NGRAM_N - 1, -1, -1)
     windows = np.fromiter(window_ids, np.int64)[:, None] >> shifts & (1 << _TAG_BITS) - 1
-    return _assemble(heads, [*arrays, windows.astype(np.int32)], tuple(table.vocabulary))
+    return _assemble(heads, [*arrays, windows.astype(np.int32)], tuple(table.vocabulary), tags)
 
 
-def _assemble(heads: list, arrays: list, types: tuple) -> Corpus:
+def _assemble(heads: list, arrays: list, types: tuple, tags: Iterable[str]) -> Corpus:
     """The corpus of the (id, author, token count, cell count per table) heads, sorted by id:
     the arrays are each table's columns and counts, in the heads' order, then the windows."""
     documents, starts = [], (0, 0, 0)
@@ -246,7 +245,8 @@ def _assemble(heads: list, arrays: list, types: tuple) -> Corpus:
         documents.append(Document(doc_id, author, n_tokens, cells))
         starts = tuple(c.stop for c in cells)
     documents.sort(key=lambda doc: doc.id)
-    return Corpus(tuple(documents), types, arrays[6], tuple(zip(arrays[0:6:2], arrays[1:6:2])))
+    tables = tuple(zip(arrays[0:6:2], arrays[1:6:2]))
+    return Corpus(tuple(documents), types, tuple(tags), arrays[6], tables)
 
 
 def read_utf8(path: str | Path) -> str:
@@ -330,9 +330,10 @@ def load_manifest(manifest_path: str | Path) -> Corpus:
     checked before the first token file is opened; a doc id seen twice
     raises CorpusFormatError naming its line. The token files are parsed in
     manifest order by one ``parse_corpus``, so an error names the first file
-    that fails. The corpus holds the documents sorted by doc id. A corpus
-    parsed before from the same ids, authors and token-file bytes is read
-    from the corpus cache instead.
+    that fails; one that fails during the parse but reads whole afterwards
+    raises CorpusFormatError naming the manifest. The corpus holds the
+    documents sorted by doc id. A corpus parsed before from the same ids,
+    authors and token-file bytes is read from the corpus cache instead.
     """
     import csv  # here, as the cache below: a process that loads no corpus never imports it
     manifest_path = Path(manifest_path)
@@ -352,15 +353,15 @@ def load_manifest(manifest_path: str | Path) -> Corpus:
         seen.add(doc_id)
         rows.append((doc_id, author, path))
     if not rows:
-        raise CorpusFormatError(f"manifest is empty: {manifest_path}")
+        raise CorpusFormatError(f"{manifest_path}: no documents")
     from . import cache  # on first load: ``import stylokit.cli`` leaves it uncompiled
 
     try:
         return cache.load(rows)
-    except (OSError, UnicodeDecodeError):
+    except (OSError, UnicodeDecodeError) as exc:
         for *_, path in rows:  # the first file that cannot be read whole raises naming it
             read_utf8(path)
-        raise
+        raise CorpusFormatError(f"{manifest_path}: a token file failed to read: {exc}") from None
 
 
 def _token_files(rows: list[tuple[str, str, Path]]) -> Iterator[tuple]:

@@ -14,6 +14,9 @@ except for function words, whose counts are divided by the document's
 lexical token total so that rarely-used list words keep their
 corpus-level scale.
 
+Selection, eta and the distances read the matrix in the blocks of one
+schedule, ``row_blocks``: at most ``BLOCK_FLOATS`` values, or one row.
+
 Every CSV stylokit writes goes through one writer, ``write_table``: a
 string head column, an optional block of floats in ``FLOAT_FORMAT``, the
 one float spec, and optional trailing string columns. A string is
@@ -52,6 +55,14 @@ class Scale(str, Enum):
 
 AFFIX_MIN_WORD_LEN = 4
 BLOCK_FLOATS = 1 << 14  # 128 KiB: the most values one block of per-feature or per-pair work holds
+
+
+def row_blocks(n: int, width: int) -> list[tuple[int, int]]:
+    """(lo, hi) ranges cutting n rows of width values into blocks of at most BLOCK_FLOATS values
+    (or one row), aligned on the last row so only the first is partial; no rows: one empty."""
+    step = max(1, BLOCK_FLOATS // max(1, width))
+    edges = [0, *range(n % step or min(n, step), n + 1, step)]
+    return list(zip(edges, edges[1:]))
 
 
 @dataclass(frozen=True)
@@ -117,11 +128,10 @@ class FeatureMatrix:
         return len(self.feature_names)
 
     def by_feature(self) -> Iterator[np.ndarray]:
-        """Features x docs, C-contiguous, in blocks of at most BLOCK_FLOATS values (or one row;
-        no features: one empty block): each feature reduces along a row, as in the whole."""
-        step = max(1, BLOCK_FLOATS // max(1, self.n_docs))
-        for lo in range(0, max(1, self.n_features), step):
-            yield np.ascontiguousarray(self.values[:, lo:lo + step].T)
+        """Features x docs, C-contiguous, one ``row_blocks`` block of features at a time (no
+        features: one empty block): each feature reduces along a row, as in the whole."""
+        for lo, hi in row_blocks(self.n_features, self.n_docs):
+            yield np.ascontiguousarray(self.values[:, lo:hi].T)
 
     def subset(self, columns: Sequence[int] | np.ndarray) -> "FeatureMatrix":
         """Restrict to the given column indices, which must be increasing. All columns of a

@@ -1,9 +1,9 @@
 """Document dissimilarities from a relative-frequency matrix.
 
 ``compute_distance(matrix, measure)`` is the one entry point. Each
-measure is a transform of the matrix, applied to one block of at most
-``BLOCK_FLOATS`` values of rows at a time, never to the whole matrix,
-followed by a row function applied to every pair of documents:
+measure is a transform of the matrix, applied to one block of rows of
+``features.row_blocks`` at a time, never to the whole matrix, followed
+by a row function applied to every pair of documents:
 
 - delta: z-score every feature column (sample standard deviation, n-1),
   length-normalize each document vector, take Manhattan distances;
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AnalysisError
-from .features import BLOCK_FLOATS, FeatureMatrix, check_row_order, degenerate, write_table
+from .features import FeatureMatrix, check_row_order, degenerate, row_blocks, write_table
 
 __all__ = ["Measure", "DistanceMatrix", "compute_distance", "write_distance_csv"]
 
@@ -59,13 +59,6 @@ def _column_stats(matrix: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
     return matrix.values.mean(axis=0), matrix.values.std(axis=0, ddof=1)
 
 
-def _blocks(n_docs: int, n_features: int) -> list[tuple[int, int]]:
-    """Row ranges of at most BLOCK_FLOATS values (or one row), aligned on the last row."""
-    step = max(1, BLOCK_FLOATS // max(1, n_features))
-    edges = [0, *range(n_docs % step or step, n_docs + 1, step)]
-    return list(zip(edges, edges[1:]))
-
-
 def _zscore_rows(matrix: FeatureMatrix):
     mean, sd = _column_stats(matrix)
 
@@ -80,7 +73,7 @@ def _unit_rows(rows, matrix: FeatureMatrix):
     """rows(lo, hi), a fresh array each call, with each row divided in place by its Euclidean
     norm; the norms are taken once, block by block, and the first document with none raises."""
     # np.linalg.norm(rows, axis=1) bit for bit, but one row squared at a time.
-    blocks = _blocks(matrix.n_docs, matrix.n_features)
+    blocks = row_blocks(matrix.n_docs, matrix.n_features)
     norms = np.concatenate([np.sqrt([np.add.reduce(r * r) for r in rows(*bl)]) for bl in blocks])
     dead = np.flatnonzero(norms == 0.0)
     if dead.size:
@@ -142,7 +135,7 @@ def compute_distance(matrix: FeatureMatrix, measure: Measure | str) -> DistanceM
     if matrix.n_docs < 2:
         raise AnalysisError(f"{measure.value} distance needs at least 2 documents")
     transform, row_fn = _MEASURES[measure]
-    values = _pairwise(transform(matrix), _blocks(matrix.n_docs, matrix.n_features), row_fn)
+    values = _pairwise(transform(matrix), row_blocks(matrix.n_docs, matrix.n_features), row_fn)
     return DistanceMatrix(matrix.doc_ids, values, measure)
 
 

@@ -128,7 +128,7 @@ def write_manifest(directory, token_files: dict[str, bytes]):
 
 def snapshot(corpus: Corpus):
     """Everything a corpus holds, dtypes included, in a form that compares by value."""
-    return corpus.types, corpus.windows.dtype, corpus.windows.tolist(), [
+    return corpus.types, corpus.tags, corpus.windows.dtype, corpus.windows.tolist(), [
         (d.id, d.alleged_author, d.token_count,
          [(a.dtype, a.tolist()) for t in (TYPES, RHYMES, WINDOWS) for a in corpus.cells(d, t)])
         for d in corpus

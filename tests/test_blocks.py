@@ -22,7 +22,7 @@ from _oracles import whole_by_feature, whole_distance
 from stylokit import metrics
 from stylokit.errors import AnalysisError
 from stylokit.evaluate import eta_table
-from stylokit.features import BLOCK_FLOATS, FeatureMatrix
+from stylokit.features import BLOCK_FLOATS, FeatureMatrix, row_blocks
 from stylokit.metrics import compute_distance
 from stylokit.selection import select_reliable
 
@@ -144,7 +144,7 @@ def test_each_row_takes_one_pair_call_per_block_of_its_later_rows(n):
         calls[int(a[0])] += 1
         return rest[:, 0] - a[0]
 
-    out = metrics._pairwise(lambda lo, hi: values[lo:hi], metrics._blocks(n, 300), row_fn)
+    out = metrics._pairwise(lambda lo, hi: values[lo:hi], row_blocks(n, 300), row_fn)
     assert calls == [-(-(n - 1 - i) // ROWS) for i in range(n)]
     assert np.array_equal(out, np.abs(values[:, 0][None, :] - values[:, 0][:, None]))
 

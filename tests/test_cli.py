@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings, strategies as st
 
 from conftest import every_load_parses
-from stylokit import features, metrics
+from stylokit import corpus as corpus_module, features, metrics
 from stylokit.cli import _FEATURE_FLAGS, main
 from stylokit.synth import SynthConfig, generate_corpus
 
@@ -63,6 +63,39 @@ def test_missing_manifest_exits_2(tmp_path, capsys):
 
 
 MANIFEST_HEADER = "id,title,author,genre,form,acts,year,path\n"
+
+
+def test_manifest_without_rows_exits_2_naming_it(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(MANIFEST_HEADER, encoding="utf-8")
+    assert main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {manifest}: no documents\n"
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [OSError(5, "Input/output error"), UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")],
+    ids=["os_error", "decode_error"],
+)
+def test_a_token_file_that_fails_only_during_the_parse_exits_2_naming_the_manifest(
+    corpus_dir, tmp_path, capsys, monkeypatch, fault
+):
+    """A read that fails once, as when a file changes during the parse, and every token file
+    then reading whole: the load ends in one error line, not a traceback."""
+    token_files, calls = corpus_module._token_files, []
+
+    def fails_once(rows):
+        calls.append(1)
+        if len(calls) == 1:
+            raise fault
+        return token_files(rows)
+
+    monkeypatch.setattr(corpus_module, "_token_files", fails_once)
+    manifest = corpus_dir / "manifest.csv"
+    assert main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {manifest}: a token file failed to read: {fault}\n"
+    assert calls == [1]
+    assert not (tmp_path / "o" / "run.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -255,6 +288,7 @@ def test_non_utf8_function_word_list_exits_2_naming_file_and_line(corpus_dir, tm
     "command, flag, value",
     [
         ("extract", "--min-tokens", "-1"),
+        ("extract", "--min-tokens", "abc"),
         ("extract", "--min-plays", "0"),
         ("synth", "--authors", "1"),
         ("synth", "--docs-per-author", "1"),
@@ -686,7 +720,7 @@ MUTATIONS = st.one_of(
     st.tuples(st.sampled_from(["truncate", "empty"]), st.none()),
 )
 # Faults of a whole file name no line; every other input fault names one.
-WHOLE_FILE_FAULTS = re.compile(r": cannot read: |: empty document$|: no function words$|^manifest is empty: ")
+WHOLE_FILE_FAULTS = re.compile(r": cannot read: |: empty document$|: no function words$|: no documents$")
 
 
 def _mutate(data: bytes, kind: str, arg, at: float) -> bytes:

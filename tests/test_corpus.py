@@ -98,6 +98,8 @@ def test_pos_windows_cross_verse_breaks_and_comments_but_not_documents():
     assert one == Counter({("DET", "NOMpro", "VER"): 1, ("NOMpro", "VER", "DET"): 1})
     assert two == Counter({("NOMpro", "VER", "DET"): 1})
     assert corpus.tags == ("DET", "NOMpro", "VER")
+    # Numbered in the order of their first types, not sorted.
+    assert parse_corpus([("d", "", lines[3:] + lines[:1])]).tags == ("NOMpro", "VER", "DET")
 
 
 def test_normalize_lowercases():
