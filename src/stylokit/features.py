@@ -4,15 +4,15 @@ Every family is a count over one of the corpus's three count tables, whose
 columns each carry feature names. The lexical families count the type
 table, each non-proper type carrying its lemma, form, affixes or listed
 function word; rhyme counts the verse-final types, and POS 3-grams the
-windows, each carrying its tag names. Per document, one bincount gives
-the column counts and a second sums them onto the features, so no docs x
-columns array is made. A family's features are the names of the columns
-with a cell in the corpus, in sorted name order; rows hold relative
-frequencies. Denominators are per family: the event total of the family
-itself (tokens, rhyme positions, affix occurrences, n-gram windows),
-except for function words, whose counts are divided by the document's
-lexical token total so that rarely-used list words keep their
-corpus-level scale.
+windows, each carrying its tag names. A family's features are the names
+of the columns with a cell in the corpus, each numbered once as first met
+and ranked into sorted name order. Per document, one bincount gives the
+column counts and a second sums them onto the features, so no docs x
+columns array is made; rows hold relative frequencies. Denominators are
+per family: the event total of the family itself (tokens, rhyme
+positions, affix occurrences, n-gram windows), except for function
+words, whose counts are divided by the document's lexical token total so
+that rarely-used list words keep their corpus-level scale.
 
 Selection, eta and the distances read the matrix in the blocks of one
 schedule, ``row_blocks``: at most ``BLOCK_FLOATS`` values, or one row.
@@ -171,30 +171,36 @@ def _columns(corpus: Corpus, spec: FeatureSpec) -> tuple[int, Callable[[int], li
 def _count(corpus: Corpus, spec: FeatureSpec) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     """docs x features counts of a family, and each document's denominator.
 
-    Each document's cells are bincounted into one row of column counts,
-    which is gathered onto the (column, name) pairs and bincounted into
-    feature counts: float sums of integer counts, exact below 2**53. The
-    denominator is the row's total, or for function words the document's
-    count of non-proper tokens.
+    Names are numbered as first met over the used columns, then ranked into
+    name order. A document's cells are bincounted into one row of column
+    counts, gathered onto each column's names and bincounted into feature
+    counts: float sums of integer counts, exact below 2**53 in any order. The
+    denominator is the row's total, or for function words its non-proper part.
     """
     n, names_of, table = _columns(corpus, spec)
     cells = [corpus.cells(doc, table) for doc in corpus]
     used = np.zeros(n, bool)  # marked one document at a time: no all-cells index array
     for columns, _ in cells:
         used[columns] = True
-    pairs = [(name, c) for c in np.flatnonzero(used).tolist() for name in names_of(c)]
-    index = {name: j for j, name in enumerate(sorted({name for name, _ in pairs}))}
-    feature = np.array([index[name] for name, _ in pairs], dtype=np.intp)
-    owner = np.array([c for _, c in pairs], dtype=np.intp)
+    seen: dict[str, int] = {}  # each name numbered once, as first met
+    feature, owner = [], []
+    for c in np.flatnonzero(used).tolist():
+        for name in names_of(c):
+            feature.append(seen.setdefault(name, len(seen)))
+            owner.append(c)
+    names = sorted(seen)
+    rank = np.empty(len(names), np.intp)  # first-seen number -> place; argsort's kernel costs RSS
+    rank[[seen[name] for name in names]] = np.arange(len(names))
+    feature, owner = rank[feature], np.array(owner, dtype=np.intp)
     lexical = None
     if spec.kind is FeatureKind.FUNCTION_WORD:
-        lexical = np.array([not tok.is_proper_noun for tok in corpus.types], dtype=np.int64)
-    counts, denoms = np.zeros((len(corpus), len(index))), np.zeros(len(corpus))
+        lexical = np.array([not tok.is_proper_noun for tok in corpus.types], dtype=bool)
+    counts, denoms = np.zeros((len(corpus), len(names))), np.zeros(len(corpus))
     for d, (columns, weights) in enumerate(cells):
         column_counts = np.bincount(columns, weights, n)
-        counts[d] = np.bincount(feature, column_counts[owner], len(index))
-        denoms[d] = counts[d].sum() if lexical is None else column_counts @ lexical
-    return tuple(index), counts, denoms
+        counts[d] = np.bincount(feature, column_counts[owner], len(names))
+        denoms[d] = counts[d].sum() if lexical is None else column_counts[lexical].sum()
+    return tuple(names), counts, denoms
 
 
 def build_matrix(corpus: Corpus, spec: FeatureSpec) -> FeatureMatrix:
