@@ -28,9 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import open_output
 from .errors import AnalysisError
-from .features import FLOAT_FORMAT, check_row_order
+from .features import FLOAT_FORMAT, check_row_order, open_output
 from .metrics import DistanceMatrix
 
 

@@ -29,9 +29,9 @@ from ``stylokit.cache``, which builds it through the same ``_assemble``.
 Every input may start with a UTF-8 byte-order mark, which is dropped.
 Token files are streamed, never held whole; on a read error,
 ``read_utf8`` reads the file again to name it and the bad byte's line.
-Every other file stylokit reads or writes goes through ``read_utf8`` or
-``open_output``, which turn an unusable path into a CorpusFormatError
-naming it.
+Every other file stylokit reads goes through ``read_utf8``, and every file
+it writes through ``features.open_output``: each turns an unusable path
+into a CorpusFormatError naming it.
 """
 
 from __future__ import annotations
@@ -40,11 +40,10 @@ import codecs
 import io
 import unicodedata
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -265,20 +264,6 @@ def read_utf8(path: str | Path) -> str:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise CorpusFormatError(f"{path}: line {line}: not valid UTF-8 ({exc.reason})") from None
-
-
-@contextmanager
-def open_output(path: str | Path) -> Iterator[TextIO]:
-    """An output file opened for UTF-8 text with no newline translation.
-
-    Failing to open or write it (a directory in its way, no permission, a
-    full disk) raises CorpusFormatError naming the path.
-    """
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-    except OSError as exc:
-        raise CorpusFormatError(f"{path}: cannot write: {exc.strerror or exc}") from None
 
 
 def make_output_dir(path: str | Path) -> Path:

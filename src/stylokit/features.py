@@ -21,23 +21,27 @@ Every CSV stylokit writes goes through one writer, ``write_table``: a
 string head column, an optional block of floats in ``FLOAT_FORMAT``, the
 one float spec, and optional trailing string columns. A string is
 quoted by one rule of stylokit's own, so a table's bytes do not depend
-on the Python version.
+on the Python version. Every file stylokit writes is opened by
+``open_output``. Only the functions that read a corpus or a word list
+import ``stylokit.corpus``, so the matrix layers load no token-file parser.
 """
 
 from __future__ import annotations
 
 import io
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .corpus import RHYMES, TYPES, WINDOWS, AnnotatedToken, Corpus
-from .corpus import normalize_form, open_output, read_utf8
 from .errors import AnalysisError, CorpusFormatError
+
+if TYPE_CHECKING:
+    from .corpus import AnnotatedToken, Corpus
 
 
 class FeatureKind(str, Enum):
@@ -159,6 +163,7 @@ def _type_features(tok: AnnotatedToken, spec: FeatureSpec, words: set[str]) -> l
 
 def _columns(corpus: Corpus, spec: FeatureSpec) -> tuple[int, Callable[[int], list[str]], int]:
     """A family's count columns: how many, each one's feature names, and their count table."""
+    from .corpus import RHYMES, TYPES, WINDOWS
     if spec.kind is not FeatureKind.POS_NGRAM:
         types, words = corpus.types, set(spec.function_words)
         table = RHYMES if spec.kind is FeatureKind.RHYME_LEMMA else TYPES
@@ -233,6 +238,20 @@ def _field(text: str, alone: bool) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
+@contextmanager
+def open_output(path: str | Path) -> Iterator[TextIO]:
+    """An output file opened for UTF-8 text with no newline translation.
+
+    Failing to open or write it (a directory in its way, no permission, a
+    full disk) raises CorpusFormatError naming the path.
+    """
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise CorpusFormatError(f"{path}: cannot write: {exc.strerror or exc}") from None
+
+
 def write_table(
     path: str | Path, header: Sequence[str], heads: Sequence[str],
     floats: np.ndarray | None = None, tails: Sequence[Sequence[str]] = (),
@@ -265,6 +284,7 @@ def load_word_list(path: str | Path) -> tuple[str, ...]:
     is dropped. A file without a single word raises CorpusFormatError
     naming it.
     """
+    from .corpus import normalize_form, read_utf8
     lines = (line.strip() for line in io.StringIO(read_utf8(path), newline=None))
     words = [normalize_form(line) for line in lines if not line.startswith("#")]
     words = [word for word in words if word]

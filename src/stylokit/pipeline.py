@@ -7,13 +7,16 @@ sample sizes, to its clusters; the sweep reuses its last stages, ``cluster_selec
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .cluster import ClusterAssignment, Dendrogram, cut, ward_cluster
-from .corpus import Corpus
 from .errors import AnalysisError
 from .features import FeatureMatrix, FeatureSpec, build_matrix
 from .metrics import DistanceMatrix, Measure, compute_distance
 from .selection import SelectionReport, select_reliable, top_columns
+
+if TYPE_CHECKING:
+    from .corpus import Corpus
 
 RELIABLE = "reliable"
 

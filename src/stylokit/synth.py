@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import MANIFEST_FIELDS, make_output_dir, open_output
+from .corpus import MANIFEST_FIELDS, make_output_dir
 from .errors import CorpusFormatError
-from .features import write_table
+from .features import open_output, write_table
 
 N_FUNCTION_WORDS = 110
 N_CONTENT_WORDS = 600

@@ -330,3 +330,30 @@ def test_importing_the_cli_and_clustering_a_matrix_never_import_the_cache():
     """)
     proc = _run_child(script)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_clustering_a_matrix_never_imports_the_corpus_parser(tmp_path):
+    """The matrix layers import stylokit.corpus only where a corpus or a word list is read,
+    so a process that clusters a matrix never loads the parser or unicodedata."""
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from stylokit.cluster import cut, ward_cluster
+        from stylokit.evaluate import eta_table, write_eta_csv
+        from stylokit.features import FeatureMatrix
+        from stylokit.metrics import compute_distance
+        from stylokit.pipeline import apply_selection
+
+        values = np.random.default_rng(1).uniform(size=(12, 5))
+        values /= values.sum(axis=1, keepdims=True)
+        matrix = FeatureMatrix(tuple(f"d{i:02d}" for i in range(12)), tuple("abcde"), values)
+        selected, _ = apply_selection(matrix, ("top", 1.0), 0)
+        for measure in ("delta", "minmax"):
+            assignment = cut(ward_cluster(compute_distance(selected, measure)), 3)
+        write_eta_csv(eta_table(selected, assignment), sys.argv[1])
+        for module in ("stylokit.corpus", "unicodedata"):
+            assert module not in sys.modules, f"{module} was imported"
+    """)
+    proc = _run_child(script, str(tmp_path / "eta.csv"))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "eta.csv").read_text(encoding="utf-8").startswith("feature,")
